@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint bench benchfull benchcompare loadgen-smoke ci
+.PHONY: all build vet test race lint bench benchfull benchcompare macro-smoke ci
 
 all: ci
 
@@ -50,28 +50,23 @@ lint: vet
 BENCH_GEN ?= 10
 BENCH_BASE ?= BENCH_9.json
 
-# Micro benchmarks first (benchjson rewrites the file), then the macro
-# load generator merges its per-class latency/throughput results under
-# the file's "macro" key — benchjson compare ignores non-Benchmark keys,
-# so the trajectory file carries both without confusing the gate.
 bench:
 	$(GO) test -bench . -benchtime=3x -benchmem -run XXX . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/benchjson -o BENCH_$(BENCH_GEN).json < bench.out
 	@rm -f bench.out
-	$(GO) run ./cmd/grouptravel-loadgen -duration 10s -out BENCH_$(BENCH_GEN).json
 
 benchfull:
 	$(GO) test -bench . -benchmem -run XXX . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/benchjson -o BENCH_$(BENCH_GEN).json < bench.out
 	@rm -f bench.out
-	$(GO) run ./cmd/grouptravel-loadgen -duration 30s -out BENCH_$(BENCH_GEN).json
 
-# 5-second macro smoke: boots the full in-process topology (primary,
-# streaming follower, edge-cached router), drives the persona mix, and
-# fails on any real error rate — the load generator itself cannot
-# bit-rot unnoticed.
-loadgen-smoke:
-	$(GO) run ./cmd/grouptravel-loadgen -duration 5s -rate 60 -cities 2
+# Macro smoke: macrobench's own suite (its own module), including
+# TestSmoke — the full topology (primary, streaming follower, edge-cached
+# router) driven briefly through each of the browse, plan and customize
+# workloads — so the benchmark BENCHMARK.json runs cannot bit-rot
+# unnoticed. Real measurements: bash macrobench/run.sh (see README).
+macro-smoke:
+	cd macrobench && $(GO) test ./...
 
 benchcompare:
 	-$(GO) run ./cmd/benchjson -compare -tolerance 15 $(BENCH_BASE) BENCH_$(BENCH_GEN).json

@@ -2,7 +2,7 @@
 // spreads city keys across backend shards (each one grouptravel-server
 // primary plus N followers), sends mutations to each shard's discovered
 // primary, and fans reads out to the freshest eligible follower — with
-// read-your-writes for any client that presents a session id.
+// read-your-writes for any client that replays its gt-session cookie.
 //
 // Usage:
 //
@@ -24,11 +24,13 @@
 //
 // Client protocol:
 //
-//	X-GT-Session: <any opaque id>   reads see all of this session's writes
-//	X-GT-Min-Seq: <seq>             explicit freshness floor (manual pinning)
+//	Cookie: gt-session=<city:seq|…>  reads see all of the cookie's writes
+//	X-GT-Min-Seq: <seq>              explicit freshness floor (manual pinning)
 //
 // Every mutation response carries X-GT-City/X-GT-Seq (the commit token)
-// and every routed response X-GT-Shard/X-GT-Backend (who served it).
+// plus a Set-Cookie refreshing gt-session, and every routed response
+// X-GT-Shard/X-GT-Backend (who served it). Both floor carriers travel
+// with the request, so any number of routers serve them alike.
 // GET /healthz reports per-node views and routing counters; GET /cities
 // aggregates the key space across shards.
 package main
@@ -54,7 +56,6 @@ func main() {
 	addr := flag.String("addr", ":7080", "listen address")
 	poll := flag.Duration("poll", 0, "node health poll interval (0: default 500ms)")
 	shedLag := flag.Int64("shed-lag", 0, "shed a follower from token-less reads when it lags the primary by more than this many records (0: default 1024, <0: never)")
-	maxSessions := flag.Int("max-sessions", 0, "read-your-writes session table bound (0: default 65536)")
 	failover := flag.Duration("failover", 0, "auto-promote a shard's freshest follower after its primary has been unreachable this long (0: manual failover only)")
 	topoReload := flag.Duration("topology-reload", 0, "also re-stat -topology on this interval and reload it when its mtime changes (0: SIGHUP only)")
 	edgeCache := flag.Bool("edge-cache", false, "serve hot city-scoped GETs from a seq-validated edge cache (zero proxy hops on a hit)")
@@ -79,7 +80,6 @@ func main() {
 		Topology:     topo,
 		PollInterval: *poll,
 		ShedLag:      *shedLag,
-		MaxSessions:  *maxSessions,
 		AccessLog:    accessLog,
 		Failover:     *failover,
 		EdgeCache:    *edgeCache,

@@ -67,8 +67,7 @@ func main() {
 	cacheCap := flag.Int("cluster-cache-cap", 0, "per-engine cluster cache bound (0: default, <0: unbounded)")
 	follow := flag.String("follow", "", "run as a read-only follower replicating from the primary at this base URL")
 	advertise := flag.String("advertise", "", "base URL peers and routers reach this node at (self-described on /healthz)")
-	followPoll := flag.Duration("follow-poll", 0, "replication poll interval (0: default; also the reconnect backoff base when streaming)")
-	followMode := flag.String("follow-mode", "stream", `replication transport: "stream" (push: hold ?stream=1 open, apply on commit wakeup) or "poll" (fetch per interval)`)
+	followPoll := flag.Duration("follow-poll", 0, "replication stream reconnect pacing: the failure backoff base (0: default 250ms)")
 	followerID := flag.String("follower-id", "", "stable id this follower identifies itself as on the primary's replication slots (default: -advertise)")
 	promote := flag.Bool("promote", false, "with -follow: start promoted — serve read-write from the follower's local state (failover boot)")
 	addr := flag.String("addr", ":8080", "listen address")
@@ -99,7 +98,6 @@ func main() {
 		EngineCacheCap: *cacheCap,
 		Follow:         *follow,
 		FollowPoll:     *followPoll,
-		FollowMode:     *followMode,
 		FollowerID:     *followerID,
 		Advertise:      *advertise,
 		AccessLog:      accessLog,

@@ -2,8 +2,9 @@
 // consistent-hash router in front of two shards, each a primary plus one
 // log-shipping follower. Cities are generated, spread across shards by
 // the hash ring, and mutated *through the router* — which discovers each
-// shard's primary from node health, pins the writing session's reads to
-// replicas that have applied its writes (read-your-writes), and fans
+// shard's primary from node health, pins the writer's reads to replicas
+// that have applied its writes (read-your-writes, carried in the
+// gt-session cookie the writer's cookie jar replays), and fans
 // token-less reads out to followers. Then a follower is killed mid-read:
 // reads keep flowing, one failover at a time.
 //
@@ -31,6 +32,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/cookiejar"
 	"os"
 	"strings"
 	"time"
@@ -105,15 +107,21 @@ func main() {
 		fmt.Printf("  city %-7s -> shard %s\n", key, rt.Ring().Shard(key))
 	}
 
-	// 4. Mutate through the router with a session id. The response
-	// carries the commit token; the immediate read-back is pinned to a
-	// replica at or past it — even though the followers lag.
+	// 4. Mutate through the router from a client with a cookie jar, as a
+	// browser would. The response carries the commit token and sets it as
+	// the gt-session cookie; the immediate read-back replays the cookie and
+	// is pinned to a replica at or past it — even though the followers lag.
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	writer := &http.Client{Jar: jar}
 	gids := map[string]int{}
 	for _, c := range cities {
 		key := keyOf(c)
-		hdr, gid := postWithSession(routerURL+"/cities/"+key+"/groups", groupBody(routerURL, key), "demo-session")
+		hdr, gid := post(writer, routerURL+"/cities/"+key+"/groups", groupBody(routerURL, key))
 		gids[key] = gid
-		backend, _ := readBack(routerURL, key, gid, "demo-session")
+		backend, _ := readBack(writer, routerURL, key, gid)
 		fmt.Printf("  wrote %s group %d (shard %s, seq %s) — read-back served by %s\n",
 			key, gid, hdr.Get("X-Gt-Shard"), hdr.Get("X-Gt-Seq"), backend)
 	}
@@ -122,7 +130,7 @@ func main() {
 	time.Sleep(100 * time.Millisecond) // let the followers drain and the feed notice
 	rt.Poll()
 	key := keyOf(cities[0])
-	backend, _ := readBack(routerURL, key, gids[key], "")
+	backend, _ := readBack(http.DefaultClient, routerURL, key, gids[key])
 	fmt.Printf("token-less read of %s served by %s (a follower)\n", key, backend)
 
 	// 6. Kill that follower mid-read: reads keep flowing — the router
@@ -139,7 +147,7 @@ func main() {
 	fmt.Println("killed follower", killed, "— reading on")
 	ok := 0
 	for i := 0; i < 20; i++ {
-		if _, err := readBack(routerURL, key, gids[key], ""); err == nil {
+		if _, err := readBack(http.DefaultClient, routerURL, key, gids[key]); err == nil {
 			ok++
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -186,15 +194,8 @@ func groupBody(routerURL, key string) map[string]any {
 
 // readBack GETs a group through the router, reporting which backend
 // served it.
-func readBack(routerURL, city string, gid int, session string) (string, error) {
-	req, err := http.NewRequest("GET", fmt.Sprintf("%s/cities/%s/groups/%d", routerURL, city, gid), nil)
-	if err != nil {
-		return "", err
-	}
-	if session != "" {
-		req.Header.Set("X-GT-Session", session)
-	}
-	resp, err := http.DefaultClient.Do(req)
+func readBack(c *http.Client, routerURL, city string, gid int) (string, error) {
+	resp, err := c.Get(fmt.Sprintf("%s/cities/%s/groups/%d", routerURL, city, gid))
 	if err != nil {
 		return "", err
 	}
@@ -206,7 +207,7 @@ func readBack(routerURL, city string, gid int, session string) (string, error) {
 	return resp.Header.Get("X-Gt-Backend"), nil
 }
 
-func postWithSession(url string, body any, session string) (http.Header, int) {
+func post(c *http.Client, url string, body any) (http.Header, int) {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(body); err != nil {
 		log.Fatal(err)
@@ -216,8 +217,7 @@ func postWithSession(url string, body any, session string) (http.Header, int) {
 		log.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-GT-Session", session)
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := c.Do(req)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -328,13 +328,14 @@ func TestTables6And7(t *testing.T) {
 	}
 }
 
+// TestDistanceReport checks the report's precision claim and rendering.
+// The measured speedup is wall-clock timing of one cold loop, so it is
+// not asserted here; BenchmarkHaversine/BenchmarkEquirectangular measure
+// the speed.
 func TestDistanceReport(t *testing.T) {
 	rep, err := RunDistanceReport(20000, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rep.Speedup <= 1 {
-		t.Errorf("equirectangular not faster than haversine: %.2fx", rep.Speedup)
 	}
 	// The paper's 0.1% precision claim must hold.
 	if rep.MaxRelativeError > 0.001 {

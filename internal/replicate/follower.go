@@ -13,7 +13,7 @@ import (
 // Target is what a Follower replicates into — implemented by the server
 // layer over its per-city state. All methods must be safe for concurrent
 // use; the Follower may sync different cities in parallel and a manual
-// CatchUp may overlap a background poll for the same city (sequence
+// CatchUp may overlap a background stream for the same city (sequence
 // numbers make overlapping applies idempotent).
 type Target interface {
 	// Resume returns the city's last durably applied sequence — where the
@@ -34,11 +34,9 @@ type Target interface {
 // Lag is one city's replication position, as reported on the follower's
 // /healthz.
 type Lag struct {
-	// Records and Bytes are how far behind the primary this city was at
-	// the last completed sync (records: sequence distance; bytes: wire
-	// bytes not yet applied).
+	// Records is how far behind the primary this city was at the last
+	// completed sync, in sequence distance.
 	Records int64 `json:"records"`
-	Bytes   int64 `json:"bytes"`
 	// AppliedSeq is the city's last applied sequence; PrimarySeq the
 	// primary's head at the last sync.
 	AppliedSeq int64 `json:"appliedSeq"`
@@ -56,24 +54,24 @@ type Lag struct {
 	Err   string `json:"error,omitempty"`
 
 	// resumed: AppliedSeq is established (at least one successful sync),
-	// so the next poll can resume from it without consulting the target —
+	// so the next cycle can resume from it without consulting the target —
 	// which would pin, and possibly fault in, the city.
 	resumed bool
 }
 
 // Follower tails a primary's per-city logs and applies them to a Target.
-// One goroutine per city polls on Interval; Sync and CatchUp drive the
-// same cycle synchronously (tests, promotion barriers).
+// One goroutine per city holds a push stream open; Sync and CatchUp run
+// one-shot fetches synchronously (tests, promotion barriers). Both paths
+// apply through the same step (apply).
 type Follower struct {
 	client   *Client
 	target   Target
 	cities   []string
 	interval time.Duration
-	stream   bool
 
 	// onEpoch, when set, is invoked with every nonzero replication term
 	// the primary reports (on stream open, every applied batch, and every
-	// poll), letting the server layer persist and adopt it.
+	// fetch), letting the server layer persist and adopt it.
 	onEpoch func(term int64, owner string)
 
 	mu  sync.Mutex
@@ -85,9 +83,9 @@ type Follower struct {
 	done      sync.WaitGroup
 }
 
-// DefaultPollInterval is how often a tailer polls when the caller does
-// not choose: frequent enough for sub-second staleness, cheap because a
-// caught-up poll transfers only headers.
+// DefaultPollInterval paces a tailer's reconnects when the caller does
+// not choose: the base of its failure backoff, and the wait before
+// reopening a stream that ended within a second.
 const DefaultPollInterval = 250 * time.Millisecond
 
 // NewFollower builds a follower over the given cities. interval <= 0
@@ -101,7 +99,6 @@ func NewFollower(primary string, cities []string, target Target, interval time.D
 		target:   target,
 		cities:   append([]string(nil), cities...),
 		interval: interval,
-		stream:   true,
 		lag:      make(map[string]*Lag, len(cities)),
 		stop:     make(chan struct{}),
 	}
@@ -133,13 +130,7 @@ func (f *Follower) observeEpoch(b *Batch) {
 	}
 }
 
-// SetStreaming selects between push streams (the default: a tailer holds
-// GET ?stream=1 open and applies frames as commits push them) and the
-// classic poll loop (one Fetch per interval). Call before Start; the
-// synchronous Sync/CatchUp paths always poll regardless.
-func (f *Follower) SetStreaming(on bool) { f.stream = on }
-
-// Start launches one polling tailer per city. Idempotent.
+// Start launches one streaming tailer per city. Idempotent.
 func (f *Follower) Start() {
 	f.startOnce.Do(func() {
 		for _, city := range f.cities {
@@ -157,15 +148,14 @@ func (f *Follower) Stop() {
 	f.done.Wait()
 }
 
-// tail is one city's loop. In streaming mode it holds a push stream open
-// and reconnects immediately when the server ends one cleanly (stream
-// life cap, compaction handoff); only failures back off. In polling mode
-// it runs the classic Sync-per-interval cycle. Either way, failures back
-// off exponentially (capped) instead of hammering a struggling primary.
+// tail is one city's push-stream loop: it holds a stream open and
+// reconnects immediately when the server ends one cleanly (stream life
+// cap, compaction handoff); only failures back off, exponentially
+// (capped), instead of hammering a struggling primary.
 func (f *Follower) tail(city string) {
 	defer f.done.Done()
 	failures := 0
-	immediate := f.stream
+	immediate := true
 	for {
 		if immediate && failures == 0 {
 			// A healthy stream reconnects without sleeping: the server just
@@ -187,18 +177,13 @@ func (f *Follower) tail(city string) {
 			}
 		}
 		start := time.Now()
-		var err error
-		if f.stream {
-			err = f.streamCity(city)
-		} else {
-			err = f.Sync(city)
-		}
+		err := f.streamCity(city)
 		// Only a stream that actually lived a while earns the instant
 		// reconnect. A clean end within a second means the other side is
 		// answering ?stream=1 as a one-shot (an old primary, a proxy that
 		// cannot flush) — reconnecting instantly against that is a hot
 		// loop at thousands of requests a second, so pace on the interval.
-		immediate = f.stream && time.Since(start) >= time.Second
+		immediate = time.Since(start) >= time.Second
 		if err != nil {
 			failures++
 		} else {
@@ -213,14 +198,10 @@ func (f *Follower) tail(city string) {
 // including the compaction-handoff case, where the fresh response opens
 // with a snapshot section.
 func (f *Follower) streamCity(city string) error {
-	applied, known := f.cachedSeq(city)
-	if !known {
-		var err error
-		applied, err = f.target.Resume(city)
-		if err != nil {
-			f.note(city, err)
-			return fmt.Errorf("replicate: resume %s: %w", city, err)
-		}
+	applied, err := f.resumeSeq(city)
+	if err != nil {
+		f.note(city, err)
+		return err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -231,43 +212,10 @@ func (f *Follower) streamCity(city string) error {
 		case <-ctx.Done():
 		}
 	}()
-	err := f.client.Stream(ctx, city, applied, func(b *Batch) error {
-		f.observeEpoch(b)
-		if b.Snapshot != nil && b.SnapshotSeq > applied {
-			seq, err := f.target.ApplySnapshot(city, b.Snapshot)
-			if err != nil {
-				return fmt.Errorf("replicate: snapshot handoff %s: %w", city, err)
-			}
-			if seq > applied {
-				applied = seq
-			}
-			f.mu.Lock()
-			if l, ok := f.lag[city]; ok {
-				l.SnapshotHandoffs++
-			}
-			f.mu.Unlock()
-		}
-		if len(b.Frames) > 0 {
-			seq, err := f.target.ApplyFrames(city, b.Frames)
-			if err != nil {
-				return fmt.Errorf("replicate: apply %s: %w", city, err)
-			}
-			if seq > applied {
-				applied = seq
-			}
-		}
-		f.mu.Lock()
-		if l, ok := f.lag[city]; ok {
-			l.AppliedSeq = applied
-			l.resumed = true
-			l.PrimarySeq = max(b.PrimarySeq, applied)
-			l.PrimaryWALBytes = b.PrimaryWALBytes
-			l.Records = max(l.PrimarySeq-applied, 0)
-			l.Syncs++
-			l.Err = ""
-		}
-		f.mu.Unlock()
-		return nil
+	err = f.client.Stream(ctx, city, applied, func(b *Batch) error {
+		var err error
+		applied, err = f.apply(city, applied, b)
+		return err
 	})
 	// A stop-triggered cancel is a shutdown, not a failure: report clean
 	// so the loop exits via the stop check instead of backing off first.
@@ -280,7 +228,48 @@ func (f *Follower) streamCity(city string) error {
 	return err
 }
 
-// note records a stream cycle's outcome in the city's lag entry.
+// apply installs one batch on top of the city's applied position — the
+// snapshot handoff when it moves past applied, then any frames beyond it
+// — and records the new position. Both transports land here: the push
+// stream once per batch, the one-shot fetch once per cycle. A batch with
+// nothing past applied never touches the target, so a caught-up fetch
+// does not pin (and thereby fault back in) an evicted city.
+func (f *Follower) apply(city string, applied int64, b *Batch) (int64, error) {
+	f.observeEpoch(b)
+	handoff := false
+	if b.Snapshot != nil && b.SnapshotSeq > applied {
+		seq, err := f.target.ApplySnapshot(city, b.Snapshot)
+		if err != nil {
+			return applied, fmt.Errorf("replicate: snapshot handoff %s: %w", city, err)
+		}
+		applied = max(applied, seq)
+		handoff = true
+	}
+	if n := len(b.Frames); n > 0 && b.Frames[n-1].Seq > applied {
+		seq, err := f.target.ApplyFrames(city, b.Frames)
+		if err != nil {
+			return applied, fmt.Errorf("replicate: apply %s: %w", city, err)
+		}
+		applied = max(applied, seq)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if l, ok := f.lag[city]; ok {
+		if handoff {
+			l.SnapshotHandoffs++
+		}
+		l.AppliedSeq = applied
+		l.resumed = true
+		l.PrimarySeq = max(b.PrimarySeq, applied)
+		l.PrimaryWALBytes = b.PrimaryWALBytes
+		l.Records = l.PrimarySeq - applied
+		l.Syncs++
+		l.Err = ""
+	}
+	return applied, nil
+}
+
+// note records a stream or fetch cycle's outcome in the city's lag entry.
 func (f *Follower) note(city string, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -317,98 +306,44 @@ func (f *Follower) Lag(city string) (Lag, bool) {
 // consistency.
 func (f *Follower) Sync(city string) error {
 	err := f.sync(city)
-	f.mu.Lock()
-	if l, ok := f.lag[city]; ok {
-		l.Syncs++
-		if err != nil {
-			l.Err = err.Error()
-			if errors.Is(err, ErrWireCorrupt) {
-				l.WireRetries++
-			}
-		} else {
-			l.Err = ""
-		}
-	}
-	f.mu.Unlock()
+	f.note(city, err)
 	return err
 }
 
 func (f *Follower) sync(city string) error {
-	// Resume from the cached position when one is established: between
-	// polls the city may have been evicted, and its durable state resumes
-	// at exactly this sequence, so a caught-up poll must not pin — and
-	// thereby fault back in — the city just to ask where it stands.
-	applied, known := f.cachedSeq(city)
-	if !known {
-		var err error
-		applied, err = f.target.Resume(city)
-		if err != nil {
-			return fmt.Errorf("replicate: resume %s: %w", city, err)
-		}
+	applied, err := f.resumeSeq(city)
+	if err != nil {
+		return err
 	}
 	batch, fetchErr := f.client.Fetch(city, applied)
 	if batch == nil {
 		return fetchErr
 	}
-	f.observeEpoch(batch)
-	hasNew := batch.Snapshot != nil && batch.SnapshotSeq > applied
-	for _, fr := range batch.Frames {
-		if fr.Seq > applied {
-			hasNew = true
-			break
-		}
+	if _, err := f.apply(city, applied, batch); err != nil {
+		return err
 	}
-	var appliedBytes int64
-	if hasNew {
-		if batch.Snapshot != nil {
-			seq, err := f.target.ApplySnapshot(city, batch.Snapshot)
-			if err != nil {
-				return fmt.Errorf("replicate: snapshot handoff %s: %w", city, err)
-			}
-			if seq > applied {
-				applied = seq
-			}
-			f.mu.Lock()
-			if l, ok := f.lag[city]; ok {
-				l.SnapshotHandoffs++
-			}
-			f.mu.Unlock()
-		}
-		if len(batch.Frames) > 0 {
-			seq, err := f.target.ApplyFrames(city, batch.Frames)
-			if err != nil {
-				return fmt.Errorf("replicate: apply %s: %w", city, err)
-			}
-			for _, fr := range batch.Frames {
-				if fr.Seq <= seq {
-					appliedBytes += fr.WireLen()
-				}
-			}
-			applied = seq
-		}
-	}
-	f.mu.Lock()
-	if l, ok := f.lag[city]; ok {
-		l.AppliedSeq = applied
-		l.resumed = true
-		l.PrimarySeq = batch.PrimarySeq
-		l.PrimaryWALBytes = batch.PrimaryWALBytes
-		l.Records = max(batch.PrimarySeq-applied, 0)
-		l.Bytes = max(batch.LagBytes-appliedBytes, 0)
-	}
-	f.mu.Unlock()
 	return fetchErr // nil, or the wire corruption the prefix-apply healed around
 }
 
-// cachedSeq returns the city's established resume point, if any.
-func (f *Follower) cachedSeq(city string) (int64, bool) {
+// resumeSeq is where a city's next stream or fetch resumes: the cached
+// position once established — between cycles the city may have been
+// evicted, and its durable state resumes at exactly this sequence, so
+// asking the target would pin, and fault back in, the city — else the
+// target's durable position.
+func (f *Follower) resumeSeq(city string) (int64, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	l, ok := f.lag[city]
-	if !ok || !l.resumed {
-		return 0, false
+	if ok && l.resumed {
+		seq := l.AppliedSeq
+		f.mu.Unlock()
+		return seq, nil
 	}
-	return l.AppliedSeq, true
+	f.mu.Unlock()
+	seq, err := f.target.Resume(city)
+	if err != nil {
+		return 0, fmt.Errorf("replicate: resume %s: %w", city, err)
+	}
+	return seq, nil
 }
 
 // CatchUp syncs every city until each reports zero record lag, or the

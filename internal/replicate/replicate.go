@@ -25,7 +25,6 @@
 //
 //	X-GT-Primary-Seq:       last committed sequence at serve time
 //	X-GT-Primary-Wal-Bytes: primary log bytes since its last compaction
-//	X-GT-Lag-Bytes:         wire bytes of the frames in this response
 //	X-GT-Snapshot-Seq:      watermark of the snapshot section, if present
 //
 // Delivery is at-least-once: a frame may arrive twice (a retry after a
@@ -56,7 +55,6 @@ var streamMagic = [8]byte{'G', 'T', 'R', 'E', 'P', 'v', '1', '\n'}
 const (
 	HeaderPrimarySeq      = "X-GT-Primary-Seq"
 	HeaderPrimaryWALBytes = "X-GT-Primary-Wal-Bytes"
-	HeaderLagBytes        = "X-GT-Lag-Bytes"
 	HeaderSnapshotSeq     = "X-GT-Snapshot-Seq"
 	// HeaderEpoch carries the replication term on both request and
 	// response: each side stamps its highest known term, and whichever
@@ -113,11 +111,9 @@ type Batch struct {
 
 	// PrimarySeq is the primary's last committed sequence at serve time;
 	// PrimaryWALBytes its log bytes since compaction (the backpressure
-	// gauge); LagBytes the wire bytes of Frames — what this follower had
-	// not applied when the response was cut.
+	// gauge).
 	PrimarySeq      int64
 	PrimaryWALBytes int64
-	LagBytes        int64
 
 	// Epoch is the replication term the serving node reported (0 for a
 	// pre-epoch fleet), EpochPrimary the advertised URL of the term's
@@ -134,11 +130,6 @@ func WriteStream(w http.ResponseWriter, b *Batch) error {
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(HeaderPrimarySeq, strconv.FormatInt(b.PrimarySeq, 10))
 	h.Set(HeaderPrimaryWALBytes, strconv.FormatInt(b.PrimaryWALBytes, 10))
-	var lagBytes int64
-	for _, fr := range b.Frames {
-		lagBytes += fr.WireLen()
-	}
-	h.Set(HeaderLagBytes, strconv.FormatInt(lagBytes, 10))
 	if b.Epoch > 0 {
 		h.Set(HeaderEpoch, strconv.FormatInt(b.Epoch, 10))
 		if b.EpochPrimary != "" {
@@ -378,7 +369,6 @@ func (c *Client) Fetch(city string, from int64) (*Batch, error) {
 		SnapshotSeq:     intHeader(HeaderSnapshotSeq),
 		PrimarySeq:      intHeader(HeaderPrimarySeq),
 		PrimaryWALBytes: intHeader(HeaderPrimaryWALBytes),
-		LagBytes:        intHeader(HeaderLagBytes),
 		Epoch:           respTerm,
 		EpochPrimary:    respOwner,
 	}

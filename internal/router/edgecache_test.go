@@ -133,16 +133,16 @@ func TestEdgeCacheHitInvalidateRefill(t *testing.T) {
 	rt, rts := newRouter(t, Options{Topology: singleShard(fts.URL, pts.URL), ShedLag: -1, EdgeCache: true})
 	rt.Poll()
 
-	sid := map[string]string{HeaderSession: "edgar"}
 	var g createdGroup
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, &g)
+	hdr := doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g)
+	sid := cookieCarrier(sessionCookieOf(t, hdr))
 	syncAll(t, fsrv)
 	rt.Poll()
 
 	url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g.ID)
 
 	// Miss + fill (served by the freshest follower), then a zero-hop hit.
-	hdr := doJSON(t, "GET", url, nil, sid, http.StatusOK, nil)
+	hdr = doJSON(t, "GET", url, nil, sid, http.StatusOK, nil)
 	if hdr.Get(HeaderEdge) != "" || hdr.Get(HeaderBackend) != fts.URL {
 		t.Fatalf("fill not served by the follower: edge=%q backend=%q", hdr.Get(HeaderEdge), hdr.Get(HeaderBackend))
 	}
@@ -159,8 +159,10 @@ func TestEdgeCacheHitInvalidateRefill(t *testing.T) {
 
 	// A proxied mutation invalidates the city immediately — before any
 	// health poll or follower sync — so the next read refills from the
-	// primary, the only node that can prove the new floor.
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, nil)
+	// primary, the only node that can prove the new floor. The ack's
+	// refreshed cookie carries that floor into the writer's next read.
+	hdr = doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, nil)
+	sid = cookieCarrier(sessionCookieOf(t, hdr))
 	hdr = doJSON(t, "GET", url, nil, sid, http.StatusOK, nil)
 	if hdr.Get(HeaderEdge) == "hit" {
 		t.Fatal("stale entry served after the mutation raised the commit floor")
@@ -185,7 +187,7 @@ func TestEdgeCacheHitInvalidateRefill(t *testing.T) {
 // TestEdgeCacheNeverServesPreWrite is the freshness-contract proof the
 // tentpole hangs on: with a follower frozen mid-lag and the cache warm,
 // a mutation's ack must make every pre-write entry unservable — for the
-// writer's own session AND for token-less readers — before the writer
+// writer's own cookie-carrying read AND for token-less readers — before the writer
 // can act on the ack. The token-less reader then gets the follower's
 // honest 404 (the eventual-consistency contract), never the cache's
 // confident stale 200.
@@ -199,9 +201,8 @@ func TestEdgeCacheNeverServesPreWrite(t *testing.T) {
 	rt.Poll()
 
 	// Warm the cache at seq 1 with everyone in sync.
-	sid := map[string]string{HeaderSession: "wanda"}
 	var g1 createdGroup
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, &g1)
+	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g1)
 	syncAll(t, fsrv)
 	rt.Poll()
 	g1url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g1.ID)
@@ -214,12 +215,13 @@ func TestEdgeCacheNeverServesPreWrite(t *testing.T) {
 	// sync and the router does NOT poll — the lag window is wide open and
 	// only the commit token can save correctness.
 	var g2 createdGroup
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, &g2)
+	hdr := doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g2)
+	sid := cookieCarrier(sessionCookieOf(t, hdr))
 
-	// The writer's read-back: session floor 2 beats the warm seq-1 entry;
+	// The writer's read-back: cookie floor 2 beats the warm seq-1 entry;
 	// the lagging follower can't prove the floor either, so the primary
 	// serves — post-write state, not a 404.
-	hdr := doJSON(t, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g2.ID), nil, sid, http.StatusOK, nil)
+	hdr = doJSON(t, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g2.ID), nil, sid, http.StatusOK, nil)
 	if hdr.Get(HeaderEdge) == "hit" {
 		t.Fatal("writer's read-back served from a pre-write cache entry")
 	}
@@ -281,7 +283,7 @@ func TestSessionCookieReadYourWrites(t *testing.T) {
 
 	// Replaying the cookie pins the read past the lagging follower.
 	url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g.ID)
-	withCookie := map[string]string{"Cookie": SessionCookie + "=" + ck}
+	withCookie := cookieCarrier(ck)
 	hdr = doJSON(t, "GET", url, nil, withCookie, http.StatusOK, nil)
 	if hdr.Get(HeaderBackend) != pts.URL {
 		t.Fatalf("cookie-carrying read served by %q, want primary %q", hdr.Get(HeaderBackend), pts.URL)
@@ -302,18 +304,6 @@ func TestSessionCookieReadYourWrites(t *testing.T) {
 	if cookieFloor(merged, key) != 1 || cookieFloor(merged, key2) != 1 {
 		t.Fatalf("merged cookie %q lost a city floor", merged)
 	}
-}
-
-// sessionCookieOf extracts the gt-session value from response headers.
-func sessionCookieOf(t *testing.T, hdr http.Header) string {
-	t.Helper()
-	for _, ck := range (&http.Response{Header: hdr}).Cookies() {
-		if ck.Name == SessionCookie {
-			return ck.Value
-		}
-	}
-	t.Fatalf("no %s cookie in %v", SessionCookie, hdr)
-	return ""
 }
 
 // --- coalescing and the route guard, against an instrumented backend ---

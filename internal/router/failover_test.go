@@ -187,7 +187,7 @@ func cityHeads(t *testing.T, base string) map[string]int64 {
 
 // TestRouterTopologyReload: swapping a shard's node set online (same
 // shard name, new backend) must route subsequent traffic to the new
-// node — no restart, in-flight state (sessions, counters) intact.
+// node — no restart, in-flight state (edge cache, counters) intact.
 func TestRouterTopologyReload(t *testing.T) {
 	cities := rtTestCities(t)
 	key := cityKeyOf(cities[0])

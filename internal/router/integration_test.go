@@ -13,12 +13,14 @@ import (
 // followers (their replication syncs run on a slow manual cadence, so at
 // the moment a client reads back its write the followers are genuinely
 // behind), with concurrent clients mutating and immediately reading
-// through the router. The invariant under test: a session's read-back
-// NEVER observes pre-write state — not a 404, not a stale copy — while
-// token-less readers keep being served by followers. Runs under -race
-// via `make race`, which is half the point: the whole request path —
-// session table, health feed, candidate selection, edge cache, counters
-// — is exercised from many goroutines at once. With edge true the
+// through the router. The invariant under test: a read-back carrying
+// the write's floor NEVER observes pre-write state — not a 404, not a
+// stale copy — while token-less readers keep being served by followers.
+// Both stateless carriers race each other: even writers replay the
+// gt-session cookie, odd writers echo the commit token as X-GT-Min-Seq.
+// Runs under -race via `make race`, which is half the point: the whole
+// request path — floor parsing, health feed, candidate selection, edge
+// cache, counters — is exercised from many goroutines at once. With edge true the
 // router's edge cache is on, so every hit, coalesced fill, and
 // floor-raise races the same traffic.
 func runRouterReadYourWritesUnderLag(t *testing.T, edge bool) {
@@ -83,7 +85,7 @@ func runRouterReadYourWritesUnderLag(t *testing.T, edge bool) {
 	}()
 
 	// Writer clients: mutate through the router, read back immediately
-	// with the same session id. Every read-back must see the write.
+	// carrying the write's floor. Every read-back must see the write.
 	const writers, writesEach = 4, 6
 	var wg sync.WaitGroup
 	errs := make(chan error, writers*writesEach+64)
@@ -91,12 +93,17 @@ func runRouterReadYourWritesUnderLag(t *testing.T, edge bool) {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			sid := map[string]string{HeaderSession: fmt.Sprintf("writer-%d", wi)}
 			city := cities[wi%len(cities)]
 			base := rts.URL + "/cities/" + cityKeyOf(city)
+			var cookie string // even writers: the jar, replayed on every request
 			for i := 0; i < writesEach; i++ {
+				var sent map[string]string
+				if cookie != "" {
+					sent = cookieCarrier(cookie)
+				}
 				var g createdGroup
-				if _, err := tryDoJSON("POST", base+"/groups", groupBody(city), sid, http.StatusCreated, &g); err != nil {
+				hdr, err := tryDoJSON("POST", base+"/groups", groupBody(city), sent, http.StatusCreated, &g)
+				if err != nil {
 					errs <- fmt.Errorf("writer %d: %w", wi, err)
 					return
 				}
@@ -104,9 +111,17 @@ func runRouterReadYourWritesUnderLag(t *testing.T, edge bool) {
 					errs <- fmt.Errorf("writer %d: mutation carried no commit token: %+v", wi, g)
 					return
 				}
+				floor := minSeqCarrier(g.Seq)
+				if wi%2 == 0 {
+					if cookie = cookieValue(hdr); cookie == "" {
+						errs <- fmt.Errorf("writer %d: mutation ack set no %s cookie", wi, SessionCookie)
+						return
+					}
+					floor = cookieCarrier(cookie)
+				}
 				// The moment of truth: read back through the router.
 				var got createdGroup
-				if _, err := tryDoJSON("GET", fmt.Sprintf("%s/groups/%d", base, g.ID), nil, sid, http.StatusOK, &got); err != nil {
+				if _, err := tryDoJSON("GET", fmt.Sprintf("%s/groups/%d", base, g.ID), nil, floor, http.StatusOK, &got); err != nil {
 					errs <- fmt.Errorf("writer %d observed pre-write state for group %d: %w", wi, g.ID, err)
 					return
 				}
@@ -153,7 +168,7 @@ func runRouterReadYourWritesUnderLag(t *testing.T, edge bool) {
 	}
 
 	// The routing counters prove the topology actually worked as designed:
-	// sessions were pinned, some pinned reads needed the primary (the
+	// read-backs were pinned, some pinned reads needed the primary (the
 	// followers really were lagging), and token-less traffic was served
 	// by followers.
 	var health healthReport

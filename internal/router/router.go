@@ -14,11 +14,12 @@
 //     failed candidates retried down the list, so a dying follower costs
 //     a failover, not an error.
 //   - Read-your-writes: every mutation response carries its committed
-//     (city, seq) token; a client that sends a session id (X-GT-Session)
-//     has its writes remembered and its subsequent reads pinned to
-//     replicas at or past its last written sequence — it can never
-//     observe pre-write state through the router, while token-less
-//     traffic keeps enjoying follower fan-out.
+//     (city, seq) token, echoed as a gt-session cookie; a client that
+//     replays the cookie (or sends the token back as X-GT-Min-Seq) has
+//     its reads pinned to replicas at or past its last written sequence
+//     — it can never observe pre-write state through any router, while
+//     token-less traffic keeps enjoying follower fan-out. The router
+//     holds no per-client state: the floor travels with the request.
 //
 // The routing unit is the city key — the same unit internal/registry
 // shards within a process — so the front tier scales the same axis
@@ -50,14 +51,13 @@ import (
 
 // Protocol headers. The X-GT-City/X-GT-Seq commit token and the
 // X-GT-Primary hint are stamped by the backend (internal/server); the
-// router consumes them and adds its own: the session and explicit-floor
-// request headers, and response headers naming which shard/backend
-// served — the observability hook the examples and tests read.
+// router consumes them and adds its own: the explicit-floor request
+// header, and response headers naming which shard/backend served — the
+// observability hook the examples and tests read.
 const (
 	HeaderSeq        = "X-GT-Seq"
 	HeaderCity       = "X-GT-City"
 	HeaderPrimary    = "X-GT-Primary"
-	HeaderSession    = "X-GT-Session"
 	HeaderMinSeq     = "X-GT-Min-Seq"
 	HeaderShard      = "X-GT-Shard"
 	HeaderBackend    = "X-GT-Backend"
@@ -70,14 +70,13 @@ const (
 // cookie, and any later read presenting the cookie has its floor raised
 // to the cookie's sequence for the request's city. A cookie-only client
 // — a browser behind any of N routers — therefore keeps read-your-writes
-// with zero router-side state, the first slice of the stateless-router
-// fleet. The value encodes per-city floors as "city:seq|city:seq" using
-// only cookie-safe bytes.
+// with zero router-side state. The value encodes per-city floors as
+// "city:seq|city:seq" using only cookie-safe bytes.
 const SessionCookie = "gt-session"
 
 const (
 	// DefaultPollInterval is the health feed's refresh cadence. Freshness
-	// data half a second stale only delays follower eligibility — session
+	// data half a second stale only delays follower eligibility — read
 	// pinning stays correct because a pinned read demands the replica's
 	// *reported* sequence reach the token, and reports never run ahead of
 	// applied state.
@@ -86,8 +85,6 @@ const (
 	// before token-less reads shed it: far enough behind, serving it is
 	// worse than the primary's extra load.
 	DefaultShedLag = 1024
-	// DefaultMaxSessions bounds the read-your-writes table.
-	DefaultMaxSessions = 65536
 	// maxBufferedBody bounds a buffered mutation body (bodies must be
 	// replayable for the 403/failover retries).
 	maxBufferedBody = 16 << 20
@@ -104,8 +101,6 @@ type Options struct {
 	// ShedLag is the max records a follower may lag before token-less
 	// reads shed it (0: DefaultShedLag; < 0: never shed).
 	ShedLag int64
-	// MaxSessions bounds the session table (0: DefaultMaxSessions).
-	MaxSessions int
 	// HTTP overrides the backend transport; when nil, a keep-alive client
 	// with per-phase transport deadlines (dial, response headers, idle) and
 	// no overall timeout — the /wal streams proxied for push replication
@@ -188,7 +183,6 @@ func newRouteTable(topo *Topology) (*routeTable, error) {
 type Router struct {
 	table     atomic.Pointer[routeTable]
 	health    *healthFeed
-	sessions  *sessionTable
 	edge      *edgeCache // nil when the edge cache is disabled
 	client    *http.Client
 	shedLag   int64
@@ -256,14 +250,9 @@ func New(opts Options) (*Router, error) {
 	if shedLag == 0 {
 		shedLag = DefaultShedLag
 	}
-	maxSessions := opts.MaxSessions
-	if maxSessions <= 0 {
-		maxSessions = DefaultMaxSessions
-	}
 	reg := telemetry.NewRegistry()
 	rt := &Router{
 		health:    newHealthFeed(opts.Topology.nodeURLs(), client, interval),
-		sessions:  newSessionTable(maxSessions),
 		client:    client,
 		shedLag:   shedLag,
 		failover:  opts.Failover,
@@ -277,8 +266,6 @@ func New(opts Options) (*Router, error) {
 	rt.health.instrument(reg)
 	rt.health.epochFor = rt.epochForNode
 	rt.health.afterPoll = rt.supervise
-	reg.GaugeFunc("gt_router_sessions", "Read-your-writes sessions tracked.",
-		func() float64 { return float64(rt.sessions.len()) })
 	if opts.EdgeCache {
 		rt.edge = newEdgeCache(opts.EdgeCacheMax, rt.ctr)
 		reg.GaugeFunc("gt_router_edgecache_entries", "Edge-cache entries resident.",
@@ -387,7 +374,7 @@ func (rt *Router) handleCityRoute(w http.ResponseWriter, r *http.Request) {
 // route ("" for the city-info endpoint).
 func (rt *Router) proxyRead(sh *Shard, city, rest string, w http.ResponseWriter, r *http.Request) {
 	rt.ctr.readsTotal.Inc()
-	minSeq := rt.readFloor(city, r)
+	minSeq := readFloor(city, r)
 	if minSeq > 0 {
 		rt.ctr.readsPinned.Inc()
 	}
@@ -465,9 +452,10 @@ func (rt *Router) healthMaxApplied(sh *Shard, city string) int64 {
 // validated hit costs zero proxy hops; a miss joins the key's
 // singleflight fill — one upstream hop no matter how many requests
 // collide on the key. The combined floor is computed once per request:
-// session floor (read-your-writes), the city's commit floor (immediate
-// invalidation by proxied mutations), and the health feed's max applied
-// sequence (bounded staleness for writes this router never saw).
+// the request's own floor (read-your-writes), the city's commit floor
+// (immediate invalidation by proxied mutations), and the health feed's
+// max applied sequence (bounded staleness for writes this router never
+// saw).
 func (rt *Router) edgeRead(sh *Shard, city, rest string, w http.ResponseWriter, r *http.Request, minSeq int64) {
 	key := edgeKey(city, r.URL.Path, r.URL.RawQuery)
 	floor := minSeq
@@ -559,20 +547,16 @@ func (rt *Router) captureAndRelay(w http.ResponseWriter, resp *http.Response, sh
 }
 
 // readFloor resolves the minimum acceptable sequence for this read: the
-// explicit X-GT-Min-Seq floor, raised by the session's remembered writes
-// and by the gt-session cookie's floor for this city. The cookie is the
-// header-less fallback — a browser that merely replays Set-Cookie gets
-// read-your-writes with no client code at all.
-func (rt *Router) readFloor(city string, r *http.Request) int64 {
+// explicit X-GT-Min-Seq floor, raised by the gt-session cookie's floor
+// for this city. Both carriers are stateless — the floor arrives with
+// the request — so any router of a fleet serves it identically. The
+// cookie is the header-less form: a browser that merely replays
+// Set-Cookie gets read-your-writes with no client code at all.
+func readFloor(city string, r *http.Request) int64 {
 	var minSeq int64
 	if v := r.Header.Get(HeaderMinSeq); v != "" {
 		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n > 0 {
 			minSeq = n
-		}
-	}
-	if sid := r.Header.Get(HeaderSession); sid != "" {
-		if s := rt.sessions.minSeq(sid, city); s > minSeq {
-			minSeq = s
 		}
 	}
 	if ck, err := r.Cookie(SessionCookie); err == nil {
@@ -667,7 +651,7 @@ func (rt *Router) readCandidates(sh *Shard, city, primary string, minSeq int64) 
 		}
 		seq := v.AppliedSeq[city]
 		if minSeq > 0 && seq < minSeq {
-			continue // behind the session's write: would serve pre-write state
+			continue // behind the reader's write: would serve pre-write state
 		}
 		if minSeq == 0 && rt.shedLag > 0 && primarySeq > 0 && primarySeq-seq > rt.shedLag {
 			rt.ctr.followersShed.Inc()
@@ -834,11 +818,10 @@ func dialFailure(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-// noteMutation records a successful mutation's commit token three ways,
-// all strictly before the ack relays to the client: against the
-// request's session (pinning the session's later reads), against the
-// edge cache (the city's commit floor rises, so entries rendered
-// pre-write stop serving before the writer can act on the ack), and as a
+// noteMutation records a successful mutation's commit token two ways,
+// both strictly before the ack relays to the client: against the edge
+// cache (the city's commit floor rises, so entries rendered pre-write
+// stop serving before the writer can act on the ack), and as a
 // gt-session cookie echo (header-less read-your-writes for clients that
 // just replay their cookie jar). A commit without a parseable token has
 // no sequence space to floor on — the city's edge entries purge outright.
@@ -859,9 +842,6 @@ func (rt *Router) noteMutation(city string, r *http.Request, w http.ResponseWrit
 	}
 	if rt.edge != nil {
 		rt.edge.invalidate(tokenCity, seq)
-	}
-	if sid := r.Header.Get(HeaderSession); sid != "" {
-		rt.sessions.note(sid, tokenCity, seq)
 	}
 	var prev string
 	if ck, err := r.Cookie(SessionCookie); err == nil {
@@ -1190,7 +1170,6 @@ type healthReport struct {
 	Status       string                 `json:"status"`
 	VirtualNodes int                    `json:"virtualNodes"`
 	Shards       map[string]shardHealth `json:"shards"`
-	Sessions     int                    `json:"sessions"`
 	EdgeEntries  int                    `json:"edgeEntries"`
 	Counters     countersJSON           `json:"counters"`
 }
@@ -1201,7 +1180,6 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Status:       "ok",
 		VirtualNodes: tab.ring.VirtualNodes(),
 		Shards:       make(map[string]shardHealth, len(tab.shards)),
-		Sessions:     rt.sessions.len(),
 		Counters: countersJSON{
 			ReadsTotal:         rt.ctr.readsTotal.Value(),
 			ReadsPrimary:       rt.ctr.readsPrimary.Value(),

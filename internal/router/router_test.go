@@ -160,6 +160,40 @@ func tryDoJSON(method, url string, body any, hdr map[string]string, wantStatus i
 	return resp.Header, nil
 }
 
+// cookieValue extracts the gt-session value a routed mutation response
+// set ("" when absent).
+func cookieValue(hdr http.Header) string {
+	for _, ck := range (&http.Response{Header: hdr}).Cookies() {
+		if ck.Name == SessionCookie {
+			return ck.Value
+		}
+	}
+	return ""
+}
+
+// sessionCookieOf is cookieValue for the test goroutine: a missing
+// cookie fails the test.
+func sessionCookieOf(t testing.TB, hdr http.Header) string {
+	t.Helper()
+	v := cookieValue(hdr)
+	if v == "" {
+		t.Fatalf("no %s cookie in %v", SessionCookie, hdr)
+	}
+	return v
+}
+
+// cookieCarrier is the request headers of a client replaying its
+// gt-session cookie — the browser-shaped read-your-writes carrier.
+func cookieCarrier(value string) map[string]string {
+	return map[string]string{"Cookie": SessionCookie + "=" + value}
+}
+
+// minSeqCarrier is the request headers of a client echoing a commit
+// token back as an explicit X-GT-Min-Seq floor.
+func minSeqCarrier(seq int64) map[string]string {
+	return map[string]string{HeaderMinSeq: fmt.Sprint(seq)}
+}
+
 type createdGroup struct {
 	ID   int   `json:"id"`
 	Size int   `json:"size"`
@@ -218,11 +252,11 @@ func TestDenied403RelayedWithHintIntact(t *testing.T) {
 }
 
 // TestSessionPinningRoutesAroundLag is the read-your-writes core: with a
-// lagging follower, a session's read-back goes to the primary; once the
-// follower catches up (and the health feed sees it), the same session's
-// reads move to the follower. A token-less read meanwhile gets follower
-// fan-out — including its honest 404 for an entity the follower has not
-// applied yet.
+// lagging follower, a read-back replaying the write's gt-session cookie
+// goes to the primary; once the follower catches up (and the health feed
+// sees it), the same cookie's reads move to the follower. A token-less
+// read meanwhile gets follower fan-out — including its honest 404 for an
+// entity the follower has not applied yet.
 func TestSessionPinningRoutesAroundLag(t *testing.T) {
 	_, pts := newPrimary(t)
 	fsrv, fts := newFollower(t, pts.URL)
@@ -232,14 +266,14 @@ func TestSessionPinningRoutesAroundLag(t *testing.T) {
 	rt, rts := newRouter(t, Options{Topology: singleShard(pts.URL, fts.URL), ShedLag: -1})
 	rt.Poll() // discover roles while both are empty
 
-	sid := map[string]string{HeaderSession: "alice"}
 	var g createdGroup
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, &g)
+	hdr := doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g)
+	sid := cookieCarrier(sessionCookieOf(t, hdr))
 
 	// The follower has not synced: a pinned read must be redirected to
 	// the primary and see the write.
 	var got createdGroup
-	hdr := doJSON(t, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g.ID), nil, sid, http.StatusOK, &got)
+	hdr = doJSON(t, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g.ID), nil, sid, http.StatusOK, &got)
 	if got.Size != 3 {
 		t.Fatalf("pinned read-back = %+v", got)
 	}
@@ -258,7 +292,7 @@ func TestSessionPinningRoutesAroundLag(t *testing.T) {
 		t.Fatalf("token-less read served by %q, want follower %q", backend, fts.URL)
 	}
 
-	// Follower catches up, the feed notices, and the pinned session's
+	// Follower catches up, the feed notices, and the pinned cookie's
 	// reads move off the primary.
 	syncAll(t, fsrv)
 	rt.Poll()
@@ -456,9 +490,9 @@ func TestPinnedReadNeverServedStale(t *testing.T) {
 	// Shape 1: primary identified, then dead.
 	rt1, rts1 := newRouter(t, Options{Topology: singleShard(f1ts.URL, pts.URL), ShedLag: -1})
 	rt1.Poll()
-	sid := map[string]string{HeaderSession: "carol"}
 	var g createdGroup
-	doJSON(t, "POST", rts1.URL+"/cities/"+key+"/groups", groupBody(city), sid, http.StatusCreated, &g)
+	hdr := doJSON(t, "POST", rts1.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g)
+	sid := cookieCarrier(sessionCookieOf(t, hdr))
 	pts.Close()
 	rt1.Poll()
 	if _, err := tryDoJSON("GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts1.URL, key, g.ID), nil, sid, http.StatusBadGateway, nil); err != nil {
@@ -469,8 +503,7 @@ func TestPinnedReadNeverServedStale(t *testing.T) {
 	// known to be a follower, which provably cannot satisfy the floor.
 	rt2, rts2 := newRouter(t, Options{Topology: singleShard(f2ts.URL), ShedLag: -1})
 	rt2.Poll()
-	floor := map[string]string{HeaderMinSeq: "99"}
-	if _, err := tryDoJSON("GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts2.URL, key, g.ID), nil, floor, http.StatusServiceUnavailable, nil); err != nil {
+	if _, err := tryDoJSON("GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts2.URL, key, g.ID), nil, minSeqCarrier(99), http.StatusServiceUnavailable, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The same shard still serves token-less reads from the follower.
@@ -480,6 +513,58 @@ func TestPinnedReadNeverServedStale(t *testing.T) {
 	}
 	if backend := hdr.Get(HeaderBackend); backend != f2ts.URL {
 		t.Fatalf("token-less read served by %q, want follower %q", backend, f2ts.URL)
+	}
+}
+
+// TestReadYourWritesAcrossTwoRouters is the fleet case: a client writes
+// through router A and reads back through router B, which never saw the
+// write and polled the shard before it committed. The floor travels with
+// the request — the gt-session cookie A set, or the commit token echoed
+// as X-GT-Min-Seq — so B pins the read past the lagging follower (and
+// past its own warm-but-stale edge view) exactly as A would have.
+func TestReadYourWritesAcrossTwoRouters(t *testing.T) {
+	_, pts := newPrimary(t)
+	_, fts := newFollower(t, pts.URL) // never synced: lags every write
+	city := rtTestCities(t)[0]
+	key := cityKeyOf(city)
+
+	rtA, rtsA := newRouter(t, Options{Topology: singleShard(fts.URL, pts.URL), ShedLag: -1})
+	rtB, rtsB := newRouter(t, Options{Topology: singleShard(fts.URL, pts.URL), ShedLag: -1, EdgeCache: true})
+	rtA.Poll()
+
+	carriers := []struct {
+		name  string
+		carry func(hdr http.Header, g createdGroup) map[string]string
+	}{
+		{"cookie", func(hdr http.Header, _ createdGroup) map[string]string {
+			return cookieCarrier(sessionCookieOf(t, hdr))
+		}},
+		{"min-seq", func(_ http.Header, g createdGroup) map[string]string {
+			return minSeqCarrier(g.Seq)
+		}},
+	}
+	for i, c := range carriers {
+		rtB.Poll() // B's view predates the write
+		var g createdGroup
+		hdr := doJSON(t, "POST", rtsA.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g)
+		url := fmt.Sprintf("%s/cities/%s/groups/%d", rtsB.URL, key, g.ID)
+
+		// Control: without a floor, B serves the lagging follower's 404 —
+		// the pre-write state a floor-less read-back would observe.
+		if _, err := tryDoJSON("GET", url, nil, nil, http.StatusNotFound, nil); err != nil {
+			t.Fatalf("%s: token-less control: %v", c.name, err)
+		}
+		var got createdGroup
+		hdr, err := tryDoJSON("GET", url, nil, c.carry(hdr, g), http.StatusOK, &got)
+		if err != nil {
+			t.Fatalf("%s: read-back through router B observed pre-write state: %v", c.name, err)
+		}
+		if got.Size != 3 || hdr.Get(HeaderBackend) != pts.URL {
+			t.Fatalf("%s: read-back %+v served by %q, want the group from primary %q", c.name, got, hdr.Get(HeaderBackend), pts.URL)
+		}
+		if n := rtB.ctr.readsPinned.Value(); n != int64(i+1) {
+			t.Fatalf("%s: router B readsPinned = %d, want %d", c.name, n, i+1)
+		}
 	}
 }
 

@@ -141,17 +141,13 @@ type Options struct {
 	// streams anonymously (replication still works, it just isn't
 	// slot-tracked).
 	FollowerID string
-	// FollowPoll is the replication tailer's poll interval: 0 selects
+	// FollowPoll paces the replication tailers' reconnects: each tailer
+	// holds a push stream open per city — the primary flushes frames as
+	// commits land, so steady-state lag is bounded by the network, not an
+	// interval — and backs off from this base after failures. 0 selects
 	// replicate.DefaultPollInterval; < 0 starts no background tailers —
 	// the embedder drives Follower().Sync/CatchUp itself (tests).
 	FollowPoll time.Duration
-	// FollowMode selects how background tailers track the primary:
-	// "stream" (the default, also "") holds a push stream open per city —
-	// the primary flushes frames as commits land, so steady-state lag is
-	// bounded by the network, not a poll interval; FollowPoll then only
-	// paces reconnect attempts. "poll" restores the pre-streaming backoff
-	// polling. Manual-sync embedders (FollowPoll < 0) are unaffected.
-	FollowMode string
 	// AccessLog emits one structured line per request (request id,
 	// endpoint class, city, status, duration) when non-nil. Nil keeps the
 	// request path silent — the benchmark/embedder default.
@@ -374,11 +370,6 @@ func NewMultiCity(opts Options) (*Server, error) {
 	if err := s.Preload(opts.PreloadCities...); err != nil {
 		return nil, err
 	}
-	switch opts.FollowMode {
-	case "", "stream", "poll":
-	default:
-		return nil, fmt.Errorf("server: unknown follow mode %q (want stream or poll)", opts.FollowMode)
-	}
 	if upstream := s.topo.Upstream(); upstream != "" && !s.promoted.Load() {
 		s.follower = replicate.NewFollower(upstream, keys, followerTarget{s}, max(opts.FollowPoll, 0))
 		fid := opts.FollowerID
@@ -388,9 +379,6 @@ func NewMultiCity(opts Options) (*Server, error) {
 		s.follower.SetID(fid)
 		s.follower.SetEpochInfo(s.Epoch)
 		s.follower.SetOnEpoch(s.observeEpoch)
-		if opts.FollowMode == "poll" {
-			s.follower.SetStreaming(false)
-		}
 		if opts.FollowPoll >= 0 {
 			s.follower.Start()
 		}

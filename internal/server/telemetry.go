@@ -184,8 +184,6 @@ func (s *Server) registerScrapeFuncs(keys []string) {
 		}
 		reg.GaugeFunc("gt_replication_lag_records", "Records behind the primary at the last sync.",
 			lagField(func(l replicate.Lag) float64 { return float64(l.Records) }), "city", key)
-		reg.GaugeFunc("gt_replication_lag_bytes", "Wire bytes behind the primary at the last sync.",
-			lagField(func(l replicate.Lag) float64 { return float64(l.Bytes) }), "city", key)
 		reg.CounterFunc("gt_replication_snapshot_handoffs_total", "Compaction handoffs installed.",
 			lagField(func(l replicate.Lag) float64 { return float64(l.SnapshotHandoffs) }), "city", key)
 		reg.CounterFunc("gt_replication_wire_retries_total", "Torn/corrupt wire responses that forced a re-fetch.",
