@@ -1,5 +1,8 @@
 # GroupTravel build/test entry points. `make ci` is what a CI runner (or a
-# reviewer) should run: vet + build + race-enabled tests.
+# reviewer) should run: vet + build + race-enabled tests + the macro
+# benchmark's smoke suite. macrobench is its own module, so the root
+# `go build ./...` never compiles it: a server or router API change can
+# break the benchmark while every root target stays green.
 
 GO ?= go
 
@@ -72,4 +75,4 @@ benchcompare:
 	-$(GO) run ./cmd/benchjson -compare -tolerance 15 $(BENCH_BASE) BENCH_$(BENCH_GEN).json
 	$(GO) run ./cmd/benchjson -compare -tolerance 100 $(BENCH_BASE) BENCH_$(BENCH_GEN).json
 
-ci: lint build race
+ci: lint build race macro-smoke

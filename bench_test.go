@@ -1076,11 +1076,11 @@ func BenchmarkRouterEdgeCache(b *testing.B) {
 			}
 		}
 	})
-	// The wait param trips the streamed-response guard, so the router
+	// The stream param trips the streamed-response guard, so the router
 	// proxies every iteration; the shard ignores it and serves its own
 	// byte-cached render — the routed-uncached baseline.
 	b.Run("miss", func(b *testing.B) {
-		req := httptest.NewRequest(http.MethodGet, path+"&wait=0", nil)
+		req := httptest.NewRequest(http.MethodGet, path+"&stream=0", nil)
 		for i := 0; i < b.N; i++ {
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)

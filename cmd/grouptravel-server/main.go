@@ -1,22 +1,22 @@
 // Command grouptravel-server serves the GroupTravel HTTP API — the backend
 // a Figure 3 style map GUI would talk to. One process serves many cities:
 // requests route to a per-city engine through a city-keyed registry that
-// lazily loads datasets from -data-dir, keeps at most -max-cities resident
-// (LRU-evicted, never mid-request), and persists every city's groups and
-// packages under -snapshot-dir so a restart reconstructs the full state.
+// lazily loads datasets from -data-dir (a loaded city stays resident), and
+// persists every city's groups and packages under -snapshot-dir so a
+// restart reconstructs the full state.
 //
 // Persistence is a per-city write-ahead log plus periodic compaction:
 // every mutation appends one record to <key>.wal (fsynced per -wal-sync),
 // and the full <key>.state.json snapshot is rewritten only when the log
-// crosses -compact-every records (or the byte threshold) or the city is
-// evicted. A restart replays snapshot + log; torn log tails are truncated
-// and reported on /healthz.
+// crosses -compact-every records (or the byte threshold). A restart
+// replays snapshot + log; torn log tails are truncated and reported on
+// /healthz.
 //
 // Usage:
 //
 //	grouptravel-server -city builtin:Paris -addr :8080
 //	grouptravel-server -city paris.json -snapshot-dir ./state
-//	grouptravel-server -data-dir ./cities -max-cities 4 -snapshot-dir ./state \
+//	grouptravel-server -data-dir ./cities -snapshot-dir ./state \
 //	    -wal-sync 100ms -compact-every 4096 -preload-cities paris,rome
 //
 // Endpoints (JSON):
@@ -62,7 +62,6 @@ func main() {
 	compactEvery := flag.Int("compact-every", 0, "compact a city's log into its snapshot after this many records (0: default 1024, <0: off)")
 	compactBytes := flag.Int64("compact-bytes", 0, "byte-size compaction trigger (0: default 4MiB, <0: off)")
 	preload := flag.String("preload-cities", "", "comma-separated city keys to load at boot (warm-up)")
-	maxCities := flag.Int("max-cities", 0, "max cities resident at once, LRU-evicted beyond it (0: unlimited)")
 	defaultCity := flag.String("default-city", "", "city key served by the legacy /api routes (default: first key)")
 	cacheCap := flag.Int("cluster-cache-cap", 0, "per-engine cluster cache bound (0: default, <0: unbounded)")
 	follow := flag.String("follow", "", "run as a read-only follower replicating from the primary at this base URL")
@@ -93,7 +92,6 @@ func main() {
 		WALSync:        syncPolicy,
 		CompactEvery:   *compactEvery,
 		CompactBytes:   *compactBytes,
-		MaxCities:      *maxCities,
 		DefaultCity:    *defaultCity,
 		EngineCacheCap: *cacheCap,
 		Follow:         *follow,

@@ -1,33 +1,25 @@
 // Package registry is the multi-city serving layer between the engine and
 // the HTTP surface: a concurrency-safe, city-keyed registry that lazily
-// loads city datasets, constructs one shared core.Engine (plus arbitrary
-// per-city serving state) per city, and evicts idle cities under a
-// configurable cap so one process can front many more cities than fit in
-// memory at once.
+// loads city datasets and constructs one shared core.Engine (plus
+// arbitrary per-city serving state) per city.
 //
 // # Lifecycle
 //
 // A registry is created over a fixed key set (the cities a data directory
-// can serve). Nothing is loaded up front: the first Acquire of a key runs
-// the Load → NewEngine → NewState pipeline exactly once no matter how many
+// can serve). Nothing is loaded up front: the first Get of a key runs the
+// Load → NewEngine → NewState pipeline exactly once no matter how many
 // requests arrive concurrently (singleflight — late arrivals block on the
 // first loader and share its result; a failed load is forgotten so the
-// next Acquire retries).
-//
-// Acquire pins the city for the duration of the request; the returned
-// release function unpins it. When the number of loaded cities exceeds
-// MaxCities, the least-recently-used unpinned city is evicted — a pinned
-// city (in-flight builds) is never a victim, so the cap is soft under
-// load: eviction waits rather than failing requests. An evicted city
-// reloads on its next Acquire, which is what makes persistence (snapshot
-// on mutation, reload in NewState) the other half of this subsystem.
+// next Get retries). A loaded city stays resident for the life of the
+// process: which cities a node serves is decided upstream (the router's
+// hash ring), and cities nobody asks for are simply never loaded.
 //
 // # Locking
 //
-// One registry mutex guards the key → entry map, pin counts and recency;
-// dataset loading, engine construction and state loading all run outside
-// it. The registry never calls user hooks (Load, NewState, OnEvict) while
-// holding its lock, so hooks may acquire their own locks freely.
+// One registry mutex guards the key → entry map; dataset loading, engine
+// construction and state loading all run outside it. The registry never
+// calls user hooks (Load, NewState, OnLoad) while holding its lock, so
+// hooks may acquire their own locks freely.
 package registry
 
 import (
@@ -62,25 +54,10 @@ type Options[S any] struct {
 	NewState func(c *City[S]) (S, error)
 
 	// OnLoad observes a city becoming resident, after it is visible to
-	// Loaded/Range; the registry does not hold its lock across the call.
+	// Resident/Range; the registry does not hold its lock across the call.
 	// Listings that cache on a residency-sensitive version key rely on
 	// this ordering: the invalidation must follow the visibility flip.
 	OnLoad func(c *City[S])
-	// OnEvict observes a city leaving the registry (after it is already
-	// unreachable). Optional.
-	OnEvict func(c *City[S])
-
-	// Evictable, when set, can veto evicting a specific city (e.g. one
-	// whose state has not been durably persisted). Vetoed cities keep the
-	// cap soft exactly like pinned ones. Called with the registry lock
-	// held: it must be fast and must not call back into the registry.
-	Evictable func(c *City[S]) bool
-
-	// MaxCities caps how many cities stay loaded; <= 0 means unlimited.
-	// The cap is soft: pinned cities are never evicted, so a burst
-	// touching more than MaxCities distinct cities at once loads them
-	// all and sheds back down as pins release.
-	MaxCities int
 
 	// EngineCacheCap overrides the per-engine cluster-cache bound
 	// (core.DefaultCacheCap when 0, unbounded when < 0).
@@ -88,29 +65,24 @@ type Options[S any] struct {
 }
 
 // entry is one slot in the key map. ready is closed when loading finished;
-// city/err are final after that. pins, lastUse and loadNanos are guarded
-// by the registry mutex.
+// city/err are final after that. loadNanos is guarded by the registry
+// mutex.
 type entry[S any] struct {
 	ready     chan struct{}
 	city      *City[S]
 	err       error
-	pins      int
-	lastUse   int64
 	loadNanos int64 // wall time of the Load → NewEngine → NewState pipeline
 }
 
 // Registry routes city keys to loaded cities. Safe for concurrent use.
 type Registry[S any] struct {
-	opts Options[S]
-	keys []string
+	opts  Options[S]
+	keys  []string
+	known map[string]bool
 
-	mu        sync.Mutex
-	known     map[string]bool
-	entries   map[string]*entry[S]
-	draining  map[string]chan struct{} // evicted keys whose OnEvict hook is still running
-	clock     int64
-	evictions int64
-	loads     int64
+	mu      sync.Mutex
+	entries map[string]*entry[S]
+	loads   int64
 }
 
 // New builds a registry over the given key set.
@@ -122,10 +94,9 @@ func New[S any](keys []string, opts Options[S]) (*Registry[S], error) {
 		return nil, fmt.Errorf("registry: no cities")
 	}
 	r := &Registry[S]{
-		opts:     opts,
-		known:    make(map[string]bool, len(keys)),
-		entries:  make(map[string]*entry[S], len(keys)),
-		draining: make(map[string]chan struct{}),
+		opts:    opts,
+		known:   make(map[string]bool, len(keys)),
+		entries: make(map[string]*entry[S], len(keys)),
 	}
 	for _, k := range keys {
 		if k == "" {
@@ -151,102 +122,60 @@ func (r *Registry[S]) Keys() []string {
 // Has reports whether key is servable.
 func (r *Registry[S]) Has(key string) bool { return r.known[key] }
 
-// Acquire returns the loaded city for key, loading it on first use, and
-// pins it against eviction until release is called. Every caller must
-// release exactly once (release is idempotent-unsafe by design: it is a
-// bug to call it twice, and a bug to forget it — pair it with defer).
-func (r *Registry[S]) Acquire(key string) (c *City[S], release func(), err error) {
+// Get returns the loaded city for key, loading it on first use.
+func (r *Registry[S]) Get(key string) (*City[S], error) {
 	if !r.known[key] {
-		return nil, nil, fmt.Errorf("registry: unknown city %q", key)
+		return nil, fmt.Errorf("registry: unknown city %q", key)
 	}
 	r.mu.Lock()
-	// An evicted city's OnEvict hook may still be tearing state down
-	// (flushing/closing its persistence files). Reloading the key while
-	// the hook runs would put two owners on the same on-disk state — the
-	// old one's teardown could clobber the new one's writes — so wait for
-	// the drain to finish before loading.
-	for {
-		drain, ok := r.draining[key]
-		if !ok {
-			break
-		}
-		r.mu.Unlock()
-		<-drain
-		r.mu.Lock()
-	}
-	e, ok := r.entries[key]
-	if ok {
-		e.pins++
-		r.clock++
-		e.lastUse = r.clock
+	if e, ok := r.entries[key]; ok {
 		r.mu.Unlock()
 		<-e.ready
-		if e.err != nil {
-			r.unpin(key, e)
-			return nil, nil, e.err
-		}
-		return e.city, func() { r.unpin(key, e) }, nil
+		return e.city, e.err
 	}
-	// First toucher loads; the pin taken here keeps the half-built city
-	// from being evicted by a concurrent overflow.
-	e = &entry[S]{ready: make(chan struct{}), pins: 1}
-	r.clock++
-	e.lastUse = r.clock
+	e := &entry[S]{ready: make(chan struct{})}
 	r.entries[key] = e
 	r.loads++
 	r.mu.Unlock()
 
-	loadStart := time.Now()
+	start := time.Now()
 	e.city, e.err = r.load(key)
-	loadNanos := int64(time.Since(loadStart))
-	if e.err != nil {
-		// Forget the failed load so a later Acquire retries; waiters
-		// observe the error through the entry they already hold.
-		r.mu.Lock()
-		delete(r.entries, key)
-		r.mu.Unlock()
-		close(e.ready)
-		return nil, nil, e.err
-	}
 	r.mu.Lock()
-	e.loadNanos = loadNanos
+	if e.err != nil {
+		// Forget the failed load so a later Get retries; waiters observe
+		// the error through the entry they already hold.
+		delete(r.entries, key)
+	} else {
+		e.loadNanos = int64(time.Since(start))
+	}
 	r.mu.Unlock()
 	close(e.ready)
+	if e.err != nil {
+		return nil, e.err
+	}
 	if r.opts.OnLoad != nil {
 		r.opts.OnLoad(e.city)
 	}
-	r.evictOverCap()
-	return e.city, func() { r.unpin(key, e) }, nil
+	return e.city, nil
 }
 
-// AcquireIfLoaded pins key only if the city is already resident and
-// healthy; it never triggers a load. ok is false for unknown, unloaded,
-// still-loading, failed or draining cities. This is the pin promotion and
-// follower-mode maintenance use: sweeping every key with Acquire would
-// force-load cities that are cleanly sealed on disk, exactly what a
-// sweep over *resident* state must not do.
-func (r *Registry[S]) AcquireIfLoaded(key string) (c *City[S], release func(), ok bool) {
+// Resident returns key's city only if it is already loaded; it never
+// triggers a load. ok is false for unknown, unloaded, still-loading and
+// failed cities. Sweeps over resident state (promotion, epoch persistence,
+// metric scrapes) use it so they never fault a city in.
+func (r *Registry[S]) Resident(key string) (c *City[S], ok bool) {
 	r.mu.Lock()
-	e, resident := r.entries[key]
-	if !resident {
-		r.mu.Unlock()
-		return nil, nil, false
+	e, found := r.entries[key]
+	r.mu.Unlock()
+	if !found {
+		return nil, false
 	}
 	select {
 	case <-e.ready:
+		return e.city, e.err == nil
 	default:
-		r.mu.Unlock()
-		return nil, nil, false // still loading; its loader holds the pin
+		return nil, false
 	}
-	if e.err != nil {
-		r.mu.Unlock()
-		return nil, nil, false
-	}
-	e.pins++
-	r.clock++
-	e.lastUse = r.clock
-	r.mu.Unlock()
-	return e.city, func() { r.unpin(key, e) }, true
 }
 
 // load runs the Load → NewEngine → NewState pipeline outside the lock.
@@ -273,114 +202,31 @@ func (r *Registry[S]) load(key string) (*City[S], error) {
 	return c, nil
 }
 
-// unpin releases one pin and sheds any overflow that had to wait for it.
-// Completing a request counts as a use: without the recency bump, a city
-// whose (slow) request outlived traffic to other cities would carry its
-// stale Acquire-time stamp into the eviction pass below and become the
-// LRU victim the moment it is unpinned — reload thrash for an actively
-// used city (the same completion-counts-as-a-use rule the cluster cache
-// applies when a compute finishes).
-func (r *Registry[S]) unpin(key string, e *entry[S]) {
-	r.mu.Lock()
-	e.pins--
-	if e.pins < 0 {
-		r.mu.Unlock()
-		panic(fmt.Sprintf("registry: release called twice for %q", key))
-	}
-	r.clock++
-	e.lastUse = r.clock
-	r.mu.Unlock()
-	r.evictOverCap()
-}
-
-// evictOverCap evicts least-recently-used unpinned cities until the count
-// fits MaxCities again. Victims' OnEvict hooks run outside the lock;
-// while one runs, its key is marked draining so a concurrent Acquire
-// cannot reload the city mid-teardown.
-func (r *Registry[S]) evictOverCap() {
-	if r.opts.MaxCities <= 0 {
-		return
-	}
-	var victims []*City[S]
-	r.mu.Lock()
-	for len(r.entries) > r.opts.MaxCities {
-		var (
-			victimKey string
-			victim    *entry[S]
-		)
-		for k, e := range r.entries {
-			select {
-			case <-e.ready:
-			default:
-				continue // still loading: its loader holds a pin anyway
-			}
-			if e.pins > 0 || e.err != nil {
-				continue
-			}
-			if r.opts.Evictable != nil && !r.opts.Evictable(e.city) {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victimKey, victim = k, e
-			}
-		}
-		if victim == nil {
-			break // everything pinned or vetoed: soft cap, shed later
-		}
-		delete(r.entries, victimKey)
-		r.evictions++
-		if r.opts.OnEvict != nil {
-			r.draining[victimKey] = make(chan struct{})
-		}
-		victims = append(victims, victim.city)
-	}
-	r.mu.Unlock()
-	if r.opts.OnEvict != nil {
-		for _, c := range victims {
-			r.opts.OnEvict(c)
-			r.mu.Lock()
-			drain := r.draining[c.Key]
-			delete(r.draining, c.Key)
-			r.mu.Unlock()
-			close(drain)
-		}
-	}
-}
-
 // LoadedCity is one resident city as reported by Stats. LoadMillis is the
 // wall time its load pipeline took — dataset read, engine construction and
 // state build (with persistence: snapshot read + log replay) — so a warm-up
 // policy can see what each cold start costs; 0 while still loading.
 type LoadedCity struct {
 	Key        string  `json:"key"`
-	Pins       int     `json:"pins"`
 	LoadMillis float64 `json:"loadMillis"`
 }
 
 // Stats is a point-in-time view of the registry for health endpoints.
 type Stats struct {
-	Known     int          `json:"known"`
-	Loaded    int          `json:"loaded"`
-	Loads     int64        `json:"loads"`     // load pipelines started (reloads after eviction included)
-	Evictions int64        `json:"evictions"` // cities shed to honor MaxCities
-	MaxCities int          `json:"maxCities"` // 0 = unlimited
-	Cities    []LoadedCity `json:"cities"`
+	Known  int          `json:"known"`
+	Loaded int          `json:"loaded"`
+	Loads  int64        `json:"loads"` // load pipelines started (retries after a failed load included)
+	Cities []LoadedCity `json:"cities"`
 }
 
 // Stats snapshots the registry counters.
 func (r *Registry[S]) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := Stats{
-		Known:     len(r.known),
-		Loaded:    len(r.entries),
-		Loads:     r.loads,
-		Evictions: r.evictions,
-		MaxCities: max(r.opts.MaxCities, 0),
-	}
+	st := Stats{Known: len(r.known), Loaded: len(r.entries), Loads: r.loads}
 	for k, e := range r.entries {
 		st.Cities = append(st.Cities, LoadedCity{
-			Key: k, Pins: e.pins,
+			Key:        k,
 			LoadMillis: float64(e.loadNanos) / float64(time.Millisecond),
 		})
 	}
@@ -388,25 +234,8 @@ func (r *Registry[S]) Stats() Stats {
 	return st
 }
 
-// Loaded reports whether key is currently resident (loaded and not
-// evicted). Mostly for tests and the /cities endpoint.
-func (r *Registry[S]) Loaded(key string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[key]
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.ready:
-		return e.err == nil
-	default:
-		return false
-	}
-}
-
-// Range calls fn for every resident city without pinning (fn must not
-// retain the city). Used by health reporting to enumerate loaded cities.
+// Range calls fn for every resident city. Used by health reporting to
+// enumerate loaded cities.
 func (r *Registry[S]) Range(fn func(c *City[S])) {
 	r.mu.Lock()
 	cities := make([]*City[S], 0, len(r.entries))
@@ -422,33 +251,5 @@ func (r *Registry[S]) Range(fn func(c *City[S])) {
 	r.mu.Unlock()
 	for _, c := range cities {
 		fn(c)
-	}
-}
-
-// WaitIdle blocks until no city is pinned or the timeout elapses; it
-// exists for tests that need eviction to have settled. Because unpin runs
-// its eviction pass after releasing the registry lock, observing zero pins
-// does not mean the releasing goroutine's shed finished — so WaitIdle
-// runs one itself before reporting idle (evictOverCap is idempotent).
-func (r *Registry[S]) WaitIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		r.mu.Lock()
-		busy := false
-		for _, e := range r.entries {
-			if e.pins > 0 {
-				busy = true
-				break
-			}
-		}
-		r.mu.Unlock()
-		if !busy {
-			r.evictOverCap()
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

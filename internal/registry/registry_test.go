@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"grouptravel/internal/dataset"
 )
@@ -36,7 +35,7 @@ type counterState struct {
 	born int64
 }
 
-func newTestRegistry(t testing.TB, keys []string, maxCities int, loadCount, stateCount *atomic.Int64) *Registry[*counterState] {
+func newTestRegistry(t testing.TB, keys []string, loadCount, stateCount *atomic.Int64) *Registry[*counterState] {
 	t.Helper()
 	city := sharedCity(t)
 	r, err := New(keys, Options[*counterState]{
@@ -53,7 +52,6 @@ func newTestRegistry(t testing.TB, keys []string, maxCities int, loadCount, stat
 			}
 			return &counterState{key: c.Key, born: n}, nil
 		},
-		MaxCities: maxCities,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +60,15 @@ func newTestRegistry(t testing.TB, keys []string, maxCities int, loadCount, stat
 }
 
 func TestUnknownKeyRejected(t *testing.T) {
-	r := newTestRegistry(t, []string{"paris"}, 0, nil, nil)
-	if _, _, err := r.Acquire("atlantis"); err == nil {
+	r := newTestRegistry(t, []string{"paris"}, nil, nil)
+	if _, err := r.Get("atlantis"); err == nil {
 		t.Fatal("unknown city accepted")
 	}
 }
 
 func TestLazySingleflightLoad(t *testing.T) {
 	var loads, states atomic.Int64
-	r := newTestRegistry(t, []string{"paris", "rome"}, 0, &loads, &states)
+	r := newTestRegistry(t, []string{"paris", "rome"}, &loads, &states)
 	if loads.Load() != 0 {
 		t.Fatal("registry loaded eagerly")
 	}
@@ -81,12 +79,11 @@ func TestLazySingleflightLoad(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, release, err := r.Acquire("paris")
+			c, err := r.Get("paris")
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer release()
 			if c.Key != "paris" || c.Engine == nil || c.State.key != "paris" {
 				errs <- fmt.Errorf("bad city: %+v", c)
 			}
@@ -98,139 +95,14 @@ func TestLazySingleflightLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := loads.Load(); got != 1 {
-		t.Fatalf("%d concurrent acquires ran %d loads, want 1", goroutines, got)
+		t.Fatalf("%d concurrent gets ran %d loads, want 1", goroutines, got)
 	}
 	if got := states.Load(); got != 1 {
 		t.Fatalf("state built %d times, want 1", got)
 	}
 	// rome was never touched.
-	if r.Loaded("rome") {
+	if _, ok := r.Resident("rome"); ok {
 		t.Fatal("untouched city resident")
-	}
-}
-
-func TestLRUEvictionAndReload(t *testing.T) {
-	var loads atomic.Int64
-	var evicted []string
-	city := sharedCity(t)
-	r, err := New([]string{"a", "b", "c"}, Options[*counterState]{
-		Load: func(key string) (*dataset.City, error) {
-			loads.Add(1)
-			return city, nil
-		},
-		NewState:  func(c *City[*counterState]) (*counterState, error) { return &counterState{key: c.Key}, nil },
-		OnEvict:   func(c *City[*counterState]) { evicted = append(evicted, c.Key) },
-		MaxCities: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	touch := func(key string) {
-		t.Helper()
-		_, release, err := r.Acquire(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		release()
-	}
-	touch("a")
-	touch("b")
-	touch("a") // refresh a's recency: b is now the LRU city
-	touch("c") // overflow: b must go
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted %v, want [b]", evicted)
-	}
-	if r.Loaded("b") || !r.Loaded("a") || !r.Loaded("c") {
-		t.Fatalf("residency wrong: a=%v b=%v c=%v", r.Loaded("a"), r.Loaded("b"), r.Loaded("c"))
-	}
-	st := r.Stats()
-	if st.Loaded != 2 || st.Evictions != 1 || st.Known != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Every resident city reports the wall time its load pipeline took.
-	for _, c := range st.Cities {
-		if c.LoadMillis <= 0 {
-			t.Fatalf("city %s missing load latency: %+v", c.Key, c)
-		}
-	}
-	// The evicted city reloads transparently on next use.
-	before := loads.Load()
-	touch("b")
-	if loads.Load() != before+1 {
-		t.Fatal("evicted city did not reload")
-	}
-}
-
-func TestPinnedCityNeverEvicted(t *testing.T) {
-	r := newTestRegistry(t, []string{"a", "b", "c"}, 1, nil, nil)
-	_, releaseA, err := r.Acquire("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a is pinned: acquiring b and c overflows the cap of 1, but a must
-	// survive, and the in-flight b/c acquisitions must not fail.
-	_, releaseB, err := r.Acquire("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Loaded("a") {
-		t.Fatal("pinned city evicted by overflow")
-	}
-	releaseB() // b unpinned and LRU against pinned a: b is shed
-	if r.Loaded("b") {
-		t.Fatal("unpinned overflow not shed")
-	}
-	if !r.Loaded("a") {
-		t.Fatal("pinned city evicted instead of unpinned one")
-	}
-	releaseA()
-	// Now a is unpinned and alone: within cap, stays resident.
-	if !r.Loaded("a") {
-		t.Fatal("city under cap evicted")
-	}
-}
-
-func TestEvictableVeto(t *testing.T) {
-	city := sharedCity(t)
-	dirty := map[string]bool{"a": true} // a's state is not durably persisted
-	var evicted []string
-	r, err := New([]string{"a", "b", "c"}, Options[*counterState]{
-		Load:      func(key string) (*dataset.City, error) { return city, nil },
-		NewState:  func(c *City[*counterState]) (*counterState, error) { return &counterState{key: c.Key}, nil },
-		OnEvict:   func(c *City[*counterState]) { evicted = append(evicted, c.Key) },
-		Evictable: func(c *City[*counterState]) bool { return !dirty[c.Key] },
-		MaxCities: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	touch := func(key string) {
-		t.Helper()
-		_, release, err := r.Acquire(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		release()
-	}
-	touch("a")
-	touch("b") // overflow, but a is vetoed: b (the only evictable city) goes
-	if !r.Loaded("a") {
-		t.Fatalf("vetoed city evicted (evicted=%v)", evicted)
-	}
-	touch("c") // c loads, is evictable, and c/b shed down around the veto
-	if !r.Loaded("a") {
-		t.Fatal("vetoed city evicted on later overflow")
-	}
-	for _, k := range evicted {
-		if k == "a" {
-			t.Fatalf("OnEvict saw vetoed city: %v", evicted)
-		}
-	}
-	// Once the veto clears, a becomes a normal LRU victim.
-	dirty["a"] = false
-	touch("b")
-	if r.Loaded("a") {
-		t.Fatal("cleared veto: a should have been evicted as LRU")
 	}
 }
 
@@ -248,14 +120,13 @@ func TestFailedLoadIsRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Acquire("flaky"); err == nil {
+	if _, err := r.Get("flaky"); err == nil {
 		t.Fatal("failed load reported success")
 	}
-	c, release, err := r.Acquire("flaky")
+	c, err := r.Get("flaky")
 	if err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
-	release()
 	if c.Engine == nil {
 		t.Fatal("retried city incomplete")
 	}
@@ -264,10 +135,12 @@ func TestFailedLoadIsRetried(t *testing.T) {
 	}
 }
 
-func TestConcurrentAcquireUnderCap(t *testing.T) {
+// TestConcurrentGet: goroutines racing over several keys load each city
+// exactly once, and every loaded city reports its load latency.
+func TestConcurrentGet(t *testing.T) {
 	keys := []string{"a", "b", "c", "d"}
 	var loads atomic.Int64
-	r := newTestRegistry(t, keys, 2, &loads, nil)
+	r := newTestRegistry(t, keys, &loads, nil)
 	const goroutines = 8
 	const rounds = 20
 	var wg sync.WaitGroup
@@ -278,17 +151,15 @@ func TestConcurrentAcquireUnderCap(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				key := keys[(g+i)%len(keys)]
-				c, release, err := r.Acquire(key)
+				c, err := r.Get(key)
 				if err != nil {
 					errs <- fmt.Errorf("%s: %w", key, err)
 					return
 				}
 				if c.Key != key {
 					errs <- fmt.Errorf("got %q, want %q", c.Key, key)
-					release()
 					return
 				}
-				release()
 			}
 		}(g)
 	}
@@ -297,108 +168,48 @@ func TestConcurrentAcquireUnderCap(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if !r.WaitIdle(time.Second) {
-		t.Fatal("registry never went idle")
+	if got := loads.Load(); got != int64(len(keys)) {
+		t.Fatalf("%d keys ran %d loads, want one each", len(keys), got)
 	}
 	st := r.Stats()
-	if st.Loaded > 2 {
-		t.Fatalf("idle registry holds %d cities, cap 2", st.Loaded)
+	if st.Loads != 4 || st.Loaded != 4 || st.Known != 4 {
+		t.Fatalf("stats = %+v", st)
 	}
-	if st.Evictions == 0 {
-		t.Fatal("4 cities through a cap of 2 produced no evictions")
-	}
-	if st.Loads != loads.Load() {
-		t.Fatalf("stats.Loads = %d, counted %d", st.Loads, loads.Load())
-	}
-}
-
-// TestEvictionDrainBlocksReload: while an evicted city's OnEvict hook is
-// still tearing state down (e.g. compacting and closing its persistence
-// files), an Acquire of the same key must wait — reloading mid-teardown
-// would put two owners on the same on-disk state.
-func TestEvictionDrainBlocksReload(t *testing.T) {
-	city := sharedCity(t)
-	hookEntered := make(chan string, 4)
-	hookRelease := make(chan struct{})
-	r, err := New([]string{"a", "b"}, Options[*counterState]{
-		Load:     func(key string) (*dataset.City, error) { return city, nil },
-		NewState: func(c *City[*counterState]) (*counterState, error) { return &counterState{key: c.Key}, nil },
-		OnEvict: func(c *City[*counterState]) {
-			hookEntered <- c.Key
-			<-hookRelease
-		},
-		MaxCities: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	touch := func(key string) {
-		_, release, err := r.Acquire(key)
-		if err != nil {
-			t.Error(err)
-			return
+	for _, c := range st.Cities {
+		if c.LoadMillis <= 0 {
+			t.Fatalf("city %s missing load latency: %+v", c.Key, c)
 		}
-		release()
-	}
-	touch("a")
-	// Evicting a runs the (blocked) hook on this goroutine's eviction
-	// pass — do it from a helper goroutine so the test can act while the
-	// hook is in flight.
-	go touch("b")
-	evictedKey := <-hookEntered // a's hook is now running and blocked
-
-	reloaded := make(chan struct{})
-	go func() {
-		touch(evictedKey)
-		close(reloaded)
-	}()
-	select {
-	case <-reloaded:
-		t.Fatal("evicted city reloaded while its OnEvict hook was still running")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(hookRelease)
-	select {
-	case <-reloaded:
-	case <-time.After(5 * time.Second):
-		t.Fatal("reload never proceeded after the hook finished")
 	}
 }
 
-// TestAcquireIfLoaded: the no-load pin — resident cities pin (and the pin
-// blocks eviction), everything else reports not-ok without triggering a
-// load pipeline.
-func TestAcquireIfLoaded(t *testing.T) {
+// TestResident: the no-load lookup reports nothing for unloaded and
+// unknown cities without running a load pipeline, and returns the very
+// city Get loaded once it is resident.
+func TestResident(t *testing.T) {
 	var loads atomic.Int64
-	r := newTestRegistry(t, []string{"a", "b"}, 0, &loads, nil)
+	r := newTestRegistry(t, []string{"a", "b"}, &loads, nil)
 
-	// Nothing resident yet: no pin, and crucially no load.
-	if _, _, ok := r.AcquireIfLoaded("a"); ok {
-		t.Fatal("pinned an unloaded city")
+	if _, ok := r.Resident("a"); ok {
+		t.Fatal("unloaded city reported resident")
 	}
-	if _, _, ok := r.AcquireIfLoaded("nowhere"); ok {
-		t.Fatal("pinned an unknown city")
+	if _, ok := r.Resident("nowhere"); ok {
+		t.Fatal("unknown city reported resident")
 	}
 	if loads.Load() != 0 {
-		t.Fatalf("AcquireIfLoaded ran %d load pipelines", loads.Load())
+		t.Fatalf("Resident ran %d load pipelines", loads.Load())
 	}
 
-	c, release, err := r.Acquire("a")
+	c, err := r.Get("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
-	c2, release2, ok := r.AcquireIfLoaded("a")
+	c2, ok := r.Resident("a")
 	if !ok || c2 != c {
-		t.Fatalf("resident city not pinned (ok=%v)", ok)
+		t.Fatalf("loaded city not resident (ok=%v)", ok)
 	}
-	// The conditional pin is a real pin: it holds eviction off exactly
-	// like Acquire's.
-	st := r.Stats()
-	if len(st.Cities) != 1 || st.Cities[0].Pins != 1 {
-		t.Fatalf("stats after conditional pin: %+v", st)
+	if _, ok := r.Resident("b"); ok {
+		t.Fatal("untouched city reported resident")
 	}
-	release2()
 	if loads.Load() != 1 {
 		t.Fatalf("loads = %d, want 1", loads.Load())
 	}

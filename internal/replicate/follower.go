@@ -54,8 +54,7 @@ type Lag struct {
 	Err   string `json:"error,omitempty"`
 
 	// resumed: AppliedSeq is established (at least one successful sync),
-	// so the next cycle can resume from it without consulting the target —
-	// which would pin, and possibly fault in, the city.
+	// so the next cycle can resume from it without consulting the target.
 	resumed bool
 }
 
@@ -232,8 +231,8 @@ func (f *Follower) streamCity(city string) error {
 // snapshot handoff when it moves past applied, then any frames beyond it
 // — and records the new position. Both transports land here: the push
 // stream once per batch, the one-shot fetch once per cycle. A batch with
-// nothing past applied never touches the target, so a caught-up fetch
-// does not pin (and thereby fault back in) an evicted city.
+// nothing past applied never touches the target: a caught-up fetch or a
+// heartbeat-only stream costs the target nothing.
 func (f *Follower) apply(city string, applied int64, b *Batch) (int64, error) {
 	f.observeEpoch(b)
 	handoff := false
@@ -326,10 +325,8 @@ func (f *Follower) sync(city string) error {
 }
 
 // resumeSeq is where a city's next stream or fetch resumes: the cached
-// position once established — between cycles the city may have been
-// evicted, and its durable state resumes at exactly this sequence, so
-// asking the target would pin, and fault back in, the city — else the
-// target's durable position.
+// position once established (every apply records it), else the target's
+// durable position.
 func (f *Follower) resumeSeq(city string) (int64, error) {
 	f.mu.Lock()
 	l, ok := f.lag[city]

@@ -130,7 +130,7 @@ func edgeKey(city, path, rawQuery string) string {
 }
 
 // edgeCacheable is the explicit route guard: which routed reads may
-// touch the edge cache at all. The replication stream (/wal, long-poll
+// touch the edge cache at all. The replication stream (/wal, one-shot
 // or push — flushed chunk by chunk, held open arbitrarily long) must
 // relay untouched; /metrics and /healthz are live gauges even when a
 // backend serves them under a city prefix; and an unbounded query
@@ -144,9 +144,9 @@ func edgeCacheable(rest, rawQuery string) bool {
 	if len(rawQuery) > maxEdgeKeyQuery {
 		return false
 	}
-	// Streamed/long-poll parameters on any route: a response the backend
-	// trickles must pass through, not buffer into a cache fill.
-	if rawQuery != "" && (hasQueryParam(rawQuery, "stream") || hasQueryParam(rawQuery, "wait")) {
+	// A stream parameter on any route: a response the backend trickles
+	// must pass through, not buffer into a cache fill.
+	if rawQuery != "" && hasQueryParam(rawQuery, "stream") {
 		return false
 	}
 	return true

@@ -204,9 +204,8 @@ func (cs *cityState) bumpCacheVersion() {
 }
 
 // fleetCache is the server-level cache for GET /cities, keyed by the
-// fleet version — bumped by every city's mutations, compactions, loads,
-// evictions and cold-head refreshes, since the cities listing aggregates
-// all of those.
+// fleet version — bumped by every city's mutations, compactions and
+// loads, since the cities listing aggregates all of those.
 type fleetCache struct {
 	mu      sync.Mutex
 	version int64

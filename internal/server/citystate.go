@@ -31,7 +31,7 @@ import (
 // commits by appending exactly one WAL record — O(1 record), regardless
 // of how many groups and packages the city holds — and the full-state
 // snapshot is only rewritten at *compaction*: when the log crosses the
-// record-count or byte thresholds, or when the city is evicted cleanly.
+// record-count or byte thresholds.
 // Recovery (newCityState) loads the snapshot and replays the log tail.
 type cityState struct {
 	key    string
@@ -73,11 +73,9 @@ type cityState struct {
 
 	// notify is the city's commit broadcast (notify.go): woken after every
 	// applied mutation — primary commits, follower frame applies, snapshot
-	// handoffs, promotion — so /wal long-polls and push streams wake on
-	// commit instead of sleeping a poll interval. The notifier is owned by
-	// the Server (it outlives eviction/reload cycles; cold-city long-polls
-	// wait on it too) and shared with the cityState at construction.
-	// streams carries the process-wide push-stream instruments.
+	// handoffs, promotion — so push streams wake on commit instead of
+	// sleeping a poll interval. streams carries the process-wide
+	// push-stream instruments.
 	notify  *commitNotify
 	streams *streamMetrics
 
@@ -185,7 +183,7 @@ type packageState struct {
 }
 
 // newCityState builds (or, with persistence on, recovers) a city's serving
-// state. Called by the registry on first touch and again after eviction.
+// state. Called by the registry on the city's first touch.
 // Recovery is snapshot + WAL replay: the snapshot is the last compaction,
 // the log holds every mutation since. A torn log tail was already
 // truncated by the replayer (surfaced on /healthz); a corrupt snapshot
@@ -205,14 +203,13 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 		fleetVersion: &s.fleetVersion,
 		met:          s.metrics.city(c.Key),
 		compactDur:   s.metrics.compaction,
-		notify:       s.notifier(c.Key),
+		notify:       newCommitNotify(),
 		streams:      &s.metrics.streams,
 		slots:        s.slots,
 		epochInfo:    s.Epoch,
 	}
 	cs.persistErr.Store("")
-	// Hot-path counters live on the structs that bump them; registration
-	// idempotence means a reloaded city resumes the same counters.
+	// Hot-path counters live on the structs that bump them.
 	cs.rcache.hits = cs.met.byteHits
 	cs.rcache.misses = cs.met.byteMisses
 	cs.rcache.fillRaces = cs.met.byteFillRaces
@@ -397,8 +394,8 @@ func (cs *cityState) register(ps *packageState) int {
 // sequence space exists, and no replicas either).
 //
 // Append failures never fail the request — the in-memory state is already
-// committed — but they are recorded for /healthz and veto eviction, since
-// the in-memory registries may now be the only complete copy. The commit
+// committed — but they are recorded for /healthz, since the in-memory
+// registries may now be the only complete copy. The commit
 // token for such a write is pinPrimarySeq: the write exists only in this
 // process and can never ship to a replica, so the token must name a
 // sequence no follower will ever report — a router then routes the
@@ -427,12 +424,10 @@ func (cs *cityState) commit(mutate func(logRec func(store.WALRecord))) int64 {
 		// reader arriving after this mutation's response can never hit
 		// bytes rendered before it (cache.go).
 		cs.bumpCacheVersion()
-		// Wake /wal long-polls and push streams with the durable head —
-		// never the pinPrimarySeq sentinel: a failed append's record can
-		// never ship, so the notifier must not claim its sequence.
-		if cs.notify != nil {
-			cs.notify.wake(cs.appliedSeq())
-		}
+		// Wake push streams with the durable head — never the
+		// pinPrimarySeq sentinel: a failed append's record can never ship,
+		// so the notifier must not claim its sequence.
+		cs.notify.wake(cs.appliedSeq())
 		cs.maybeCompact()
 	}
 	return seq
@@ -465,7 +460,7 @@ func (cs *cityState) maybeCompact() {
 	// it keeps streaming cheap frames instead of taking a full handoff.
 	// The slot table's own deadlines bound the wait (a dead follower is
 	// collected, a stuck one is dropped), and the next mutation past the
-	// threshold re-triggers; eviction compaction ignores slots entirely.
+	// threshold re-triggers.
 	if cs.slots != nil && cs.slots.hold(cs.key, cs.wal.LastSeq()) {
 		return
 	}
@@ -568,28 +563,6 @@ func (cs *cityState) noteCompaction(at time.Time) {
 	}
 }
 
-// handleEvict runs when the registry unloads the city (no in-flight
-// requests exist then, and the registry's drain keeps the key from
-// reloading until this returns). A background threshold compaction may
-// still be mid-flight though, so eviction first claims the compaction
-// slot — waiting it out — then compacts if the log holds records (the
-// reload path then reads one snapshot instead of replaying) and closes
-// the log's file handle. If compaction fails the log simply stays;
-// replay covers it.
-func (cs *cityState) handleEvict() {
-	if cs.wal == nil {
-		return
-	}
-	for !cs.compacting.CompareAndSwap(false, true) {
-		time.Sleep(time.Millisecond)
-	}
-	defer cs.compacting.Store(false)
-	if cs.wal.Stats().Records > 0 || cs.wal.PendingExists() {
-		_ = cs.compact()
-	}
-	_ = cs.wal.Close()
-}
-
 // clonePackage deep-copies a package at the CI level so snapshot encoding
 // can run outside the package lock while the session keeps mutating the
 // original. POIs are immutable and shared.
@@ -672,18 +645,6 @@ func (cs *cityState) appliedSeq() int64 {
 		}
 	}
 	return 0
-}
-
-// evictionSafe reports whether the city can be unloaded without losing
-// state: with persistence on, its last persistence interaction must have
-// succeeded — otherwise the in-memory registries are the only complete
-// copy of committed mutations and eviction would silently 404 them.
-func (cs *cityState) evictionSafe() bool {
-	if cs.snapDir == "" {
-		return true // no persistence configured: nothing to preserve
-	}
-	msg, _ := cs.persistErr.Load().(string)
-	return msg == ""
 }
 
 // health summarizes the city for the health endpoint.

@@ -18,11 +18,10 @@ import (
 // per mutation), so they are cleared on both sides.
 func captureState(t *testing.T, s *Server, key string) *store.ServerState {
 	t.Helper()
-	c, release, err := s.Registry().Acquire(key)
+	c, err := s.Registry().Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
 	st := c.State.collectState()
 	for i := range st.Groups {
 		st.Groups[i].Profiles = nil
@@ -100,7 +99,7 @@ func TestCrashEquivalence(t *testing.T) {
 		t.Fatalf("compaction ran mid-test (err=%v); crash test needs a log-only history", err)
 	}
 
-	// "Crash": s1 gets no shutdown, no eviction, no compaction — a fresh
+	// "Crash": s1 gets no shutdown, no compaction — a fresh
 	// server simply opens the same directories.
 	s2, err := NewMultiCity(opts)
 	if err != nil {
@@ -112,12 +111,11 @@ func TestCrashEquivalence(t *testing.T) {
 	}
 
 	// And the recovery was clean: every record replayed, nothing cut.
-	c, release, err := s2.Registry().Acquire(key)
+	c, err := s2.Registry().Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := c.State.health()
-	release()
 	if h.WAL == nil || h.WAL.ReplayTruncated != "" || h.WAL.Replayed != 7 {
 		t.Fatalf("replay health = %+v, want 7 clean records", h.WAL)
 	}
@@ -144,10 +142,12 @@ func TestPreloadCities(t *testing.T) {
 		PreloadCities: []string{"alpha", "gamma"},
 	})
 	reg := s.Registry()
-	if !reg.Loaded("alpha") || !reg.Loaded("gamma") {
+	_, alpha := reg.Resident("alpha")
+	_, gamma := reg.Resident("gamma")
+	if !alpha || !gamma {
 		t.Fatalf("preloaded cities not resident: %+v", reg.Stats())
 	}
-	if reg.Loaded("beta") {
+	if _, beta := reg.Resident("beta"); beta {
 		t.Fatal("beta loaded without being preloaded or requested")
 	}
 	st := reg.Stats()

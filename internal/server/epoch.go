@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"grouptravel/internal/registry"
 	"grouptravel/internal/replicate"
 	"grouptravel/internal/store"
 )
@@ -80,9 +81,8 @@ func (s *Server) persistEpochLocked(term int64, owner string) {
 	}
 	for _, key := range s.reg.Keys() {
 		if err := store.WriteEpoch(s.snapshotDir, key, store.Epoch{Epoch: term, Primary: owner}); err != nil {
-			if c, release, ok := s.reg.AcquireIfLoaded(key); ok {
+			if c, ok := s.reg.Resident(key); ok {
 				c.State.persistErr.Store(err.Error())
-				release()
 			}
 		}
 	}
@@ -128,18 +128,11 @@ func (s *Server) loadEpochs(keys []string) error {
 	return nil
 }
 
-// tickNotifiers wakes every city's commit broadcast as a generation tick
-// (no position change): push streams re-check the term and end.
+// tickNotifiers wakes every resident city's commit broadcast as a
+// generation tick (no position change): push streams re-check the term
+// and end. A city not loaded yet serves no streams.
 func (s *Server) tickNotifiers() {
-	s.notifiers.Range(func(_, v any) bool {
-		v.(*commitNotify).wake(0)
-		return true
-	})
-}
-
-// stampBatch adds the node's term to an outgoing stream batch.
-func (s *Server) stampBatch(b *replicate.Batch) {
-	b.Epoch, b.EpochPrimary = s.Epoch()
+	s.reg.Range(func(c *registry.City[*cityState]) { c.State.notify.wake(0) })
 }
 
 // noteEpochHeader is the outermost HTTP wrapper: it reads the peer's

@@ -117,8 +117,8 @@ func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 	}
 	if cs.wal != nil && len(toAppend) > 0 {
 		// Persistence failures never stall replication — the in-memory
-		// copy is committed; they surface on /healthz and veto eviction
-		// like any primary append failure. A fault mid-batch still
+		// copy is committed; they surface on /healthz like any primary
+		// append failure. A fault mid-batch still
 		// persists the frames applied before it.
 		if werr := cs.wal.AppendFrames(toAppend); werr != nil {
 			cs.persistErr.Store(werr.Error())
@@ -132,7 +132,7 @@ func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 	cs.nextID = m.st.NextID
 	cs.mu.Unlock()
 	last := m.ap.LastSeq()
-	if len(toAppend) > 0 && cs.notify != nil {
+	if len(toAppend) > 0 {
 		// One wake per batch: cascading replicas tailing this follower
 		// resume with the whole batch in one read.
 		cs.notify.wake(cs.appliedSeq())
@@ -275,9 +275,7 @@ func (cs *cityState) applySnapshot(raw []byte) (int64, error) {
 	cs.persistMu.Unlock()
 	m.st, m.ap = mst, ap
 	m.fault = nil // the installed snapshot supersedes whatever was lost
-	if cs.notify != nil {
-		cs.notify.wake(st.WALSeq)
-	}
+	cs.notify.wake(st.WALSeq)
 	return st.WALSeq, nil
 }
 
@@ -295,23 +293,20 @@ func (cs *cityState) sealPromoted() {
 	}
 	// A generation tick, not a position change: push streams re-check and
 	// notice the role flip on their next read.
-	if cs.notify != nil {
-		cs.notify.wake(cs.appliedSeq())
-	}
+	cs.notify.wake(cs.appliedSeq())
 }
 
-// followerTarget adapts the Server to replicate.Target, pinning the city
-// in the registry for each call — so replication coexists with LRU
-// eviction: between polls a cold follower city can be evicted (its state
-// compacts to its own disk) and the next poll reloads and resumes it.
+// followerTarget adapts the Server to replicate.Target, resolving the
+// city through the registry on each call — the first call for a city
+// loads it (recovering its own on-disk position), later calls find it
+// resident.
 type followerTarget struct{ s *Server }
 
 func (t followerTarget) withCity(city string, fn func(cs *cityState) (int64, error)) (int64, error) {
-	c, release, err := t.s.reg.Acquire(city)
+	c, err := t.s.reg.Get(city)
 	if err != nil {
 		return 0, err
 	}
-	defer release()
 	return fn(c.State)
 }
 
@@ -359,8 +354,8 @@ func (s *Server) isReadOnly() bool {
 func (s *Server) Follower() *replicate.Follower { return s.follower }
 
 // Close stops background replication tailers and waits for in-flight
-// syncs. Primaries have nothing to stop. City logs are closed by
-// eviction, not here — the process may keep serving.
+// syncs. Primaries have nothing to stop. City logs stay open — the
+// process may keep serving.
 func (s *Server) Close() {
 	if s.follower != nil {
 		s.follower.Stop()
@@ -391,15 +386,11 @@ func (s *Server) Promote() error {
 		// exchange to fence the deposed primary.
 		s.bumpEpoch()
 		for _, key := range s.reg.Keys() {
-			// Never force-load: an unloaded city is already cleanly
-			// sealed on its own disk (eviction compacted and closed its
-			// log).
-			c, release, ok := s.reg.AcquireIfLoaded(key)
-			if !ok {
-				continue
+			// Never force-load: an unloaded city has no open log and no
+			// mirror to seal, and loads read-write after the flip.
+			if c, ok := s.reg.Resident(key); ok {
+				c.State.sealPromoted()
 			}
-			c.State.sealPromoted()
-			release()
 		}
 		s.promoted.Store(true)
 	})

@@ -14,7 +14,7 @@ import (
 	"grouptravel/internal/poi"
 )
 
-// testTimeout bounds waits on registry idling.
+// testTimeout bounds waits on replication catch-up.
 func testTimeout() time.Duration { return 5 * time.Second }
 
 // Three small cities, generated once and written as a data directory that
@@ -69,9 +69,9 @@ func mcRatings(c *dataset.City, shift int) map[string][]float64 {
 	return out
 }
 
-func multiCityServer(t *testing.T, snapDir string, maxCities int) (*Server, *httptest.Server) {
+func multiCityServer(t *testing.T, snapDir string) (*Server, *httptest.Server) {
 	t.Helper()
-	return multiCityServerOpts(t, Options{SnapshotDir: snapDir, MaxCities: maxCities})
+	return multiCityServerOpts(t, Options{SnapshotDir: snapDir})
 }
 
 // multiCityServerOpts mounts the shared data directory with caller-chosen
@@ -92,11 +92,10 @@ func multiCityServerOpts(t *testing.T, opts Options) (*Server, *httptest.Server)
 // where the asynchronous threshold trigger would race the assertion.
 func compactCity(t *testing.T, s *Server, key string) {
 	t.Helper()
-	c, release, err := s.Registry().Acquire(key)
+	c, err := s.Registry().Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
 	if err := c.State.compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +116,10 @@ func mcCreateGroup(ts *httptest.Server, city *dataset.City, key string) (int, er
 
 // TestMultiCityConcurrentBuilds is the acceptance scenario: a server over a
 // data directory of three cities serves package builds for all of them
-// concurrently (run under -race via `make race`), with a city cap of 2 —
-// so eviction happens mid-test without failing any in-flight request, and
-// snapshots carry each city's groups across its evictions.
+// concurrently (run under -race via `make race`), each city loading
+// under the racing requests that first touch it.
 func TestMultiCityConcurrentBuilds(t *testing.T) {
-	s, ts := multiCityServer(t, t.TempDir(), 2)
+	s, ts := multiCityServer(t, t.TempDir())
 	const perCity = 3
 	var wg sync.WaitGroup
 	errs := make(chan error, len(mcKeys)*perCity)
@@ -158,17 +156,9 @@ func TestMultiCityConcurrentBuilds(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// Once requests drain, the registry sheds back under its cap; three
-	// cities through a cap of two must have evicted at least once.
-	if !s.Registry().WaitIdle(testTimeout()) {
-		t.Fatal("registry never went idle")
-	}
-	st := s.Registry().Stats()
-	if st.Loaded > 2 {
-		t.Fatalf("idle registry holds %d cities, cap 2 (stats %+v)", st.Loaded, st)
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("3 cities through cap 2 with no evictions: %+v", st)
+	// Every city loaded exactly once, however many requests raced it.
+	if st := s.Registry().Stats(); st.Loaded != len(mcKeys) || st.Loads != int64(len(mcKeys)) {
+		t.Fatalf("registry stats after builds: %+v", st)
 	}
 }
 
@@ -178,7 +168,7 @@ func TestMultiCityConcurrentBuilds(t *testing.T) {
 // city, because each mutation snapshotted through the store.
 func TestMultiCityRestartPersistence(t *testing.T) {
 	snapDir := t.TempDir()
-	_, ts := multiCityServer(t, snapDir, 0)
+	_, ts := multiCityServer(t, snapDir)
 
 	type cityFacts struct {
 		gid, pid int
@@ -222,7 +212,7 @@ func TestMultiCityRestartPersistence(t *testing.T) {
 	}
 
 	// "Restart": a brand-new server over the same data + snapshot dirs.
-	_, ts2 := multiCityServer(t, snapDir, 0)
+	_, ts2 := multiCityServer(t, snapDir)
 	for _, key := range mcKeys {
 		f := facts[key]
 		var group groupResponse
@@ -275,20 +265,15 @@ func TestEmptyDataDirWithPreloadedCity(t *testing.T) {
 	if _, err := NewMultiCity(Options{DataDir: t.TempDir()}); err == nil {
 		t.Fatal("empty data dir with no preloaded cities accepted")
 	}
-	// And a city cap still requires persistence.
-	if _, err := NewMultiCity(Options{Cities: []*dataset.City{mcCities[0]}, MaxCities: 1}); err == nil {
-		t.Fatal("MaxCities without SnapshotDir accepted")
-	}
 }
 
 // TestCorruptSnapshotSurfacesOnHealth: a tampered compaction snapshot must
-// not brick the city — it starts empty, the error lands on /healthz, and
-// (because the state is now memory-only) the registry refuses to evict it.
+// not brick the city — it starts empty and the error lands on /healthz.
 // The write-ahead log is quarantined along with the snapshot: it is a
 // suffix over that exact base and cannot replay without it.
 func TestCorruptSnapshotSurfacesOnHealth(t *testing.T) {
 	snapDir := t.TempDir()
-	s, ts := multiCityServer(t, snapDir, 0)
+	s, ts := multiCityServer(t, snapDir)
 	gid, err := mcCreateGroup(ts, mcCities[0], "alpha")
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +302,7 @@ func TestCorruptSnapshotSurfacesOnHealth(t *testing.T) {
 	}
 	// Restart: the city serves (empty) instead of failing, and healthz
 	// reports the ignored state.
-	_, ts2 := multiCityServer(t, snapDir, 0)
+	_, ts2 := multiCityServer(t, snapDir)
 	if err := tryJSON(ts2, "GET", fmt.Sprintf("%s/cities/alpha/groups/%d", ts2.URL, gid), nil, 404, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +333,7 @@ func TestCorruptSnapshotSurfacesOnHealth(t *testing.T) {
 // city — truncate the tail in place, and report the cut on /healthz.
 func TestTornWALTailSurfacesOnHealth(t *testing.T) {
 	snapDir := t.TempDir()
-	_, ts := multiCityServer(t, snapDir, 0)
+	_, ts := multiCityServer(t, snapDir)
 	gid, err := mcCreateGroup(ts, mcCities[0], "alpha")
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +357,7 @@ func TestTornWALTailSurfacesOnHealth(t *testing.T) {
 
 	// Restart: the group (record 1) survives; the package (torn record 2)
 	// is gone; the cut is on /healthz; nothing is fatal.
-	_, ts2 := multiCityServer(t, snapDir, 0)
+	_, ts2 := multiCityServer(t, snapDir)
 	var group groupResponse
 	if err := tryJSON(ts2, "GET", fmt.Sprintf("%s/cities/alpha/groups/%d", ts2.URL, gid), nil, 200, &group); err != nil {
 		t.Fatalf("surviving prefix not served: %v", err)
@@ -397,7 +382,7 @@ func TestTornWALTailSurfacesOnHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts3 := multiCityServer(t, snapDir, 0)
+	_, ts3 := multiCityServer(t, snapDir)
 	for _, id := range []int{gid, gid2} {
 		if err := tryJSON(ts3, "GET", fmt.Sprintf("%s/cities/alpha/groups/%d", ts3.URL, id), nil, 200, nil); err != nil {
 			t.Fatalf("group %d lost after repair+restart: %v", id, err)
@@ -414,12 +399,11 @@ func TestTornWALTailSurfacesOnHealth(t *testing.T) {
 func TestCommitTokenPinsPrimaryOnWALFailure(t *testing.T) {
 	s, ts := multiCityServerOpts(t, Options{SnapshotDir: t.TempDir()})
 	// Break alpha's log under the server: every later append fails.
-	c, release, err := s.Registry().Acquire("alpha")
+	c, err := s.Registry().Get("alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = c.State.wal.Close()
-	release()
 
 	gid, err := mcCreateGroup(ts, mcCities[0], "alpha")
 	if err != nil {
@@ -447,38 +431,5 @@ func TestCommitTokenPinsPrimaryOnWALFailure(t *testing.T) {
 	}
 	if health.Cities["alpha"].PersistErr == "" {
 		t.Fatal("append failure not surfaced on /healthz")
-	}
-}
-
-// TestMultiCityEvictionReloadsState verifies the cap + persistence
-// interplay: a city evicted under MaxCities=1 comes back with its state
-// intact on the next request.
-func TestMultiCityEvictionReloadsState(t *testing.T) {
-	snapDir := t.TempDir()
-	s, ts := multiCityServer(t, snapDir, 1)
-	gids := map[string]int{}
-	for ci, key := range mcKeys {
-		gid, err := mcCreateGroup(ts, mcCities[ci], key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gids[key] = gid
-	}
-	if !s.Registry().WaitIdle(testTimeout()) {
-		t.Fatal("registry never went idle")
-	}
-	st := s.Registry().Stats()
-	if st.Loaded != 1 || st.Evictions < 2 {
-		t.Fatalf("cap 1 registry stats = %+v", st)
-	}
-	// Every city — two of which were evicted — still serves its group.
-	for _, key := range mcKeys {
-		var group groupResponse
-		if err := tryJSON(ts, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", ts.URL, key, gids[key]), nil, 200, &group); err != nil {
-			t.Fatalf("%s lost its group to eviction: %v", key, err)
-		}
-		if group.Size != 3 {
-			t.Fatalf("%s group = %+v", key, group)
-		}
 	}
 }

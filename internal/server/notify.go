@@ -5,7 +5,7 @@ import "sync"
 // commitNotify is a per-city versioned broadcast: writers announce "the
 // applied sequence reached seq", waiters block until the announced head
 // passes the sequence they have already seen. It is the wakeup primitive
-// behind the /wal long-poll and push stream — and deliberately generic
+// behind the /wal push stream — and deliberately generic
 // (nothing replication-specific in it) so the same notifier can later
 // drive SSE collaboration streams for a city's groups.
 //

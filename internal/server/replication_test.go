@@ -531,12 +531,11 @@ func TestPromotion(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("promoted node's restart lost state:\nwant %+v\ngot  %+v", want, got)
 	}
-	c, release, err := r.Registry().Acquire("alpha")
+	c, err := r.Registry().Get("alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := c.State.health()
-	release()
 	if h.WAL == nil || h.WAL.ReplayTruncated != "" {
 		t.Fatalf("promoted node's log did not recover cleanly: %+v", h.WAL)
 	}
@@ -547,11 +546,12 @@ func TestPromotion(t *testing.T) {
 	}
 }
 
-// TestWALStreamServesColdCities: the stream endpoint must never force a
-// city load — tailing followers poll every city every interval, which
-// would otherwise defeat the LRU cap. An unloaded city serves its sealed
-// on-disk state directly and stays unloaded.
-func TestWALStreamServesColdCities(t *testing.T) {
+// TestFollowerStreamsCityPrimaryHadNotLoaded: a restarted primary has
+// loaded nothing, yet a streaming follower's first request for a city
+// must get a live push stream — the request loads the city from its
+// on-disk state, exactly as the follower's own tailer does on its side —
+// so later commits ship on the commit wakeup, not on a reconnect.
+func TestFollowerStreamsCityPrimaryHadNotLoaded(t *testing.T) {
 	snapDir := t.TempDir()
 	multiCityDataDir(t)
 	p1, err := NewMultiCity(Options{Cities: mcCities, SnapshotDir: snapDir})
@@ -559,11 +559,10 @@ func TestWALStreamServesColdCities(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(p1.Handler())
-	gid, err := mcCreateGroup(ts1, mcCities[0], "alpha")
-	if err != nil {
+	if _, err := mcCreateGroup(ts1, mcCities[0], "alpha"); err != nil {
 		t.Fatal(err)
 	}
-	_ = gid
+	diskHead := primaryHead(t, p1, "alpha")
 	ts1.Close()
 
 	// A fresh primary over the same state: alpha exists on disk only.
@@ -573,37 +572,69 @@ func TestWALStreamServesColdCities(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(p2.Handler())
 	t.Cleanup(ts2.Close)
-	resp, err := http.Get(ts2.URL + "/cities/alpha/wal?from=0")
-	if err != nil {
+	if _, ok := p2.Registry().Resident("alpha"); ok {
+		t.Fatal("restarted primary loaded alpha before any request")
+	}
+
+	// An hour-paced follower: nothing but a held-open push stream can ship
+	// a commit before the deadlines below.
+	f, _ := followerFor(t, ts2.URL, Options{SnapshotDir: t.TempDir(), FollowPoll: time.Hour})
+	deadline := time.Now().Add(5 * time.Second)
+	for p2.metrics.streams.open.Value() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("no push stream opened on the restarted primary")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	waitApplied(t, f, "alpha", diskHead, 5*time.Second)
+
+	// The listing reports the head the city recovered from disk.
+	var cities []citySummary
+	if err := tryJSON(ts2, "GET", ts2.URL+"/cities", nil, 200, &cities); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || len(body) <= 8 {
-		t.Fatalf("cold stream: %d (%d bytes)", resp.StatusCode, len(body))
+	for _, c := range cities {
+		if c.Key == "alpha" && (!c.Loaded || c.AppliedSeq != diskHead) {
+			t.Fatalf("/cities alpha = %+v, want loaded at on-disk head %d", c, diskHead)
+		}
 	}
-	if p2.Registry().Loaded("alpha") {
-		t.Fatal("serving /wal loaded the city")
+
+	// A new commit reaches the follower over the open stream.
+	if _, err := mcCreateGroup(ts2, mcCities[0], "alpha"); err != nil {
+		t.Fatal(err)
 	}
-	// Ahead-of-head detection works cold too.
-	resp, err = http.Get(ts2.URL + "/cities/alpha/wal?from=99")
+	waitApplied(t, f, "alpha", primaryHead(t, p2, "alpha"), 5*time.Second)
+
+	// Ahead-of-head detection still answers 409.
+	resp, err := http.Get(ts2.URL + "/cities/alpha/wal?from=99")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("cold ahead check: %d", resp.StatusCode)
-	}
-	if p2.Registry().Loaded("alpha") {
-		t.Fatal("ahead check loaded the city")
-	}
-
-	// And a follower can replicate entirely from the cold stream.
-	f, _ := followerFor(t, ts2.URL, Options{SnapshotDir: t.TempDir()})
-	if err := f.Follower().CatchUp(testTimeout()); err != nil {
-		t.Fatal(err)
+		t.Fatalf("ahead check: %d", resp.StatusCode)
 	}
 	assertConverged(t, p2, f, []string{"alpha"})
+}
+
+// TestWALWithoutPersistenceIs501: a node without a write-ahead log
+// answers the stream with 501 — never 409, which a follower would read as
+// divergence — and does not load the city to say so.
+func TestWALWithoutPersistenceIs501(t *testing.T) {
+	s, ts := multiCityServerOpts(t, Options{})
+	for _, q := range []string{"from=0", "from=0&stream=1"} {
+		resp, err := http.Get(ts.URL + "/cities/alpha/wal?" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotImplemented {
+			t.Fatalf("/wal?%s without persistence: %d, want 501", q, resp.StatusCode)
+		}
+	}
+	if _, ok := s.Registry().Resident("alpha"); ok {
+		t.Fatal("answering 501 loaded the city")
+	}
 }
 
 // --- push streaming ---
@@ -629,11 +660,10 @@ func waitApplied(t *testing.T, f *Server, key string, want int64, within time.Du
 // primaryHead reads a city's committed head off the primary.
 func primaryHead(t *testing.T, p *Server, key string) int64 {
 	t.Helper()
-	c, release, err := p.Registry().Acquire(key)
+	c, err := p.Registry().Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
 	return c.State.appliedSeq()
 }
 
@@ -909,63 +939,5 @@ func TestPushStreamWireCorruption(t *testing.T) {
 	lag, _ := f.Follower().Lag("gamma")
 	if lag.WireRetries == 0 {
 		t.Fatalf("wire retry not recorded: %+v", lag)
-	}
-}
-
-// TestWALLongPoll: ?wait= blocks a caught-up request until a commit
-// wakes it — answering promptly, not at the wait mark — and returns an
-// empty batch when the wait elapses with nothing new.
-func TestWALLongPoll(t *testing.T) {
-	multiCityDataDir(t)
-	p, err := NewMultiCity(Options{Cities: mcCities, SnapshotDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := httptest.NewServer(p.Handler())
-	t.Cleanup(pts.Close)
-	if _, err := mcCreateGroup(pts, mcCities[0], "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	head := primaryHead(t, p, "alpha")
-
-	// A commit lands mid-wait: the poll must answer with it promptly.
-	done := make(chan error, 1)
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		_, err := mcCreateGroup(pts, mcCities[0], "alpha")
-		done <- err
-	}()
-	start := time.Now()
-	resp, err := http.Get(fmt.Sprintf("%s/cities/alpha/wal?from=%d&wait=10s", pts.URL, head))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	took := time.Since(start)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 || len(body) <= 8 {
-		t.Fatalf("long-poll answer: %d (%d bytes)", resp.StatusCode, len(body))
-	}
-	if took > 5*time.Second {
-		t.Fatalf("long-poll took %v despite the commit at 150ms — no wakeup", took)
-	}
-
-	// Nothing commits: the wait elapses and the answer is headers + magic.
-	head = primaryHead(t, p, "alpha")
-	start = time.Now()
-	resp, err = http.Get(fmt.Sprintf("%s/cities/alpha/wal?from=%d&wait=200ms", pts.URL, head))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || len(body) != 8 {
-		t.Fatalf("timed-out long-poll: %d (%d bytes)", resp.StatusCode, len(body))
-	}
-	if e := time.Since(start); e < 180*time.Millisecond {
-		t.Fatalf("timed-out long-poll returned in %v — it never waited", e)
 	}
 }

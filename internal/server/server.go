@@ -1,10 +1,10 @@
 // Package server exposes GroupTravel over HTTP — the backend a Figure 3
 // style map GUI would talk to. It serves many cities from one process: a
-// city-keyed registry (internal/registry) lazily loads each city's dataset,
-// builds one shared concurrency-safe core.Engine per city, and evicts idle
-// cities under a configurable cap, while per-city groups and packages
-// snapshot through internal/store so a restart reconstructs the full
-// serving state.
+// city-keyed registry (internal/registry) lazily loads each city's dataset
+// on first touch and builds one shared concurrency-safe core.Engine per
+// city, which then stays resident for the life of the process, while
+// per-city groups and packages snapshot through internal/store so a
+// restart reconstructs the full serving state.
 //
 // # Routes
 //
@@ -26,18 +26,17 @@
 // # Concurrency
 //
 // Locking is sharded by entity rather than globalized: the registry
-// serializes only city lookup/load/evict, each city's state has an RWMutex
-// for its group/package registries and id allocation, each group carries
-// its own lock for the memoized consensus profiles, and each package
+// serializes only city lookup and first load, each city's state has an
+// RWMutex for its group/package registries and id allocation, each group
+// carries its own lock for the memoized consensus profiles, and each package
 // carries its own lock for its customization session. Package builds run
 // on the city's shared core.Engine outside every lock — the engine is
 // itself concurrency-safe with a bounded, singleflight cluster cache — so
 // builds for different groups and different cities proceed fully in
 // parallel; only operations on the same package serialize. Lock ordering:
 // registry < city registries < entity locks, never taken upward, so the
-// hierarchy is acyclic and deadlock-free. A request pins its city in the
-// registry for its whole duration, so eviction can never unload a city
-// with in-flight work.
+// hierarchy is acyclic and deadlock-free. A loaded city is never
+// unloaded, so a request can hold its city without pinning it.
 //
 // # Persistence
 //
@@ -45,9 +44,9 @@
 // package creation, customization op, refinement) appends one typed
 // record to the city's write-ahead log — O(1) per mutation regardless of
 // city size. The full-state snapshot is only rewritten at *compaction*:
-// when the log crosses the configured record-count or byte thresholds,
-// and on clean eviction. On load — first touch or reload after eviction —
-// the snapshot is read back and the log suffix replayed on top, with
+// when the log crosses the configured record-count or byte thresholds.
+// On a city's first touch after a restart the snapshot is read back and
+// the log suffix replayed on top, with
 // package POIs re-resolved against the city dataset. Torn log tails are
 // truncated at the last valid record, corrupt snapshots quarantine the
 // snapshot+log pair; both surface on /healthz, and neither ever bricks a
@@ -98,10 +97,6 @@ type Options struct {
 	// SnapshotDir enables persistence of groups/packages per city; empty
 	// disables it.
 	SnapshotDir string
-	// MaxCities caps how many cities stay loaded at once (<= 0: no cap).
-	// The cap is soft under load: cities with in-flight requests are
-	// never evicted.
-	MaxCities int
 	// DefaultCity is the key the legacy /api routes serve; defaults to
 	// the alphabetically first key.
 	DefaultCity string
@@ -187,22 +182,11 @@ type Server struct {
 	// positions keyed by the ?fid= handshake, consulted by compaction.
 	slots *slotTable
 
-	// coldHeads caches non-resident cities' stream heads (stream.go), so
-	// caught-up followers polling cold cities cost three stats, not a
-	// snapshot parse. Entries self-invalidate via file signatures.
-	coldHeads sync.Map // city key -> coldHead
-
-	// notifiers holds one commit broadcast per city key (notify.go). They
-	// live on the Server, not the cityState, so they survive eviction/
-	// reload cycles and cold-city long-polls can wait on a city that is
-	// not resident yet.
-	notifiers sync.Map // city key -> *commitNotify
-
 	// fleetVersion numbers every event that can change the GET /cities
-	// listing — commits, frame applies, compactions, loads, evictions,
-	// cold-head refreshes — and citiesCache serves the rendered listing
-	// while the version holds (see cache.go). Routers poll /cities on
-	// their health loop, making it the hottest read on the server.
+	// listing — commits, frame applies, compactions, loads — and
+	// citiesCache serves the rendered listing while the version holds
+	// (see cache.go). Routers poll /cities on their health loop, making
+	// it the hottest read on the server.
 	fleetVersion atomic.Int64
 	citiesCache  fleetCache
 
@@ -248,13 +232,8 @@ func scanDataDir(dir string) ([]string, error) {
 }
 
 // NewMultiCity builds a server over a data directory and/or preloaded
-// cities. A city cap requires persistence: eviction discards in-memory
-// groups and packages, so without snapshots it would silently 404 every
-// id a client holds for the evicted city.
+// cities.
 func NewMultiCity(opts Options) (*Server, error) {
-	if opts.MaxCities > 0 && opts.SnapshotDir == "" {
-		return nil, fmt.Errorf("server: MaxCities = %d needs SnapshotDir (eviction would drop groups/packages)", opts.MaxCities)
-	}
 	preloaded := make(map[string]*dataset.City, len(opts.Cities))
 	var keys []string
 	for _, c := range opts.Cities {
@@ -339,22 +318,9 @@ func NewMultiCity(opts Options) (*Server, error) {
 			return dataset.LoadJSON(f)
 		},
 		NewState: func(c *registry.City[*cityState]) (*cityState, error) { return s.newCityState(c) },
-		// A city whose latest persistence interaction failed holds the
-		// only complete copy of its committed state: vetoing its eviction
-		// keeps the failure recoverable instead of silently dropping
-		// groups/packages.
-		Evictable: func(c *registry.City[*cityState]) bool { return c.State.evictionSafe() },
-		// Residency flips invalidate the cached /cities listing; both
-		// hooks run after the flip is visible, so a fresh render always
-		// observes the new residency.
-		OnLoad: func(*registry.City[*cityState]) { s.fleetVersion.Add(1) },
-		// A clean eviction compacts the city's log into its snapshot and
-		// closes the log's file handle.
-		OnEvict: func(c *registry.City[*cityState]) {
-			c.State.handleEvict()
-			s.fleetVersion.Add(1)
-		},
-		MaxCities:      opts.MaxCities,
+		// A load invalidates the cached /cities listing; the hook runs
+		// after the city is visible, so a fresh render always observes it.
+		OnLoad:         func(*registry.City[*cityState]) { s.fleetVersion.Add(1) },
 		EngineCacheCap: opts.EngineCacheCap,
 	})
 	if err != nil {
@@ -404,12 +370,10 @@ func (s *Server) Preload(keys ...string) error {
 	errs := make(chan error, len(keys))
 	for _, key := range keys {
 		go func(key string) {
-			_, release, err := s.reg.Acquire(key)
-			if err != nil {
+			if _, err := s.reg.Get(key); err != nil {
 				errs <- fmt.Errorf("server: preload %q: %w", key, err)
 				return
 			}
-			release()
 			errs <- nil
 		}(key)
 	}
@@ -459,8 +423,8 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("POST "+prefix+"/packages/{id}/refine", mutate((*cityState).handleRefine))
 		// The replication stream: followers tail it, and a follower serves
 		// it too (from its own log), so replicas can cascade. Not routed
-		// through withCity — it must never force a city load (see
-		// stream.go).
+		// through withCity — it needs no applied-seq stamp and answers 501
+		// without loading the city when persistence is off (stream.go).
 		mux.HandleFunc("GET "+prefix+"/wal", s.handleWAL)
 	}
 	mux.HandleFunc("GET /api/city", city((*cityState).handleCity))
@@ -473,15 +437,15 @@ func (s *Server) Handler() http.Handler {
 }
 
 // withCity resolves the request's city — the {city} path value, or the
-// default city on the legacy routes — acquires it from the registry
-// (loading it on first touch) and pins it for the handler's duration.
+// default city on the legacy routes — and gets it from the registry,
+// loading it on first touch.
 func (s *Server) withCity(h func(cs *cityState, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("city")
 		if key == "" {
 			key = s.defaultCity
 		}
-		c, release, err := s.reg.Acquire(key)
+		c, err := s.reg.Get(key)
 		if err != nil {
 			if !s.reg.Has(key) {
 				writeErr(w, http.StatusNotFound, "unknown city %q", key)
@@ -490,7 +454,6 @@ func (s *Server) withCity(h func(cs *cityState, w http.ResponseWriter, r *http.R
 			writeErr(w, http.StatusServiceUnavailable, "city %q unavailable: %v", key, err)
 			return
 		}
-		defer release()
 		if r.Method == http.MethodGet {
 			// Stamp the applied sequence before the handler writes its
 			// status line. Reading it here — before the handler renders —
@@ -625,7 +588,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // AppliedSeq is the city's last committed (primary) or applied (follower)
 // WAL sequence — the freshness gauge a front tier compares session tokens
 // against, in the same cheap call; 0 means unknown (no persistence, or a
-// non-resident city whose stream head was never served).
+// city not loaded yet).
 type citySummary struct {
 	Key        string `json:"key"`
 	Loaded     bool   `json:"loaded"`
@@ -643,46 +606,21 @@ func (s *Server) handleCities(w http.ResponseWriter, _ *http.Request) {
 		writeRawJSON(w, http.StatusOK, body)
 		return
 	}
-	walBytes := map[string]int64{}
-	applied := map[string]int64{}
-	s.reg.Range(func(c *registry.City[*cityState]) {
-		if c.State.wal != nil {
-			walBytes[c.Key] = c.State.wal.Stats().Bytes
-		}
-		applied[c.Key] = c.State.appliedSeq()
-	})
 	var out []citySummary
 	for _, key := range s.reg.Keys() {
-		seq, ok := applied[key]
-		if !ok {
-			// Non-resident city: answer from the cold stream-head cache
-			// when one is established (stream.go) rather than force-loading
-			// the city — stale is conservative, a load here would let a
-			// poller defeat the LRU cap.
-			if h, hit := s.coldHeads.Load(key); hit {
-				seq = h.(coldHead).last
+		row := citySummary{Key: key, Default: key == s.defaultCity}
+		if c, ok := s.reg.Resident(key); ok {
+			row.Loaded = true
+			if c.State.wal != nil {
+				row.WALBytes = c.State.wal.Stats().Bytes
 			}
+			row.AppliedSeq = c.State.appliedSeq()
 		}
-		out = append(out, citySummary{
-			Key:        key,
-			Loaded:     s.reg.Loaded(key),
-			Default:    key == s.defaultCity,
-			WALBytes:   walBytes[key],
-			AppliedSeq: seq,
-		})
+		out = append(out, row)
 	}
 	body := renderJSON(out)
 	s.citiesCache.put(v, body)
 	writeRawJSON(w, http.StatusOK, body)
-}
-
-// notifier returns the city's commit broadcast, creating it on first use.
-func (s *Server) notifier(key string) *commitNotify {
-	if n, ok := s.notifiers.Load(key); ok {
-		return n.(*commitNotify)
-	}
-	n, _ := s.notifiers.LoadOrStore(key, newCommitNotify())
-	return n.(*commitNotify)
 }
 
 // lastSnapshotString formats a snapshot instant for health reports.

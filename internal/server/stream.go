@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -23,28 +22,19 @@ import (
 // endpoint serves the same way, so replicas can cascade.
 //
 // Beyond the classic one-shot response the endpoint is commit-driven:
+// ?stream=1 holds the connection open — the handler writes the initial
+// batch (snapshot handoff included when needed), then flushes frames via
+// http.Flusher as commits land (the city's commitNotify wakes it), with
+// zero-length heartbeat frames every ?hb={dur} so proxies and stall
+// detectors see a live wire. The server may end the stream at any time —
+// compaction moving the log out from under the reader, the stream-life
+// cap, a promotion — and the client simply reconnects; at-least-once
+// delivery and sequence-idempotent apply make the cut invisible.
 //
-//   - ?wait={dur} long-polls: a caught-up request blocks until a commit
-//     lands (the city's commitNotify wakes it) or the wait elapses, then
-//     answers one ordinary batch. Steady-state lag stops being bounded by
-//     the follower's poll interval.
-//   - ?stream=1 holds the connection open: the handler writes the initial
-//     batch (snapshot handoff included when needed), then flushes frames
-//     via http.Flusher as commits land, with zero-length heartbeat frames
-//     every ?hb={dur} so proxies and stall detectors see a live wire. The
-//     server may end the stream at any time — compaction moving the log
-//     out from under the reader, the stream-life cap protecting the LRU,
-//     a promotion — and the client simply reconnects; at-least-once
-//     delivery and sequence-idempotent apply make the cut invisible.
-//
-// The stream deliberately never forces a city load: a resident city
-// serves live (its appender's sequence counter is the authoritative
-// head), an unloaded one serves cold from its sealed on-disk state —
-// tailing followers polling every city must not defeat the LRU cap by
-// faulting everything in. Cold cities answer long-polls too (the
-// notifier outlives residency), but never hold a push stream: the
-// one-shot answer ends the response and the client's reconnect loop
-// paces itself on the wait.
+// A request for a city this node has not loaded yet loads it, exactly as
+// any other city-scoped request does: the appender's sequence counter is
+// then the authoritative head, and the city stays resident for every
+// later stream.
 
 // errStreamAhead: the requested resume point is beyond this log's head —
 // the caller has records this server never wrote. Divergence, not lag.
@@ -55,13 +45,9 @@ var errStreamAhead = errors.New("ahead of log head")
 var errStreamBusy = errors.New("log rotating; retry")
 
 const (
-	// maxWALWait caps ?wait= so a stuck client cannot pin a handler (and
-	// its city acquisition) forever on a silent city.
-	maxWALWait = 5 * time.Minute
-	// maxStreamLife caps one push stream's lifetime. The handler holds the
-	// city acquired for the stream's whole duration, which blocks LRU
-	// eviction; bounding the stream bounds the pin, and the client's
-	// reconnect gets a fresh handoff decision (snapshot vs frames) too.
+	// maxStreamLife caps one push stream's lifetime, so every client
+	// periodically reconnects into a fresh handoff decision (snapshot vs
+	// frames) and a fresh handshake.
 	maxStreamLife = 2 * time.Minute
 	// Heartbeat cadence bounds: defaultHeartbeat when the client does not
 	// choose, clamped into [minHeartbeat, maxHeartbeat] when it does.
@@ -72,7 +58,6 @@ const (
 
 // walStreamParams are the commit-driven knobs of one /wal request.
 type walStreamParams struct {
-	wait   time.Duration // long-poll budget; 0 = answer immediately
 	stream bool          // hold the connection open, push frames
 	hb     time.Duration // heartbeat cadence on an idle stream
 	fid    string        // follower id for the replication-slot table
@@ -82,24 +67,12 @@ type walStreamParams struct {
 // slot table's keys (and its metric labels) without bound.
 const maxFollowerIDLen = 200
 
-// parseStreamParams reads wait/stream/hb/fid; on a bad value it writes
-// the 400 and reports !ok. Durations must be strictly positive: a
-// zero or negative ?wait= is a contradiction ("long-poll for no time"),
-// not a degenerate one-shot — omitting the parameter is how a caller
-// asks for the immediate answer — and letting it through would make
-// `wait=0s` and `wait=` behave identically by accident rather than
-// contract.
+// parseStreamParams reads stream/hb/fid; on a bad value it writes the
+// 400 and reports !ok. The heartbeat must be strictly positive: omitting
+// the parameter is how a caller asks for the default.
 func parseStreamParams(w http.ResponseWriter, r *http.Request) (walStreamParams, bool) {
 	p := walStreamParams{hb: defaultHeartbeat}
 	q := r.URL.Query()
-	if v := q.Get("wait"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad wait %q", v)
-			return p, false
-		}
-		p.wait = min(d, maxWALWait)
-	}
 	switch v := q.Get("stream"); v {
 	case "", "0", "false":
 	case "1", "true":
@@ -126,10 +99,11 @@ func parseStreamParams(w http.ResponseWriter, r *http.Request) (walStreamParams,
 	return p, true
 }
 
-// handleWAL routes one stream request: live when the city is resident,
-// cold (disk-only) when it is not. "No WAL configured" is 501, never
-// 409 — a follower must be able to tell a misconfigured primary apart
-// from real divergence.
+// handleWAL resolves the city — loading it on first touch — and serves
+// its stream: the push stream on ?stream=1, the classic one-shot
+// otherwise. "No WAL configured" is 501, never 409 — a follower must be
+// able to tell a misconfigured primary apart from real divergence — and
+// is answered without loading anything.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("city")
 	if key == "" {
@@ -147,131 +121,29 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// A cold city cannot hold a push stream (nothing resident fires its
-	// appender), so stream requests degrade to a bounded long-poll: the
-	// one-shot answer ends the response and the client reconnects — which
-	// self-paces its effective poll to the wait below.
-	coldWait := p.wait
-	if p.stream && coldWait == 0 {
-		coldWait = 2 * p.hb
-	}
-	deadline := time.Now().Add(coldWait)
-	for {
-		if c, release, ok := s.reg.AcquireIfLoaded(key); ok {
-			defer release()
-			c.State.handleWALStream(w, r, from, p)
-			return
-		}
-		if s.snapshotDir == "" {
-			writeErr(w, http.StatusNotImplemented,
-				"city %q has no write-ahead log (replication requires -snapshot-dir)", key)
-			return
-		}
-		// Cold: the city's state is sealed on disk (eviction compacted and
-		// closed it, or it was never touched). A load racing this read only
-		// appends past what we serve; the density checks catch rotations.
-		batch, cached, err := s.coldBatch(key, from)
-		if err != nil {
-			writeStreamResult(w, from, nil, err)
-			return
-		}
-		caughtUp := batch.Snapshot == nil && len(batch.Frames) == 0
-		remaining := time.Until(deadline)
-		if !caughtUp || coldWait <= 0 || remaining <= 0 {
-			s.stampBatch(batch)
-			_ = replicate.WriteStream(w, batch)
-			if !cached {
-				s.fleetVersion.Add(1) // the /cities listing reports cold heads
-			}
-			return
-		}
-		// Caught up with wait budget left: block on the city's notifier —
-		// a load-and-commit on this key wakes us — then re-run the whole
-		// resolution (the city may be resident now).
-		_, ch := s.notifier(key).await()
-		select {
-		case <-ch:
-			s.metrics.streams.wakeups.Inc()
-		case <-time.After(remaining):
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// coldBatch assembles a non-resident city's one-shot batch, answering
-// caught-up polls from the stat-signature cache (cached=true) so a
-// follower fleet tailing cold cities costs three stats per poll, not a
-// snapshot parse.
-func (s *Server) coldBatch(key string, from int64) (batch *replicate.Batch, cached bool, err error) {
-	sig := coldSig(s.snapshotDir, key)
-	if h, hit := s.coldHeads.Load(key); hit {
-		if ch := h.(coldHead); ch.sig == sig && from == ch.last {
-			return &replicate.Batch{PrimarySeq: ch.last, PrimaryWALBytes: ch.walBytes}, true, nil
-		}
-	}
-	batch, err = streamFrom(s.snapshotDir, key, from, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	// The signature was taken before the read: if the files changed in
-	// between, the stale signature just misses the cache next poll.
-	s.coldHeads.Store(key, coldHead{sig: sig, last: batch.PrimarySeq, walBytes: batch.PrimaryWALBytes})
-	return batch, false, nil
-}
-
-// coldHead caches the last-served head of a non-resident city, keyed by
-// its files' stat signature.
-type coldHead struct {
-	sig            coldSignature
-	last, walBytes int64
-}
-
-// coldSignature fingerprints the three on-disk files cheaply (mtime +
-// size; -1/-1 when absent).
-type coldSignature struct {
-	snapMod, snapSize, walMod, walSize, pendMod, pendSize int64
-}
-
-func coldSig(dir, key string) coldSignature {
-	stat := func(path string) (int64, int64) {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return -1, -1
-		}
-		return fi.ModTime().UnixNano(), fi.Size()
-	}
-	var sig coldSignature
-	sig.snapMod, sig.snapSize = stat(store.SnapshotPath(dir, key))
-	sig.walMod, sig.walSize = stat(store.WALPath(dir, key))
-	sig.pendMod, sig.pendSize = stat(store.PendingWALPath(dir, key))
-	return sig
-}
-
-// handleWALStream serves the stream for a resident city: push stream,
-// long-poll, or the classic one-shot.
-func (cs *cityState) handleWALStream(w http.ResponseWriter, r *http.Request, from int64, p walStreamParams) {
-	if cs.wal == nil {
+	if s.snapshotDir == "" {
 		writeErr(w, http.StatusNotImplemented,
-			"city %q has no write-ahead log (replication requires -snapshot-dir)", cs.key)
+			"city %q has no write-ahead log (replication requires -snapshot-dir)", key)
 		return
 	}
+	c, err := s.reg.Get(key)
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, "city %q unavailable: %v", key, err)
+		return
+	}
+	cs := c.State
 	if p.stream {
 		cs.serveWALPush(w, r, from, p)
 		return
 	}
-	if p.wait > 0 && from == cs.wal.LastSeq() {
-		// Caught up: block until a commit wakes us or the wait elapses,
-		// then fall through to the ordinary one-shot answer. (from > head
-		// skips the wait — that is divergence and 409s immediately.)
-		cs.awaitCommit(r.Context(), from, p.wait)
-	}
-	batch, err := streamFrom(cs.snapDir, cs.key, from, func() (int64, int64) {
-		return cs.wal.LastSeq(), cs.wal.Stats().Bytes
-	})
+	batch, err := streamFrom(cs.snapDir, cs.key, from, cs.walHead)
 	cs.stampBatch(batch)
 	writeStreamResult(w, from, batch, err)
 }
+
+// walHead is the live stream head: the appender's last sequence and the
+// log's bytes since compaction.
+func (cs *cityState) walHead() (int64, int64) { return cs.wal.LastSeq(), cs.wal.Stats().Bytes }
 
 // stampBatch adds the node's replication term to an outgoing batch.
 func (cs *cityState) stampBatch(b *replicate.Batch) {
@@ -321,12 +193,11 @@ func (cs *cityState) awaitCommit(ctx context.Context, from int64, wait time.Dura
 // the followers that are alive and behind.
 func (cs *cityState) serveWALPush(w http.ResponseWriter, r *http.Request, from int64, p walStreamParams) {
 	hb := p.hb
-	headFn := func() (int64, int64) { return cs.wal.LastSeq(), cs.wal.Stats().Bytes }
 	startTerm := int64(0)
 	if cs.epochInfo != nil {
 		startTerm, _ = cs.epochInfo()
 	}
-	batch, err := streamFrom(cs.snapDir, cs.key, from, headFn)
+	batch, err := streamFrom(cs.snapDir, cs.key, from, cs.walHead)
 	if err != nil {
 		writeStreamResult(w, from, nil, err)
 		return
@@ -334,13 +205,13 @@ func (cs *cityState) serveWALPush(w http.ResponseWriter, r *http.Request, from i
 	cs.stampBatch(batch)
 	fl := telemetry.FlusherFor(w)
 	if fl == nil {
-		// Nothing in the writer stack can flush, so no push. Degrade the
-		// way a cold city does: when caught up, hold a bounded long-poll
-		// first so the client's clean-end reconnect self-paces on ~2×hb
-		// instead of hot-looping one-shots, then answer the batch.
+		// Nothing in the writer stack can flush, so no push. Degrade to a
+		// bounded wait: when caught up, hold for a commit first so the
+		// client's clean-end reconnect self-paces on ~2×hb instead of
+		// hot-looping one-shots, then answer the batch.
 		if batch.Snapshot == nil && len(batch.Frames) == 0 {
 			cs.awaitCommit(r.Context(), from, 2*hb)
-			if batch, err = streamFrom(cs.snapDir, cs.key, from, headFn); err != nil {
+			if batch, err = streamFrom(cs.snapDir, cs.key, from, cs.walHead); err != nil {
 				writeStreamResult(w, from, nil, err)
 				return
 			}
@@ -546,7 +417,7 @@ func writeStreamResult(w http.ResponseWriter, from int64, batch *replicate.Batch
 }
 
 // streamFrom assembles one stream batch: all committed records with
-// sequence > from. The log files are read without locks while the
+// sequence > from, up to the live head the appender reports. The log files are read without locks while the
 // appender, and possibly a compaction, keep running — a torn tail just
 // ends the committed prefix, and the races that matter (a rotation or
 // compaction landing between two file reads) all surface as a sequence
@@ -570,35 +441,14 @@ func streamFrom(dir, key string, from int64, head func() (int64, int64)) (*repli
 // tryCollect makes one read pass; nil batch with nil error means "raced
 // a rotation, retry".
 func tryCollect(dir, key string, from int64, head func() (int64, int64)) (*replicate.Batch, error) {
-	var (
-		frames         []store.WALFrame
-		raw            []byte
-		snapSeq        int64
-		snapRead       bool
-		last, walBytes int64
-	)
-	readSnap := func() error {
-		if snapRead {
-			return nil
-		}
-		var err error
-		raw, snapSeq, err = store.ReadSnapshotRaw(dir, key)
-		if err != nil {
-			return fmt.Errorf("snapshot handoff: %w", err)
-		}
-		snapRead = true
-		return nil
+	last, walBytes := head()
+	if from > last {
+		return nil, errStreamAhead
 	}
-	if head != nil {
-		last, walBytes = head()
-		if from > last {
-			return nil, errStreamAhead
-		}
-		if from == last {
-			// Caught up: the steady-state poll answers from the sequence
-			// counter alone, without reading (or parsing) a byte of log.
-			return &replicate.Batch{PrimarySeq: last, PrimaryWALBytes: walBytes}, nil
-		}
+	if from == last {
+		// Caught up: the steady-state poll answers from the sequence
+		// counter alone, without reading (or parsing) a byte of log.
+		return &replicate.Batch{PrimarySeq: last, PrimaryWALBytes: walBytes}, nil
 	}
 	frames, err := store.CollectWALFrames(dir, key)
 	if err != nil {
@@ -606,25 +456,6 @@ func tryCollect(dir, key string, from int64, head func() (int64, int64)) (*repli
 	}
 	if !strictlyAscending(frames) {
 		return nil, nil // two reads straddled a rotation
-	}
-	if head == nil {
-		// Cold head: the snapshot watermark and the last frame on disk.
-		if err := readSnap(); err != nil {
-			return nil, err
-		}
-		last = snapSeq
-		for _, fr := range frames {
-			walBytes += fr.WireLen()
-			if fr.Seq > last {
-				last = fr.Seq
-			}
-		}
-		if from > last {
-			return nil, errStreamAhead
-		}
-		if from == last {
-			return &replicate.Batch{PrimarySeq: last, PrimaryWALBytes: walBytes}, nil
-		}
 	}
 	batch := &replicate.Batch{PrimarySeq: last, PrimaryWALBytes: walBytes}
 	lo := last + 1 // an empty log: everything lives in the snapshot
@@ -642,8 +473,9 @@ func tryCollect(dir, key string, from int64, head func() (int64, int64)) (*repli
 	// The records right after `from` are no longer in the log: they were
 	// folded into the snapshot by a compaction. Hand the snapshot off and
 	// ship the suffix beyond its watermark.
-	if err := readSnap(); err != nil {
-		return nil, err
+	raw, snapSeq, err := store.ReadSnapshotRaw(dir, key)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot handoff: %w", err)
 	}
 	if raw == nil || snapSeq < from || snapSeq+1 < lo {
 		// No snapshot (or one too old to bridge the gap): a compaction is

@@ -8,8 +8,7 @@ import (
 )
 
 // TestParseStreamParams pins the /wal query contract, in particular that
-// non-positive durations are rejected outright: ?wait=0s used to slip
-// through the old `d < 0` check and behave like an accidental one-shot.
+// a non-positive heartbeat is rejected outright rather than clamped.
 func TestParseStreamParams(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -19,13 +18,6 @@ func TestParseStreamParams(t *testing.T) {
 	}{
 		{name: "defaults", query: "", ok: true,
 			want: walStreamParams{hb: defaultHeartbeat}},
-		{name: "wait", query: "wait=50ms", ok: true,
-			want: walStreamParams{wait: 50 * time.Millisecond, hb: defaultHeartbeat}},
-		{name: "wait clamped to cap", query: "wait=10m", ok: true,
-			want: walStreamParams{wait: maxWALWait, hb: defaultHeartbeat}},
-		{name: "wait zero rejected", query: "wait=0s", ok: false},
-		{name: "wait negative rejected", query: "wait=-5s", ok: false},
-		{name: "wait garbage rejected", query: "wait=soon", ok: false},
 		{name: "stream on", query: "stream=1", ok: true,
 			want: walStreamParams{stream: true, hb: defaultHeartbeat}},
 		{name: "stream true", query: "stream=true", ok: true,

@@ -73,7 +73,7 @@ func newServerMetrics() *serverMetrics {
 		frames: reg.Counter("gt_replication_stream_frames_total",
 			"WAL frames flushed to push streams."),
 		wakeups: reg.Counter("gt_replication_stream_wakeups_total",
-			"Commit wakeups consumed by push streams and long-polls."),
+			"Commit wakeups consumed by push streams."),
 		heartbeats: reg.Counter("gt_replication_stream_heartbeats_total",
 			"Heartbeat frames written to idle push streams."),
 	}
@@ -94,8 +94,8 @@ func (m *serverMetrics) fsyncBySize(sizeBytes int64) *telemetry.Histogram {
 }
 
 // cityMetrics are one city's hot-path counters. Registration is
-// idempotent on (name, city), so a city's counters survive its
-// eviction/reload cycle.
+// idempotent on (name, city), so a retried load after a failed one
+// resumes the same counters.
 type cityMetrics struct {
 	byteHits      *telemetry.Counter
 	byteMisses    *telemetry.Counter
@@ -125,8 +125,7 @@ func (m *serverMetrics) city(key string) cityMetrics {
 // registerScrapeFuncs wires the scrape-time rows: registry residency,
 // per-city WAL stats and applied sequence, and — on followers — the
 // replication lag this node's tailer reports. Closures sample loaded
-// cities only (AcquireIfLoaded never forces a load, so scraping cannot
-// defeat the LRU cap); non-resident cities read 0.
+// cities only (scraping never forces a load); cities not loaded yet read 0.
 func (s *Server) registerScrapeFuncs(keys []string) {
 	reg := s.metrics.reg
 	reg.GaugeFunc("gt_cities_known", "Cities this server can serve.",
@@ -195,11 +194,10 @@ func (s *Server) registerScrapeFuncs(keys []string) {
 
 // sampleCity reads one gauge off a loaded city, 0 when not resident.
 func (s *Server) sampleCity(key string, f func(cs *cityState) float64) float64 {
-	c, release, ok := s.reg.AcquireIfLoaded(key)
+	c, ok := s.reg.Resident(key)
 	if !ok {
 		return 0
 	}
-	defer release()
 	return f(c.State)
 }
 

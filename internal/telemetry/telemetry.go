@@ -9,7 +9,7 @@
 // A Registry holds metric families keyed by name; each family holds one
 // series per label set. Registration is idempotent: asking for the same
 // (name, labels) twice returns the same metric, so a per-city counter
-// survives the city's eviction/reload cycle and the health report and the
+// survives a retried city load and the health report and the
 // /metrics exposition can be backed by the *same* underlying values —
 // the two surfaces can never disagree.
 //
