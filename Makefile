@@ -50,8 +50,8 @@ lint: vet
 # same file. `make benchcompare` gates the fresh file against the
 # previous generation's committed baseline: drift beyond 15% is printed
 # as a warning (smoke runs are noisy), growth beyond 2x fails.
-BENCH_GEN ?= 10
-BENCH_BASE ?= BENCH_9.json
+BENCH_GEN ?= 14
+BENCH_BASE ?= BENCH_10.json
 
 bench:
 	$(GO) test -bench . -benchtime=3x -benchmem -run XXX . > bench.out || (cat bench.out; rm -f bench.out; exit 1)

@@ -934,13 +934,13 @@ func BenchmarkRouterProxy(b *testing.B) {
 	b.Run("routed", func(b *testing.B) { get(b, rts.URL+path) })
 }
 
-// BenchmarkHotReadCached measures the zero-copy read path: the same GET
-// served over HTTP (client + transport included, comparable to
+// BenchmarkHotRead measures a shard's read path: the same GET served over
+// HTTP (client + transport included, comparable to
 // BenchmarkRouterProxy/direct) and at the bare handler (recorder only —
-// the server-side cost in isolation). After the first iteration every
-// response is a byte-cache hit: a map lookup plus one Write of the
-// stored bytes, no JSON encoding.
-func BenchmarkHotReadCached(b *testing.B) {
+// the server-side cost in isolation). Every response renders from live
+// state into a pooled buffer; the router's edge cache is the only layer
+// that serves a repeat read from memory (BenchmarkRouterEdgeCache).
+func BenchmarkHotRead(b *testing.B) {
 	benchSetup(b)
 	srv, err := server.NewMultiCity(server.Options{Cities: []*dataset.City{benchCity}})
 	if err != nil {
@@ -976,22 +976,6 @@ func BenchmarkHotReadCached(b *testing.B) {
 			}
 		}
 	})
-	// The same request with a query string past the cache-key bound: the
-	// server answers it identically but never caches, so this is the
-	// pre-cache render+encode cost — the baseline the cached rows above
-	// are measured against.
-	b.Run("handler-uncached", func(b *testing.B) {
-		h := srv.Handler()
-		long := path + "&pad=" + strings.Repeat("x", 256)
-		req := httptest.NewRequest(http.MethodGet, long, nil)
-		for i := 0; i < b.N; i++ {
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, req)
-			if w.Code != http.StatusOK {
-				b.Fatalf("status %d", w.Code)
-			}
-		}
-	})
 }
 
 // BenchmarkRouterEdgeCache prices the router's edge cache: the same
@@ -1004,9 +988,9 @@ func BenchmarkHotReadCached(b *testing.B) {
 //     BenchmarkRouterProxy/routed (the uncached routed path, ns/op) the
 //     gap is the proxy hop the cache removes — well past 3×.
 //   - miss: the same recorder harness with the route guard forcing the
-//     cache aside, so every iteration pays the real upstream HTTP hop —
-//     the same-harness uncached baseline (the shard still serves from
-//     its own byte cache, exactly like BenchmarkRouterProxy/routed).
+//     cache aside, so every iteration pays the real upstream HTTP hop and
+//     the shard's render — the same-harness uncached baseline, exactly
+//     like BenchmarkRouterProxy/routed.
 //   - hit-http: the cached read through a real client socket, end-to-end
 //     comparable with the BenchmarkRouterProxy rows.
 func BenchmarkRouterEdgeCache(b *testing.B) {
@@ -1077,8 +1061,8 @@ func BenchmarkRouterEdgeCache(b *testing.B) {
 		}
 	})
 	// The stream param trips the streamed-response guard, so the router
-	// proxies every iteration; the shard ignores it and serves its own
-	// byte-cached render — the routed-uncached baseline.
+	// proxies every iteration; the shard ignores it and renders the POI
+	// listing — the routed-uncached baseline.
 	b.Run("miss", func(b *testing.B) {
 		req := httptest.NewRequest(http.MethodGet, path+"&stream=0", nil)
 		for i := 0; i < b.N; i++ {

@@ -31,8 +31,9 @@
 // plus a Set-Cookie refreshing gt-session, and every routed response
 // X-GT-Shard/X-GT-Backend (who served it). Both floor carriers travel
 // with the request, so any number of routers serve them alike.
-// GET /healthz reports per-node views and routing counters; GET /cities
-// aggregates the key space across shards.
+// GET /healthz reports per-shard epochs and per-node views, GET /metrics
+// the routing counters; GET /cities aggregates the key space across
+// shards.
 package main
 
 import (

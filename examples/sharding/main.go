@@ -154,18 +154,22 @@ func main() {
 	}
 	fmt.Printf("%d/20 reads succeeded through the kill window\n", ok)
 
-	// 7. The router's own health shows where traffic went.
-	var health struct {
-		Counters struct {
-			ReadsPrimary  int64 `json:"readsPrimary"`
-			ReadsFollower int64 `json:"readsFollower"`
-			ReadsPinned   int64 `json:"readsPinned"`
-			ReadFailovers int64 `json:"readFailovers"`
-			Mutations     int64 `json:"mutations"`
-		} `json:"counters"`
+	// 7. The router's own metrics show where traffic went.
+	resp, err := http.Get(routerURL + "/metrics")
+	if err != nil {
+		log.Fatal(err)
 	}
-	getJSON(routerURL+"/healthz", &health)
-	fmt.Printf("router counters: %+v\n", health.Counters)
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("router counters:")
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, "gt_router_reads_") || strings.HasPrefix(line, "gt_router_mutations_total") {
+			fmt.Println(" ", line)
+		}
+	}
 }
 
 func keyOf(c *dataset.City) string { return strings.ToLower(c.Name) }

@@ -18,8 +18,8 @@
 //
 // One registry mutex guards the key → entry map; dataset loading, engine
 // construction and state loading all run outside it. The registry never
-// calls user hooks (Load, NewState, OnLoad) while holding its lock, so
-// hooks may acquire their own locks freely.
+// calls user hooks (Load, NewState) while holding its lock, so hooks may
+// acquire their own locks freely.
 package registry
 
 import (
@@ -52,12 +52,6 @@ type Options[S any] struct {
 	// engine exist — the place to reload persisted groups/packages.
 	// Optional; the zero S is used when nil.
 	NewState func(c *City[S]) (S, error)
-
-	// OnLoad observes a city becoming resident, after it is visible to
-	// Resident/Range; the registry does not hold its lock across the call.
-	// Listings that cache on a residency-sensitive version key rely on
-	// this ordering: the invalidation must follow the visibility flip.
-	OnLoad func(c *City[S])
 
 	// EngineCacheCap overrides the per-engine cluster-cache bound
 	// (core.DefaultCacheCap when 0, unbounded when < 0).
@@ -150,13 +144,7 @@ func (r *Registry[S]) Get(key string) (*City[S], error) {
 	}
 	r.mu.Unlock()
 	close(e.ready)
-	if e.err != nil {
-		return nil, e.err
-	}
-	if r.opts.OnLoad != nil {
-		r.opts.OnLoad(e.city)
-	}
-	return e.city, nil
+	return e.city, e.err
 }
 
 // Resident returns key's city only if it is already loaded; it never

@@ -4,12 +4,13 @@ package router
 //
 // The interactive loop is read-dominated — groups poll packages and
 // refinement state far more often than they mutate — yet every routed
-// GET pays a full proxy hop to a shard, even when the shard itself
-// answers from its version-keyed byte cache. The edge cache removes
-// that hop for hot city-scoped GETs: a bounded LRU of rendered
-// responses keyed by (city, path, query), each entry stamped with the
-// applied WAL sequence the shard rendered it at (the X-GT-Applied-Seq
-// response header, a lower bound on the state the body reflects).
+// GET pays a full proxy hop to a shard, which renders the response from
+// live state. The edge cache is the one place a repeat read is served
+// from memory: for hot city-scoped GETs it keeps a bounded LRU of
+// rendered responses keyed by (city, path, query), each entry stamped
+// with the applied WAL sequence the shard rendered it at (the
+// X-GT-Applied-Seq response header, a lower bound on the state the body
+// reflects).
 //
 // The freshness contract — when may a cached entry be served?
 //
@@ -38,11 +39,10 @@ package router
 // keep paying the proxy hop.
 //
 // Concurrent misses for one key collapse into a single upstream fill
-// (singleflight, the same idiom as the shard's build dedup): a
-// thundering herd on a hot group costs one proxy hop instead of N.
-// Waiters re-validate the filled entry against their own floor — a
-// pinned waiter whose floor the fill cannot prove falls through to its
-// own upstream read rather than trust a staler rider.
+// (singleflight): a thundering herd on a hot group costs one proxy hop
+// instead of N. Waiters re-validate the filled entry against their own
+// floor — a pinned waiter whose floor the fill cannot prove falls
+// through to its own upstream read rather than trust a staler rider.
 
 import (
 	"container/list"
@@ -60,10 +60,9 @@ const (
 	// maxEdgeBody keeps giant renders from pinning router memory; larger
 	// responses relay uncached.
 	maxEdgeBody = 1 << 20
-	// maxEdgeKeyQuery bounds the query-string part of a cache key — the
-	// same guard the shard's byte cache applies, so arbitrary query
-	// strings cannot mint unbounded key space. Longer queries are routed
-	// but never cached or coalesced.
+	// maxEdgeKeyQuery bounds the query-string part of a cache key, so
+	// arbitrary query strings cannot mint unbounded key space. Longer
+	// queries are routed but never cached or coalesced.
 	maxEdgeKeyQuery = 200
 )
 

@@ -171,24 +171,25 @@ func runRouterReadYourWritesUnderLag(t *testing.T, edge bool) {
 	// read-backs were pinned, some pinned reads needed the primary (the
 	// followers really were lagging), and token-less traffic was served
 	// by followers.
-	var health healthReport
-	doJSON(t, "GET", rts.URL+"/healthz", nil, nil, http.StatusOK, &health)
-	ctr := health.Counters
-	if ctr.Mutations != int64(writers*writesEach+len(cities)) {
-		t.Fatalf("mutations = %d, want %d", ctr.Mutations, writers*writesEach+len(cities))
+	c := rt.ctr
+	total, primary, follower := c.readsTotal.Value(), c.readsPrimary.Value(), c.readsFollower.Value()
+	ledger := fmt.Sprintf("reads total=%d primary=%d follower=%d edgeHits=%d edgeCoalesced=%d",
+		total, primary, follower, c.edgeHits.Value(), c.edgeCoalesced.Value())
+	if n := c.mutations.Value(); n != int64(writers*writesEach+len(cities)) {
+		t.Fatalf("mutations = %d, want %d", n, writers*writesEach+len(cities))
 	}
-	if ctr.ReadsPinned < int64(writers*writesEach) {
-		t.Fatalf("readsPinned = %d, want >= %d", ctr.ReadsPinned, writers*writesEach)
+	if n := c.readsPinned.Value(); n < int64(writers*writesEach) {
+		t.Fatalf("readsPinned = %d, want >= %d", n, writers*writesEach)
 	}
-	if ctr.ReadsFollower == 0 {
-		t.Fatalf("no read was served by a follower: %+v", ctr)
+	if follower == 0 {
+		t.Fatalf("no read was served by a follower: %s", ledger)
 	}
-	if ctr.ReadsPrimary == 0 {
-		t.Fatalf("no pinned read ever needed the primary — the followers were not lagging: %+v", ctr)
+	if primary == 0 {
+		t.Fatalf("no pinned read ever needed the primary — the followers were not lagging: %s", ledger)
 	}
 	if !edge {
-		if ctr.ReadsTotal != ctr.ReadsPrimary+ctr.ReadsFollower {
-			t.Fatalf("reads don't add up: %+v", ctr)
+		if total != primary+follower {
+			t.Fatalf("reads don't add up: %s", ledger)
 		}
 		return
 	}
@@ -196,14 +197,14 @@ func runRouterReadYourWritesUnderLag(t *testing.T, edge bool) {
 	// backends, and a coalesced rider may have been served from its fill
 	// (counted under coalesced alone) or fallen through to its own fetch
 	// (counted under coalesced AND a role counter).
-	backed := ctr.ReadsPrimary + ctr.ReadsFollower + ctr.EdgeHits
-	if ctr.ReadsTotal < backed || ctr.ReadsTotal > backed+ctr.EdgeCoalesced {
-		t.Fatalf("edge-cache reads don't add up: %+v", ctr)
+	backed := primary + follower + c.edgeHits.Value()
+	if total < backed || total > backed+c.edgeCoalesced.Value() {
+		t.Fatalf("edge-cache reads don't add up: %s", ledger)
 	}
 	// Every proxied mutation carries a commit token, so each must have
 	// raised (or tied) the city's commit floor — never purged.
-	if ctr.EdgeInvalidations == 0 {
-		t.Fatalf("no mutation ever invalidated the edge cache: %+v", ctr)
+	if c.edgeInvalidations.Value() == 0 {
+		t.Fatalf("no mutation ever invalidated the edge cache: %s", ledger)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestRequestIDInBothTiersLogs(t *testing.T) {
 
 // TestMetricsEndToEnd: after real traffic, both tiers' /metrics expose
 // the per-class latency histograms (with a sane p99), the routing
-// counters, and the shard's WAL/byte-cache series.
+// counters, and the shard's WAL series.
 func TestMetricsEndToEnd(t *testing.T) {
 	s, backend := newPrimary(t)
 	rt, ts := newRouter(t, Options{Topology: singleShard(backend.URL)})
@@ -190,7 +190,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`gt_http_request_seconds_bucket{class="collab",le="+Inf"}`,
 		"gt_wal_append_seconds_count",
 		"gt_wal_fsync_seconds_count",
-		`gt_bytecache_hits_total{city="` + city + `"}`,
 		`gt_wal_records{city="` + city + `"}`,
 	} {
 		if !strings.Contains(shardMetrics, want) {

@@ -128,9 +128,9 @@ type Options struct {
 	EdgeCacheMax int
 }
 
-// counters are the router's routing telemetry, surfaced on /healthz and
-// /metrics (same registry-backed series, see telemetry.go) — the
-// observable proof of where traffic actually went.
+// counters are the router's routing telemetry, surfaced on /metrics
+// (registry-backed series, see telemetry.go) — the observable proof of
+// where traffic actually went.
 type counters struct {
 	readsTotal         *telemetry.Counter
 	readsPrimary       *telemetry.Counter
@@ -1139,24 +1139,6 @@ func (rt *Router) handleCities(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// countersJSON is the routing-telemetry slice of the router's /healthz.
-type countersJSON struct {
-	ReadsTotal         int64 `json:"readsTotal"`
-	ReadsPrimary       int64 `json:"readsPrimary"`
-	ReadsFollower      int64 `json:"readsFollower"`
-	ReadsPinned        int64 `json:"readsPinned"`
-	ReadFailovers      int64 `json:"readFailovers"`
-	FollowersShed      int64 `json:"followersShed"`
-	Mutations          int64 `json:"mutations"`
-	MutationRetries403 int64 `json:"mutationRetries403"`
-	MutationFailovers  int64 `json:"mutationFailovers"`
-	AutoPromotions     int64 `json:"autoPromotions"`
-	EdgeHits           int64 `json:"edgeHits"`
-	EdgeMisses         int64 `json:"edgeMisses"`
-	EdgeCoalesced      int64 `json:"edgeCoalesced"`
-	EdgeInvalidations  int64 `json:"edgeInvalidations"`
-}
-
 // shardHealth is one shard's row in the router's /healthz: the node
 // views plus the shard's fencing epoch — the term the router relays to
 // fence stale primaries, and who it believes owns it.
@@ -1166,12 +1148,13 @@ type shardHealth struct {
 	Nodes        []NodeView `json:"nodes"`
 }
 
+// healthReport is the router's /healthz: liveness and the topology as
+// the health feed sees it. Routing and edge-cache counters live on
+// /metrics only (gt_router_*).
 type healthReport struct {
 	Status       string                 `json:"status"`
 	VirtualNodes int                    `json:"virtualNodes"`
 	Shards       map[string]shardHealth `json:"shards"`
-	EdgeEntries  int                    `json:"edgeEntries"`
-	Counters     countersJSON           `json:"counters"`
 }
 
 func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -1180,25 +1163,6 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		Status:       "ok",
 		VirtualNodes: tab.ring.VirtualNodes(),
 		Shards:       make(map[string]shardHealth, len(tab.shards)),
-		Counters: countersJSON{
-			ReadsTotal:         rt.ctr.readsTotal.Value(),
-			ReadsPrimary:       rt.ctr.readsPrimary.Value(),
-			ReadsFollower:      rt.ctr.readsFollower.Value(),
-			ReadsPinned:        rt.ctr.readsPinned.Value(),
-			ReadFailovers:      rt.ctr.readFailovers.Value(),
-			FollowersShed:      rt.ctr.followersShed.Value(),
-			Mutations:          rt.ctr.mutations.Value(),
-			MutationRetries403: rt.ctr.mutationRetries403.Value(),
-			MutationFailovers:  rt.ctr.mutationFailovers.Value(),
-			AutoPromotions:     rt.ctr.autoPromotions.Value(),
-			EdgeHits:           rt.ctr.edgeHits.Value(),
-			EdgeMisses:         rt.ctr.edgeMisses.Value(),
-			EdgeCoalesced:      rt.ctr.edgeCoalesced.Value(),
-			EdgeInvalidations:  rt.ctr.edgeInvalidations.Value(),
-		},
-	}
-	if rt.edge != nil {
-		rep.EdgeEntries = rt.edge.len()
 	}
 	for name, sh := range tab.shards {
 		views := make([]NodeView, 0, len(sh.Nodes))

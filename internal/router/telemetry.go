@@ -1,16 +1,15 @@
 package router
 
-// Telemetry wiring for the front tier. The routing counters that /healthz
-// has always reported are registry-backed now — /metrics renders the same
-// values — plus per-node health-poll latency histograms, node-up gauges,
-// and the per-class HTTP metrics the shared middleware records.
+// Telemetry wiring for the front tier: the registry-backed routing and
+// edge-cache counters, per-node health-poll latency histograms, node-up
+// gauges, and the per-class HTTP metrics the shared middleware records.
+// /metrics is their one surface.
 
 import (
 	"grouptravel/internal/telemetry"
 )
 
-// newCounters registers the routing counters. The names mirror the
-// countersJSON fields /healthz reports; both read the same values.
+// newCounters registers the routing counters.
 func newCounters(reg *telemetry.Registry) counters {
 	c := func(name, help string) *telemetry.Counter { return reg.Counter(name, help) }
 	return counters{

@@ -34,8 +34,8 @@ func groupRequest(t *testing.T) map[string]any {
 }
 
 // TestAppliedSeqStampedOnCityGETs pins the freshness-validation header:
-// every city-scoped GET — byte-cache hit or miss alike — carries
-// X-GT-Applied-Seq naming the city's applied WAL position, and the stamp
+// every city-scoped GET carries X-GT-Applied-Seq naming the city's
+// applied WAL position, and the stamp
 // advances with each committed mutation. Any client (a router's edge
 // cache in particular) can therefore validate what state a cached body
 // reflects without a second round trip.
@@ -70,10 +70,10 @@ func TestAppliedSeqStampedOnCityGETs(t *testing.T) {
 		t.Fatalf("first mutation committed at seq %d, want 1", g.Seq)
 	}
 
-	// Uncached (first) and cached (second) renders carry the same stamp.
+	// Repeated reads carry the same stamp.
 	for i, path := range []string{
 		"/cities/" + key,
-		"/cities/" + key, // byte-cache hit
+		"/cities/" + key,
 		"/cities/" + key + "/pois?k=3",
 		fmt.Sprintf("/cities/%s/groups/%d", key, g.ID),
 	} {

@@ -45,11 +45,6 @@ type cityState struct {
 	packages map[int]*packageState
 	nextID   int
 
-	// builds singleflights identical concurrent Build calls (same profile,
-	// query and params) so the CI-construction phase is deduped like the
-	// cluster cache already dedups the clustering.
-	builds buildGroup
-
 	// snapDir is empty when persistence is off (wal is nil then too).
 	// persistMu orders mutations against compaction: a mutation holds the
 	// read side across [in-memory commit + WAL append] so compaction
@@ -94,16 +89,6 @@ type cityState struct {
 	// ending push streams across a term change.
 	slots     *slotTable
 	epochInfo func() (int64, string)
-
-	// cacheVersion numbers the city's mutation history for the rendered-
-	// byte cache (cache.go): seeded from appliedSeq at load and bumped
-	// after every applied mutation (primary commits, follower frame
-	// applies, snapshot handoffs). rcache holds the rendered bytes;
-	// fleetVersion points at the server-level /cities version so a city
-	// mutation also invalidates the fleet listing.
-	cacheVersion atomic.Int64
-	rcache       respCache
-	fleetVersion *atomic.Int64
 }
 
 // groupState is one registered group. group is immutable after creation;
@@ -200,7 +185,6 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 		snapDir:      s.snapshotDir,
 		compactEvery: s.compactEvery,
 		compactBytes: s.compactBytes,
-		fleetVersion: &s.fleetVersion,
 		met:          s.metrics.city(c.Key),
 		compactDur:   s.metrics.compaction,
 		notify:       newCommitNotify(),
@@ -209,11 +193,6 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 		epochInfo:    s.Epoch,
 	}
 	cs.persistErr.Store("")
-	// Hot-path counters live on the structs that bump them.
-	cs.rcache.hits = cs.met.byteHits
-	cs.rcache.misses = cs.met.byteMisses
-	cs.rcache.fillRaces = cs.met.byteFillRaces
-	cs.builds.dedups = cs.met.buildDedups
 	// A city loaded after promotion is an ordinary read-write city; only
 	// an active follower builds the replication mirror. (A fenced node is
 	// read-only too, but nothing feeds it frames — no mirror.)
@@ -238,19 +217,14 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 	if err != nil {
 		return nil, fmt.Errorf("server: wal for %q: %w", cs.key, err)
 	}
-	wal.Instrument(s.metrics.walAppend, s.metrics.walFsync)
 	// Fsync latency grows with the *file* being synced, not the record
 	// appended (ext4 journals metadata proportional to file size), so the
 	// fsync histogram is partitioned by log size at sync time — the label
 	// that explains why appends on a 100k-record log read slower than on a
 	// fresh one while B/op stays flat.
-	wal.InstrumentSizedFsync(s.metrics.fsyncBySize)
+	wal.Instrument(s.metrics.walAppend, s.metrics.fsyncBySize)
 	wal.Seed(cs.replay.CurrentRecords, cs.replay.LastSeq)
 	cs.wal = wal
-	// Seed the byte-cache version from the recovered sequence so a
-	// reload after restart never resumes at a version an old cache entry
-	// could collide with.
-	cs.cacheVersion.Store(cs.replay.LastSeq)
 	cs.replayMillis = float64(time.Since(start)) / float64(time.Millisecond)
 	if st != nil {
 		cs.nextID = st.NextID
@@ -419,11 +393,6 @@ func (cs *cityState) commit(mutate func(logRec func(store.WALRecord))) int64 {
 	})
 	cs.persistMu.RUnlock()
 	if logged {
-		// Invalidate the byte caches strictly after the in-memory state
-		// change and strictly before the mutation is acknowledged: a
-		// reader arriving after this mutation's response can never hit
-		// bytes rendered before it (cache.go).
-		cs.bumpCacheVersion()
 		// Wake push streams with the durable head — never the
 		// pinPrimarySeq sentinel: a failed append's record can never ship,
 		// so the notifier must not claim its sequence.
@@ -556,11 +525,6 @@ func (cs *cityState) noteCompaction(at time.Time) {
 	cs.snapTime.Store(at.UnixNano())
 	cs.met.compactions.Inc()
 	cs.persistErr.Store("")
-	// The /cities listing reports walBytes and snapshot age; a
-	// compaction changes both, so refresh the fleet-level cache.
-	if cs.fleetVersion != nil {
-		cs.fleetVersion.Add(1)
-	}
 }
 
 // clonePackage deep-copies a package at the CI level so snapshot encoding
@@ -658,14 +622,7 @@ func (cs *cityState) health() cityHealth {
 		Cache:        cs.engine.CacheStats(),
 		Groups:       groups,
 		Packages:     packages,
-		BuildDedups:  cs.builds.dedups.Value(),
 		LastSnapshot: lastSnapshotString(cs.snapTime.Load()),
-		ByteCache: byteCacheHealth{
-			Hits:      cs.rcache.hits.Value(),
-			Misses:    cs.rcache.misses.Value(),
-			FillRaces: cs.rcache.fillRaces.Value(),
-			Entries:   cs.rcache.size(),
-		},
 	}
 	if msg, _ := cs.persistErr.Load().(string); msg != "" {
 		h.PersistErr = msg
@@ -676,7 +633,6 @@ func (cs *cityState) health() cityHealth {
 			Records:         ws.Records,
 			Bytes:           ws.Bytes,
 			Fsyncs:          ws.Fsyncs,
-			LastFsyncMicros: ws.LastFsyncMicros,
 			Compactions:     cs.met.compactions.Value(),
 			Replayed:        cs.replay.Records,
 			ReplayMillis:    cs.replayMillis,

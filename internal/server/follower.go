@@ -67,11 +67,11 @@ func (cs *cityState) replicaResume() (int64, error) {
 // Persistence is batched: each applied frame materializes immediately,
 // but the verbatim re-append to the follower's own log happens once for
 // the whole batch through WAL.AppendFrames — one write, one group-commit
-// fsync — instead of the per-frame AppendFrame (and per-frame fsync under
-// WALSyncAlways) this loop used to pay. The read lock spans the batch so
-// the [materialize + append] pair stays atomic against compaction, and
-// the append still runs strictly after materialization, preserving the
-// invariant that the local log head never leads the serving state.
+// fsync — instead of one write and (under WALSyncAlways) one fsync per
+// frame. The read lock spans the batch so the [materialize + append]
+// pair stays atomic against compaction, and the append still runs
+// strictly after materialization, preserving the invariant that the
+// local log head never leads the serving state.
 func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 	m := cs.replica
 	if m == nil {
@@ -101,11 +101,6 @@ func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 				err = merr
 				m.fault = fmt.Errorf("server: %q replication fault at seq %d: %w", cs.key, fr.Seq, merr)
 			} else {
-				// The serving registries changed: invalidate rendered
-				// bytes before the next frame (or reader) arrives, per
-				// frame — a reader racing the batch must never fill a
-				// pre-frame render under a post-frame version.
-				cs.bumpCacheVersion()
 				cs.met.framesApplied.Inc()
 				toAppend = append(toAppend, fr)
 			}
@@ -270,8 +265,6 @@ func (cs *cityState) applySnapshot(raw []byte) (int64, error) {
 	cs.mu.Lock()
 	cs.groups, cs.packages, cs.nextID = groups, packages, st.NextID
 	cs.mu.Unlock()
-	// The whole serving state just swapped — every rendered byte is void.
-	cs.bumpCacheVersion()
 	cs.persistMu.Unlock()
 	m.st, m.ap = mst, ap
 	m.fault = nil // the installed snapshot supersedes whatever was lost

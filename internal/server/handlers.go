@@ -62,22 +62,20 @@ type cityResponse struct {
 }
 
 func (cs *cityState) handleCity(w http.ResponseWriter, _ *http.Request) {
-	cs.serveCached(w, "city", http.StatusOK, func() any {
-		counts := cs.city.POIs.CategoryCounts()
-		resp := cityResponse{
-			Key:    cs.key,
-			Name:   cs.city.Name,
-			Counts: map[string]int{},
-			Schema: map[string][]string{},
-		}
-		for _, c := range poi.Categories {
-			resp.Counts[c.String()] = counts[c]
-			resp.Schema[c.String()] = cs.city.Schema.Labels(c)
-		}
-		b := cs.city.POIs.Bounds()
-		resp.Bounds = map[string]float64{"lat": b.Lat, "lon": b.Lon, "width": b.Width, "height": b.Height}
-		return resp
-	})
+	counts := cs.city.POIs.CategoryCounts()
+	resp := cityResponse{
+		Key:    cs.key,
+		Name:   cs.city.Name,
+		Counts: map[string]int{},
+		Schema: map[string][]string{},
+	}
+	for _, c := range poi.Categories {
+		resp.Counts[c.String()] = counts[c]
+		resp.Schema[c.String()] = cs.city.Schema.Labels(c)
+	}
+	b := cs.city.POIs.Bounds()
+	resp.Bounds = map[string]float64{"lat": b.Lat, "lon": b.Lon, "width": b.Width, "height": b.Height}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 type poiResponse struct {
@@ -100,20 +98,6 @@ func toPOIResponse(p *poi.POI) poiResponse {
 // handlePOIs lists POIs, optionally filtered by category and/or nearest to
 // a point: .../pois?cat=rest&near=48.85,2.35&k=10
 func (cs *cityState) handlePOIs(w http.ResponseWriter, r *http.Request) {
-	// Cache check before any parsing: a current cached 200 for this exact
-	// query string proves an identical request already validated, so the
-	// hot path is a map hit plus one Write — no url.Values, no strconv.
-	// An unbounded query string would let clients mint cache keys at
-	// will; long queries are answered but never cached.
-	cacheable := len(r.URL.RawQuery) <= maxCacheKeyQuery
-	var key string
-	v := cs.cacheVersion.Load()
-	if cacheable {
-		key = "pois?" + r.URL.RawQuery
-		if cs.serveHit(w, key, v) {
-			return
-		}
-	}
 	q := r.URL.Query()
 	var cat *poi.Category
 	if cString := q.Get("cat"); cString != "" {
@@ -133,48 +117,35 @@ func (cs *cityState) handlePOIs(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	var lat, lon float64
-	hasNear := false
+	var out []poiResponse
 	if near := q.Get("near"); near != "" {
 		parts := strings.Split(near, ",")
 		if len(parts) != 2 {
 			writeErr(w, http.StatusBadRequest, "near must be lat,lon")
 			return
 		}
-		var err1, err2 error
-		lat, err1 = strconv.ParseFloat(parts[0], 64)
-		lon, err2 = strconv.ParseFloat(parts[1], 64)
+		lat, err1 := strconv.ParseFloat(parts[0], 64)
+		lon, err2 := strconv.ParseFloat(parts[1], 64)
 		if err1 != nil || err2 != nil {
 			writeErr(w, http.StatusBadRequest, "near must be lat,lon")
 			return
 		}
-		hasNear = true
-	}
-	render := func() any {
-		var out []poiResponse
-		if hasNear {
-			for _, p := range cs.city.POIs.Nearest(geo.Point{Lat: lat, Lon: lon}, k, cat, nil) {
-				out = append(out, toPOIResponse(p))
-			}
-		} else {
-			pois := cs.city.POIs.All()
-			if cat != nil {
-				pois = cs.city.POIs.ByCategory(*cat)
-			}
-			for i, p := range pois {
-				if i >= k {
-					break
-				}
-				out = append(out, toPOIResponse(p))
-			}
+		for _, p := range cs.city.POIs.Nearest(geo.Point{Lat: lat, Lon: lon}, k, cat, nil) {
+			out = append(out, toPOIResponse(p))
 		}
-		return out
+	} else {
+		pois := cs.city.POIs.All()
+		if cat != nil {
+			pois = cs.city.POIs.ByCategory(*cat)
+		}
+		for i, p := range pois {
+			if i >= k {
+				break
+			}
+			out = append(out, toPOIResponse(p))
+		}
 	}
-	if !cacheable {
-		writeJSON(w, http.StatusOK, render())
-		return
-	}
-	cs.fillAndServe(w, key, v, http.StatusOK, render)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // --- groups ---
@@ -271,10 +242,8 @@ func (cs *cityState) handleGetGroup(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	cs.serveCached(w, "grp/"+r.PathValue("id"), http.StatusOK, func() any {
-		return groupResponse{
-			ID: id, Size: gs.group.Size(), Uniformity: gs.group.Uniformity(), MedianUser: gs.group.MedianUser(),
-		}
+	writeJSON(w, http.StatusOK, groupResponse{
+		ID: id, Size: gs.group.Size(), Uniformity: gs.group.Uniformity(), MedianUser: gs.group.MedianUser(),
 	})
 }
 
@@ -386,9 +355,8 @@ func (cs *cityState) handleCreatePackage(w http.ResponseWriter, r *http.Request)
 
 	// The build runs outside every lock: the engine is concurrency-safe,
 	// so packages for different groups (or different queries, or different
-	// cities) construct in parallel — and identical concurrent requests
-	// collapse into one engine run (see batch.go).
-	tp, err := cs.build(gp, q, core.DefaultParams(k))
+	// cities) construct in parallel.
+	tp, err := cs.engine.Build(gp, q, core.DefaultParams(k))
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -464,15 +432,10 @@ func (cs *cityState) handleGetPackage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	routes := r.URL.Query().Get("routes") == "1"
-	key := "pkg/" + r.PathValue("id")
-	if routes {
-		key += "/r"
-	}
-	cs.serveCached(w, key, http.StatusOK, func() any {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		return cs.renderPackage(id, ps, routes)
-	})
+	ps.mu.Lock()
+	resp := cs.renderPackage(id, ps, routes)
+	ps.mu.Unlock()
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // --- customization operators ---
@@ -661,7 +624,7 @@ func (cs *cityState) handleRefine(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "k = %d out of range [1,30]", k)
 			return
 		}
-		newTP, err := cs.build(refined, q, core.DefaultParams(k))
+		newTP, err := cs.engine.Build(refined, q, core.DefaultParams(k))
 		if err != nil {
 			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 			return

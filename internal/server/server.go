@@ -182,14 +182,6 @@ type Server struct {
 	// positions keyed by the ?fid= handshake, consulted by compaction.
 	slots *slotTable
 
-	// fleetVersion numbers every event that can change the GET /cities
-	// listing — commits, frame applies, compactions, loads — and
-	// citiesCache serves the rendered listing while the version holds
-	// (see cache.go). Routers poll /cities on their health loop, making
-	// it the hottest read on the server.
-	fleetVersion atomic.Int64
-	citiesCache  fleetCache
-
 	// metrics backs GET /metrics and every counter /healthz reports (one
 	// value set, two surfaces — see telemetry.go); accessLog, when set,
 	// gives the HTTP middleware its structured request log.
@@ -317,10 +309,7 @@ func NewMultiCity(opts Options) (*Server, error) {
 			defer f.Close()
 			return dataset.LoadJSON(f)
 		},
-		NewState: func(c *registry.City[*cityState]) (*cityState, error) { return s.newCityState(c) },
-		// A load invalidates the cached /cities listing; the hook runs
-		// after the city is visible, so a fresh render always observes it.
-		OnLoad:         func(*registry.City[*cityState]) { s.fleetVersion.Add(1) },
+		NewState:       func(c *registry.City[*cityState]) (*cityState, error) { return s.newCityState(c) },
 		EngineCacheCap: opts.EngineCacheCap,
 	})
 	if err != nil {
@@ -473,15 +462,26 @@ func (s *Server) withCity(h func(cs *cityState, w http.ResponseWriter, r *http.R
 
 // --- helpers ---
 
+// jsonBufPool recycles the scratch buffers every JSON response renders
+// into, so a response does not allocate an encoder buffer per request.
+var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuf drops oversized scratch buffers instead of pooling them,
+// so one large response does not pin its buffer forever.
+const maxPooledBuf = 1 << 20
+
 // writeJSON renders v through a pooled buffer (no per-request encoder
-// allocation) and writes it with Content-Length set. The rendered bytes
-// are identical to json.Encoder output (trailing newline included), so
-// cached and uncached responses are indistinguishable on the wire.
+// allocation) and writes it with Content-Length set. The bytes are
+// json.Encoder output, trailing newline included.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	_ = json.NewEncoder(buf).Encode(v)
-	writeRawJSON(w, status, buf.Bytes())
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes())
 	if buf.Cap() <= maxPooledBuf {
 		jsonBufPool.Put(buf)
 	}
@@ -502,10 +502,8 @@ type cityHealth struct {
 	Cache        core.CacheStats `json:"clusterCache"`
 	Groups       int             `json:"groups"`
 	Packages     int             `json:"packages"`
-	BuildDedups  int64           `json:"buildDedups"`            // builds served from an identical in-flight request
 	LastSnapshot string          `json:"lastSnapshot,omitempty"` // RFC3339; empty when never compacted
 	PersistErr   string          `json:"persistenceError,omitempty"`
-	ByteCache    byteCacheHealth `json:"byteCache"` // rendered-response cache (cache.go)
 	WAL          *walHealth      `json:"wal,omitempty"`
 	// Replication is the follower's position against the primary for this
 	// city: replicaLag in records and bytes, handoff/retry counters, and
@@ -520,7 +518,6 @@ type walHealth struct {
 	Records         int64   `json:"records"`
 	Bytes           int64   `json:"bytes"` // bytes appended since the last compaction
 	Fsyncs          int64   `json:"fsyncs"`
-	LastFsyncMicros int64   `json:"lastFsyncMicros"`
 	Compactions     int64   `json:"compactions"`
 	Replayed        int     `json:"replayedRecords"` // records replayed at load
 	ReplayMillis    float64 `json:"replayMillis"`
@@ -598,14 +595,6 @@ type citySummary struct {
 }
 
 func (s *Server) handleCities(w http.ResponseWriter, _ *http.Request) {
-	// Version captured before the listing is assembled: an event landing
-	// mid-render bumps the version and keeps the stale render out of the
-	// cache (it is still a correct response for its moment in time).
-	v := s.fleetVersion.Load()
-	if body, ok := s.citiesCache.get(v); ok {
-		writeRawJSON(w, http.StatusOK, body)
-		return
-	}
 	var out []citySummary
 	for _, key := range s.reg.Keys() {
 		row := citySummary{Key: key, Default: key == s.defaultCity}
@@ -618,9 +607,7 @@ func (s *Server) handleCities(w http.ResponseWriter, _ *http.Request) {
 		}
 		out = append(out, row)
 	}
-	body := renderJSON(out)
-	s.citiesCache.put(v, body)
-	writeRawJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // lastSnapshotString formats a snapshot instant for health reports.

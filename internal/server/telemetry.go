@@ -2,10 +2,11 @@ package server
 
 // Telemetry wiring for the shard daemon. One Registry per Server (so
 // embedded servers and tests stay isolated), per-class HTTP metrics via
-// the shared middleware, real counters on the mutation/caching hot paths,
-// and scrape-time GaugeFunc/CounterFunc rows for values the system
-// already tracks (WAL stats, replication lag, registry residency) — the
-// same values /healthz reports, so the two surfaces can never disagree.
+// the shared middleware, real counters on the compaction and replication
+// apply paths, and scrape-time GaugeFunc/CounterFunc rows for values the
+// system already tracks (WAL stats, replication lag, registry residency)
+// — the same values /healthz reports, so the two surfaces can never
+// disagree.
 
 import (
 	"grouptravel/internal/replicate"
@@ -21,15 +22,13 @@ type serverMetrics struct {
 	// WAL latencies are process-wide histograms (per-city histograms
 	// would multiply the exposition by the city count for little signal;
 	// per-city WAL *stats* are exposed as scrape-time gauges instead).
-	// The fsync histogram is additionally partitioned by log-file size at
-	// sync time (fsyncSmall/Med/Large): fsync latency tracks the size of
-	// the file being synced — ext4 journals metadata proportional to it —
-	// which is what makes appends on a 100k-record log read ~6x slower
-	// than on a fresh one while bytes/op stay flat. The size label makes
-	// that visible on /metrics instead of looking like an append
-	// regression.
+	// The fsync histogram is partitioned by log-file size at sync time
+	// (fsyncSmall/Med/Large): fsync latency tracks the size of the file
+	// being synced — ext4 journals metadata proportional to it — which is
+	// what makes appends on a 100k-record log read ~6x slower than on a
+	// fresh one while bytes/op stay flat. The size label makes that
+	// visible on /metrics instead of looking like an append regression.
 	walAppend  *telemetry.Histogram
-	walFsync   *telemetry.Histogram
 	fsyncSmall *telemetry.Histogram // log < 1 MiB at sync
 	fsyncMed   *telemetry.Histogram // 1–16 MiB
 	fsyncLarge *telemetry.Histogram // >= 16 MiB
@@ -56,8 +55,6 @@ func newServerMetrics() *serverMetrics {
 		http: telemetry.NewHTTPMetrics(reg),
 		walAppend: reg.Histogram("gt_wal_append_seconds",
 			"WAL append latency: marshal, frame, write, and the sync policy's share.", nil),
-		walFsync: reg.Histogram("gt_wal_fsync_seconds",
-			"WAL fsync latency (group commits and background flushes).", nil),
 		fsyncSmall: reg.Histogram("gt_wal_fsync_seconds",
 			"WAL fsync latency (group commits and background flushes).", nil, "size", "lt1MiB"),
 		fsyncMed: reg.Histogram("gt_wal_fsync_seconds",
@@ -81,7 +78,7 @@ func newServerMetrics() *serverMetrics {
 }
 
 // fsyncBySize selects the fsync histogram for the log size being synced —
-// the WAL.InstrumentSizedFsync hook.
+// the fsyncFor hook WAL.Instrument takes.
 func (m *serverMetrics) fsyncBySize(sizeBytes int64) *telemetry.Histogram {
 	switch {
 	case sizeBytes < 1<<20:
@@ -97,24 +94,12 @@ func (m *serverMetrics) fsyncBySize(sizeBytes int64) *telemetry.Histogram {
 // idempotent on (name, city), so a retried load after a failed one
 // resumes the same counters.
 type cityMetrics struct {
-	byteHits      *telemetry.Counter
-	byteMisses    *telemetry.Counter
-	byteFillRaces *telemetry.Counter
-	buildDedups   *telemetry.Counter
 	compactions   *telemetry.Counter
 	framesApplied *telemetry.Counter
 }
 
 func (m *serverMetrics) city(key string) cityMetrics {
 	return cityMetrics{
-		byteHits: m.reg.Counter("gt_bytecache_hits_total",
-			"Rendered-byte cache hits.", "city", key),
-		byteMisses: m.reg.Counter("gt_bytecache_misses_total",
-			"Rendered-byte cache misses.", "city", key),
-		byteFillRaces: m.reg.Counter("gt_bytecache_fill_races_total",
-			"Cache fills whose version went stale mid-render (wasted, never wrong).", "city", key),
-		buildDedups: m.reg.Counter("gt_build_dedups_total",
-			"Builds served from an identical in-flight request.", "city", key),
 		compactions: m.reg.Counter("gt_wal_compactions_total",
 			"Snapshot compactions completed.", "city", key),
 		framesApplied: m.reg.Counter("gt_replication_frames_applied_total",

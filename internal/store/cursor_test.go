@@ -134,8 +134,9 @@ func TestFrameCodec(t *testing.T) {
 }
 
 // TestAppendFrameShipsVerbatim: frames read from one city's log and
-// appended to another's via AppendFrame (the follower's persistence path)
-// replay to the identical state, and sequence regressions are refused.
+// appended to another's one at a time via AppendFrames (the follower's
+// persistence path) replay to the identical state, and a re-sent frame
+// is skipped, never appended twice.
 func TestAppendFrameShipsVerbatim(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
@@ -150,15 +151,18 @@ func TestAppendFrameShipsVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fr := range frames {
-		if err := w.AppendFrame(fr); err != nil {
+		if err := w.AppendFrames([]WALFrame{fr}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.AppendFrame(frames[0]); err == nil {
-		t.Fatal("regressing frame accepted")
+	if err := w.AppendFrames(frames[:1]); err != nil {
+		t.Fatalf("re-sent frame: %v", err)
 	}
 	if got, want := w.LastSeq(), int64(len(frames)); got != want {
 		t.Fatalf("follower log at seq %d, want %d", got, want)
+	}
+	if got, want := w.Stats().Records, int64(len(frames)); got != want {
+		t.Fatalf("follower log holds %d records, want %d: the re-sent frame was appended", got, want)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

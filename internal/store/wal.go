@@ -233,10 +233,9 @@ func (p WALSyncPolicy) String() string {
 // (i.e. since the last compaction), so they are exactly the replay debt a
 // restart would pay.
 type WALStats struct {
-	Records         int64 `json:"records"`
-	Bytes           int64 `json:"bytes"` // log bytes past the header
-	Fsyncs          int64 `json:"fsyncs"`
-	LastFsyncMicros int64 `json:"lastFsyncMicros"` // duration of the most recent fsync
+	Records int64 `json:"records"`
+	Bytes   int64 `json:"bytes"` // log bytes past the header
+	Fsyncs  int64 `json:"fsyncs"`
 }
 
 // WAL is a per-city append-only log. Appends from concurrent mutations
@@ -274,50 +273,37 @@ type WAL struct {
 	lastSync   time.Time
 	flushTimer *time.Timer
 
-	fsyncs         atomic.Int64
-	lastFsyncNanos atomic.Int64
+	fsyncs atomic.Int64
 
-	// appendHist/fsyncHist are optional latency histograms (Instrument);
-	// nil-safe no-ops when the embedder wires no telemetry. fsyncSel, when
-	// set, picks the histogram by the log's byte size at fsync time —
-	// fsync latency grows with file size (see BenchmarkMutationPersistence:
+	// appendHist and fsyncFor are the optional latency instruments
+	// (Instrument); no-ops when the embedder wires no telemetry. fsyncFor
+	// picks the histogram by the log's byte size at fsync time — fsync
+	// latency grows with file size (see BenchmarkMutationPersistence:
 	// ~120µs at a near-empty log vs ~735µs past tens of MiB, with encode
-	// cost flat), so a single unlabeled series hides whether a slow fsync
-	// is the disk or an overgrown log that compaction should have reset.
+	// cost flat), so a single unlabeled series would hide whether a slow
+	// fsync is the disk or an overgrown log that compaction should have
+	// reset.
 	appendHist *telemetry.Histogram
-	fsyncHist  *telemetry.Histogram
-	fsyncSel   func(sizeBytes int64) *telemetry.Histogram
+	fsyncFor   func(sizeBytes int64) *telemetry.Histogram
 }
 
-// Instrument attaches latency histograms: appendH observes every
-// successful Append/AppendFrame end to end (marshal, frame, write, and
-// whatever the sync policy charges the appender), fsyncH every fsync the
-// log performs (group commits and background flushes). Call before the
-// first Append; either may be nil.
-func (w *WAL) Instrument(appendH, fsyncH *telemetry.Histogram) {
+// Instrument attaches latency instruments: appendH observes every
+// successful Append/AppendFrames end to end (marshal, frame, write, and
+// whatever the sync policy charges the appender); fsyncFor maps the log's
+// byte size at fsync time to the histogram that observes that fsync
+// (group commits and background flushes). Call before the first Append;
+// either may be nil.
+func (w *WAL) Instrument(appendH *telemetry.Histogram, fsyncFor func(sizeBytes int64) *telemetry.Histogram) {
 	w.appendHist = appendH
-	w.fsyncHist = fsyncH
+	w.fsyncFor = fsyncFor
 }
 
-// InstrumentSizedFsync attaches a selector that maps the log's byte size
-// at fsync time to the histogram that should observe it — the file-size
-// label on gt_wal_fsync_seconds. Overrides the flat fsyncH for fsyncs
-// (the selector returning nil falls back to it). Call before the first
-// Append.
-func (w *WAL) InstrumentSizedFsync(sel func(sizeBytes int64) *telemetry.Histogram) {
-	w.fsyncSel = sel
-}
-
-// observeFsync routes one fsync duration to the size-bucketed histogram
-// when a selector is attached, else to the flat one.
+// observeFsync records one fsync duration in the histogram fsyncFor
+// picks for the log size synced.
 func (w *WAL) observeFsync(sizeBytes int64, elapsed time.Duration) {
-	h := w.fsyncHist
-	if w.fsyncSel != nil {
-		if sh := w.fsyncSel(sizeBytes); sh != nil {
-			h = sh
-		}
+	if w.fsyncFor != nil {
+		w.fsyncFor(sizeBytes).Observe(elapsed.Seconds())
 	}
-	h.Observe(elapsed.Seconds())
 }
 
 // OpenWAL opens (creating if absent) a city's log for appending. A new or
@@ -428,38 +414,15 @@ func (w *WAL) Append(rec WALRecord) (int64, error) {
 	return rec.rec.Seq, nil
 }
 
-// AppendFrame appends an already-sequenced frame — shipped from a
-// primary's log — verbatim, preserving its sequence number instead of
-// stamping a new one. The sequence must advance the log; a regressing
-// frame is refused (replaying it later would double-apply). This is how a
-// follower makes replicated records durable in the byte-identical format
-// its own recovery replays.
-func (w *WAL) AppendFrame(fr WALFrame) error {
-	start := time.Now()
-	w.mu.Lock()
-	if w.f == nil {
-		w.mu.Unlock()
-		return fmt.Errorf("store: wal closed")
-	}
-	if fr.Seq < w.nextSeq {
-		w.mu.Unlock()
-		return fmt.Errorf("store: frame seq %d regresses (next %d)", fr.Seq, w.nextSeq)
-	}
-	// Copy the payload: appendLocked releases w.mu before the fsync, and
-	// the caller's buffer may alias a reused read buffer.
-	if err := w.appendLocked(append([]byte(nil), fr.Payload...), fr.Seq); err != nil {
-		return err
-	}
-	w.appendHist.ObserveSince(start)
-	return nil
-}
-
-// AppendFrames appends a run of already-sequenced frames in one pass:
-// every frame is encoded into a single buffer, written with one write
-// call, and covered by a single group-commit fsync — where a loop over
-// AppendFrame would pay up to one fsync per frame. Frames whose sequence
-// the log already holds are skipped (at-least-once delivery re-sends
-// them); within the run sequences must be strictly ascending. An error
+// AppendFrames appends a run of already-sequenced frames — shipped from a
+// primary's log — verbatim, preserving their sequence numbers instead of
+// stamping new ones. This is how a follower makes replicated records
+// durable in the byte-identical format its own recovery replays. Every
+// frame is encoded into a single buffer, written with one write call, and
+// covered by a single group-commit fsync. Frames whose sequence the log
+// already holds are skipped (at-least-once delivery re-sends them, and
+// replaying a duplicate would double-apply); within the run sequences
+// must be strictly ascending. An error
 // means none of the run's frames committed: a partial write is healed by
 // truncating back to the run's start, like Append.
 func (w *WAL) AppendFrames(frames []WALFrame) error {
@@ -609,9 +572,7 @@ func (w *WAL) syncTo(off int64, intervalOnly bool) error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("store: wal fsync: %w", err)
 	}
-	elapsed := time.Since(start)
-	w.lastFsyncNanos.Store(int64(elapsed))
-	w.observeFsync(target, elapsed)
+	w.observeFsync(target, time.Since(start))
 	w.fsyncs.Add(1)
 	w.synced = target
 	w.lastSync = time.Now()
@@ -633,9 +594,7 @@ func (w *WAL) backgroundFlush() {
 	if err := w.f.Sync(); err != nil {
 		return // the next append's fsync (or Close) retries
 	}
-	elapsed := time.Since(start)
-	w.lastFsyncNanos.Store(int64(elapsed))
-	w.observeFsync(target, elapsed)
+	w.observeFsync(target, time.Since(start))
 	w.fsyncs.Add(1)
 	w.synced = target
 	w.lastSync = time.Now()
@@ -768,10 +727,9 @@ func (w *WAL) Stats() WALStats {
 	size := w.size.Load()
 	w.mu.Unlock()
 	return WALStats{
-		Records:         records,
-		Bytes:           max(size-walHeaderLen, 0),
-		Fsyncs:          w.fsyncs.Load(),
-		LastFsyncMicros: w.lastFsyncNanos.Load() / int64(time.Microsecond),
+		Records: records,
+		Bytes:   max(size-walHeaderLen, 0),
+		Fsyncs:  w.fsyncs.Load(),
 	}
 }
 
