@@ -29,11 +29,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Static analysis beyond vet: staticcheck and govulncheck run when they
-# are installed (CI images, developer machines with the tools), and are
-# skipped — loudly — when not, so `make lint` never depends on network
-# access to fetch a binary.
+# Static analysis beyond vet. gofmt ships with the Go toolchain, so any
+# file it would reformat fails the target. staticcheck and govulncheck run
+# when they are installed (CI images, developer machines with the tools),
+# and are skipped — loudly — when not, so `make lint` never depends on
+# network access to fetch a binary.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "lint: staticcheck not installed; skipped"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

@@ -420,6 +420,80 @@ func benchBuildParallel(b *testing.B, goroutines int) {
 	}
 }
 
+// --- Warm package builds at paper scale ---
+//
+// The benches above run on a TestSpec city (~140 POIs) and, at make
+// bench's 3 iterations, mostly time cold clusterings. This one times what
+// a server build costs once its clustering is memoized: a DefaultSpec city
+// (1,000 POIs, 100–450 per category) and the macro benchmark's plan mix,
+// eight category subsets × k 2–14, all 104 clusterings warmed outside the
+// timer.
+
+var (
+	warmOnce   sync.Once
+	warmEngine *core.Engine
+	warmGP     *profile.Profile
+	warmMix    []warmBuild
+)
+
+type warmBuild struct {
+	q      query.Query
+	params core.Params
+}
+
+func warmSetup(b *testing.B) {
+	b.Helper()
+	warmOnce.Do(func() {
+		city, err := dataset.Generate(dataset.DefaultSpec("BenchWarm", dataset.BuiltinCenters["Paris"], 11))
+		if err != nil {
+			panic(err)
+		}
+		if warmEngine, err = core.NewEngine(city); err != nil {
+			panic(err)
+		}
+		// 104 clusterings exceed DefaultCacheCap; an unbounded memo keeps
+		// every one warm.
+		warmEngine.SetCacheCap(0)
+		group, err := profile.GenerateUniformGroup(city.Schema, 5, rng.New(3))
+		if err != nil {
+			panic(err)
+		}
+		if warmGP, err = consensus.GroupProfile(group, consensus.PairwiseDis); err != nil {
+			panic(err)
+		}
+		subsets := [][4]int{
+			{1, 1, 1, 3}, {1, 0, 1, 3}, {0, 1, 1, 3}, {1, 1, 0, 3},
+			{0, 0, 1, 3}, {1, 0, 0, 3}, {0, 0, 2, 0}, {1, 1, 2, 0},
+		}
+		for _, c := range subsets {
+			q := query.MustNew(c[0], c[1], c[2], c[3], query.Default().Budget)
+			for k := 2; k <= 14; k++ {
+				w := warmBuild{q, core.DefaultParams(k)}
+				if _, err := warmEngine.Build(warmGP, w.q, w.params); err != nil {
+					panic(err)
+				}
+				warmMix = append(warmMix, w)
+			}
+		}
+	})
+}
+
+func BenchmarkBuildPackageWarm(b *testing.B) {
+	warmSetup(b)
+	misses := warmEngine.CacheMisses()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := warmMix[i%len(warmMix)]
+		if _, err := warmEngine.Build(warmGP, w.q, w.params); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := warmEngine.CacheMisses(); got != misses {
+		b.Fatalf("warm builds re-clustered: misses %d -> %d", misses, got)
+	}
+}
+
 // --- Server throughput: concurrent package builds over HTTP ---
 
 func BenchmarkServerThroughput(b *testing.B) {

@@ -136,19 +136,21 @@ type scored struct {
 	score float64
 }
 
-// buildState is the per-call scratch of one Build: candidate rankings, the
-// current selection and the budget-repair bookkeeping. Keeping all mutable
-// state here (never on the Builder) is what makes one Builder safe to share
-// across goroutines.
+// buildState is the per-call scratch of one Build: the scored candidates,
+// the current selection and the budget-repair bookkeeping. Keeping all
+// mutable state here (never on the Builder) is what makes one Builder safe
+// to share across goroutines.
 type buildState struct {
-	b        *Builder
+	b *Builder
+	// perCat holds every scored candidate of a requested category, in
+	// collection order; only repairBudget and cheapestCost read it.
 	perCat   [poi.NumCategories][]scored
 	selected []scored
-	selIdx   map[int]int // POI id -> index in its category ranking
+	taken    map[int]struct{} // ids of the selected POIs
 }
 
 // statePool recycles buildStates across Build calls. The per-category
-// rankings dominated the build path's allocations (a fresh slice per
+// candidate lists dominated the build path's allocations (a fresh slice per
 // category per centroid per refinement round); reusing the backing arrays
 // makes steady-state builds allocation-free outside the returned CI.
 var statePool = sync.Pool{New: func() any { return new(buildState) }}
@@ -160,10 +162,10 @@ func getBuildState(b *Builder) *buildState {
 		st.perCat[i] = st.perCat[i][:0]
 	}
 	st.selected = st.selected[:0]
-	if st.selIdx == nil {
-		st.selIdx = make(map[int]int)
+	if st.taken == nil {
+		st.taken = make(map[int]struct{})
 	} else {
-		clear(st.selIdx)
+		clear(st.taken)
 	}
 	return st
 }
@@ -189,9 +191,10 @@ func putBuildState(st *buildState) {
 // POI ids that must not be used — the REMOVE customization operator and
 // "generate a new CI avoiding current items" both need it.
 //
-// Algorithm: per category, rank candidates by score and take the top
-// #c_j; if the budget is exceeded, run a swap-repair local search that
-// replaces expensive picks with cheaper candidates at minimal score loss.
+// Algorithm: per category, score every candidate and select the #c_j best
+// (score descending, POI id ascending) without ranking the rest; if the
+// budget is exceeded, run a swap-repair local search that replaces
+// expensive picks with cheaper candidates at minimal score loss.
 // Returns an error if no valid CI exists (infeasible counts or budget).
 //
 // Build is safe to call from multiple goroutines on one Builder; all
@@ -205,11 +208,8 @@ func (b *Builder) Build(mu geo.Point, exclude map[int]bool) (*CI, error) {
 	if err := st.rank(mu, exclude); err != nil {
 		return nil, err
 	}
-	st.selectTop()
-	if !b.Query.Unbounded() {
-		if err := st.repairBudget(); err != nil {
-			return nil, err
-		}
+	if err := st.repairBudget(); err != nil {
+		return nil, err
 	}
 	items := make([]*poi.POI, len(st.selected))
 	for i, s := range st.selected {
@@ -222,18 +222,41 @@ func (b *Builder) Build(mu geo.Point, exclude map[int]bool) (*CI, error) {
 	return out, nil
 }
 
-// rank scores and orders the candidates of every requested category.
+// compareScored is the strict total order of a category's ranking: score
+// descending, POI id ascending.
+func compareScored(a, b scored) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
+	case a.item.ID < b.item.ID:
+		return -1
+	case a.item.ID > b.item.ID:
+		return 1
+	}
+	return 0
+}
+
+// rank scores every candidate of each requested category once, keeps the
+// scores in perCat, and appends the category's #c_j best to selected, best
+// first.
 //
 // The scoring loop is the hottest code in a build: it hoists the group
-// vector and its norm out of the per-candidate loop (vec.CosineNormB) and
-// sorts with slices.SortFunc on the concrete slice — the reflection-based
-// sort.Slice swapper alone used to account for a quarter of the build
-// path's allocations. The comparator is a strict total order (score
-// descending, POI id ascending), so the unstable pdqsort yields the same
-// deterministic ranking the previous stable-by-accident ordering did.
+// vector and its norm out of the per-candidate loop (vec.CosineNormB).
+// Only the #c_j best of a ranking are ever read, so rank selects instead of
+// sorting: the first #c_j candidates fill selected unordered, a further
+// candidate turns that segment into a heap with its worst member at the
+// root, and from then on each candidate costs one comparison with the root
+// unless it displaces it. Sorting the #c_j winners afterwards gives the
+// order a full sort would have. When #c_j is the category size no heap is
+// ever built and the cost is the one sort of the list.
 func (st *buildState) rank(mu geo.Point, exclude map[int]bool) error {
 	b := st.b
 	personalize := b.Group != nil && b.Gamma > 0
+	if need := b.Query.Size(); cap(st.selected) < need {
+		st.selected = make([]scored, 0, need)
+	}
 	for _, cat := range poi.Categories {
 		want := b.Query.Counts[cat]
 		if want == 0 {
@@ -250,6 +273,8 @@ func (st *buildState) rank(mu geo.Point, exclude map[int]bool) error {
 			gv = b.Group.Vector(cat)
 			gn = gv.Norm()
 		}
+		base := len(st.selected)
+		heaped := false
 		for _, it := range cands {
 			if exclude != nil && exclude[it.ID] {
 				continue
@@ -260,48 +285,67 @@ func (st *buildState) rank(mu geo.Point, exclude map[int]bool) error {
 			if personalize {
 				s += b.Gamma * vec.CosineNormB(it.Vector, gv, gn)
 			}
-			list = append(list, scored{it, s})
+			c := scored{it, s}
+			list = append(list, c)
+			top := st.selected[base:]
+			if len(top) < want {
+				st.selected = append(st.selected, c)
+				continue
+			}
+			if !heaped {
+				heapify(top)
+				heaped = true
+			}
+			if compareScored(c, top[0]) < 0 {
+				top[0] = c
+				siftDown(top, 0)
+			}
 		}
+		st.perCat[cat] = list
 		if len(list) < want {
-			st.perCat[cat] = list
 			return fmt.Errorf("ci: only %d available %s POIs, query wants %d",
 				len(list), cat, want)
 		}
-		slices.SortFunc(list, func(a, b scored) int {
-			switch {
-			case a.score > b.score:
-				return -1
-			case a.score < b.score:
-				return 1
-			case a.item.ID < b.item.ID:
-				return -1
-			case a.item.ID > b.item.ID:
-				return 1
-			}
-			return 0
-		})
-		st.perCat[cat] = list
+		top := st.selected[base:]
+		slices.SortFunc(top, compareScored)
+		for _, s := range top {
+			st.taken[s.item.ID] = struct{}{}
+		}
 	}
 	return nil
 }
 
-// selectTop takes the greedy top-k of each category's ranking.
-func (st *buildState) selectTop() {
-	b := st.b
-	if need := b.Query.Size(); cap(st.selected) < need {
-		st.selected = make([]scored, 0, need)
+// heapify orders h so that no element ranks below its parent: h[0] is the
+// worst of h under compareScored.
+func heapify(h []scored) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	for _, cat := range poi.Categories {
-		for i := 0; i < b.Query.Counts[cat]; i++ {
-			s := st.perCat[cat][i]
-			st.selected = append(st.selected, s)
-			st.selIdx[s.item.ID] = i
+}
+
+// siftDown restores the heap property of h below index i.
+func siftDown(h []scored, i int) {
+	for {
+		worst := 2*i + 1
+		if worst >= len(h) {
+			return
 		}
+		if r := worst + 1; r < len(h) && compareScored(h[r], h[worst]) > 0 {
+			worst = r
+		}
+		if compareScored(h[worst], h[i]) <= 0 {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
 }
 
 // repairBudget swaps selected items for cheaper same-category candidates
 // until the budget holds, minimizing score loss per unit of cost saved.
+// Ties in that ratio go to the earliest selected item, then to the
+// better-ranked candidate under compareScored. An unbounded budget holds at
+// once.
 func (st *buildState) repairBudget() error {
 	b := st.b
 	cost := 0.0
@@ -309,22 +353,23 @@ func (st *buildState) repairBudget() error {
 		cost += s.item.Cost
 	}
 	for cost > b.Query.Budget {
-		bestSel, bestCand := -1, -1
+		bestSel := -1
+		var best scored
 		bestRatio := 0.0
 		for si, s := range st.selected {
-			cat := s.item.Cat
-			for ci, cand := range st.perCat[cat] {
-				if _, taken := st.selIdx[cand.item.ID]; taken {
+			for _, cand := range st.perCat[s.item.Cat] {
+				if _, taken := st.taken[cand.item.ID]; taken {
 					continue
 				}
 				saving := s.item.Cost - cand.item.Cost
 				if saving <= 0 {
 					continue
 				}
-				loss := s.score - cand.score // >= 0: candidates rank below
+				loss := s.score - cand.score
 				ratio := loss / saving
-				if bestSel == -1 || ratio < bestRatio {
-					bestSel, bestCand, bestRatio = si, ci, ratio
+				if bestSel == -1 || ratio < bestRatio ||
+					(ratio == bestRatio && si == bestSel && compareScored(cand, best) < 0) {
+					bestSel, best, bestRatio = si, cand, ratio
 				}
 			}
 		}
@@ -333,11 +378,10 @@ func (st *buildState) repairBudget() error {
 				b.Query.Budget, st.cheapestCost())
 		}
 		old := st.selected[bestSel]
-		neu := st.perCat[old.item.Cat][bestCand]
-		delete(st.selIdx, old.item.ID)
-		st.selIdx[neu.item.ID] = bestCand
-		cost += neu.item.Cost - old.item.Cost
-		st.selected[bestSel] = neu
+		delete(st.taken, old.item.ID)
+		st.taken[best.item.ID] = struct{}{}
+		cost += best.item.Cost - old.item.Cost
+		st.selected[bestSel] = best
 	}
 	return nil
 }

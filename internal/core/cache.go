@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"grouptravel/internal/fuzzy"
 	"grouptravel/internal/geo"
 	"grouptravel/internal/poi"
 	"grouptravel/internal/query"
@@ -22,10 +21,12 @@ const maskBits = 32
 var _ [maskBits - poi.NumCategories]struct{}
 
 // clusterKey identifies a memoizable clustering run: the clustering
-// parameters plus the set of POI categories the query draws points from.
+// parameters, the exponent F of the memoized Eq. 1 term, and the set of POI
+// categories the query draws points from.
 type clusterKey struct {
 	k        int
 	m        float64
+	f        float64
 	iters    int
 	seed     int64
 	catsMask uint32 // bit c set when the query requests category c (see catsMask)
@@ -37,6 +38,7 @@ func (k clusterKey) shard() int {
 	h ^= uint64(k.seed) * 0xbf58476d1ce4e5b9
 	h ^= uint64(k.iters) * 0x94d049bb133111eb
 	h ^= math.Float64bits(k.m)
+	h ^= math.Float64bits(k.f) * 0xd6e8feb86659fd93
 	h ^= uint64(k.catsMask) << 17
 	h ^= h >> 33
 	return int(h % cacheShards)
@@ -70,14 +72,22 @@ const cacheShards = 16
 // SetCacheCap overrides it; <= 0 means unbounded.
 const DefaultCacheCap = 64
 
-// clusterEntry is one memoized clustering run. ready is closed once res,
-// pts and err are final; waiters block on it instead of recomputing.
-// lastUse is a logical timestamp from the cache's clock, bumped on every
-// hit, that orders entries for LRU eviction.
+// clustering is what a warm Build reads of a memoized clustering run: the
+// centroids its CIs are built around and Eq. 1's clustering term
+// Σ_i Σ_j w_ij^F (1 − d(i, μ_j)) before the α weight. The relevant points
+// and the n×k membership matrix it was computed from are not kept.
+type clustering struct {
+	centroids []geo.Point
+	eq1       float64
+}
+
+// clusterEntry is one memoized clustering run. ready is closed once val and
+// err are final; waiters block on it instead of recomputing. lastUse is a
+// logical timestamp from the cache's clock, bumped on every hit, that
+// orders entries for LRU eviction.
 type clusterEntry struct {
 	ready   chan struct{}
-	res     *fuzzy.Result
-	pts     []geo.Point
+	val     *clustering
 	err     error
 	lastUse atomic.Int64
 }
@@ -128,7 +138,7 @@ func newClusterCache(capacity int) *clusterCache {
 
 // getOrCompute returns the memoized clustering for key, running compute at
 // most once per key no matter how many goroutines arrive concurrently.
-func (cc *clusterCache) getOrCompute(key clusterKey, compute func() (*fuzzy.Result, []geo.Point, error)) (*fuzzy.Result, []geo.Point, error) {
+func (cc *clusterCache) getOrCompute(key clusterKey, compute func() (*clustering, error)) (*clustering, error) {
 	sh := &cc.shards[key.shard()]
 	sh.mu.RLock()
 	e, ok := sh.entries[key]
@@ -147,7 +157,7 @@ func (cc *clusterCache) getOrCompute(key clusterKey, compute func() (*fuzzy.Resu
 			// error instead of leaving them blocked on ready forever; the
 			// panic then propagates to this caller.
 			defer func() {
-				if e.res == nil && e.err == nil {
+				if e.val == nil && e.err == nil {
 					e.err = fmt.Errorf("core: clustering computation for %+v panicked", key)
 				}
 				if e.err != nil {
@@ -166,14 +176,14 @@ func (cc *clusterCache) getOrCompute(key clusterKey, compute func() (*fuzzy.Resu
 					cc.evictToCap()
 				}
 			}()
-			e.res, e.pts, e.err = compute()
-			return e.res, e.pts, e.err
+			e.val, e.err = compute()
+			return e.val, e.err
 		}
 		sh.mu.Unlock()
 	}
 	e.lastUse.Store(cc.clock.Add(1))
 	<-e.ready
-	return e.res, e.pts, e.err
+	return e.val, e.err
 }
 
 // evictToCap removes least-recently-used completed entries until the cache

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"grouptravel/internal/ci"
+	"grouptravel/internal/fuzzy"
 	"grouptravel/internal/query"
 )
 
@@ -141,4 +143,47 @@ func TestPartialCategoryQuery(t *testing.T) {
 	if d := tp.Measure(); d.Personalization <= 0 {
 		t.Fatalf("dimensions: %+v", d)
 	}
+}
+
+// TestObjValUsesMemoizedEq1Term pins ObjVal bit for bit to Eq. 1 evaluated
+// from a fresh clustering: α·Eq1Value over the relevant points plus each
+// CI's construction term. It checks the build that fills the memo, the
+// build that hits it, and a build that differs only in F, which must not
+// share the entry because the memoized term depends on F.
+func TestObjValUsesMemoizedEq1Term(t *testing.T) {
+	e := engine(t)
+	gp := randomGroupProfile(t, e, 35)
+	q := query.MustNew(1, 0, 1, 2, query.Default().Budget)
+	params := DefaultParams(4)
+	params.Alpha, params.Beta, params.Gamma = 0.7, 1.3, 0.9
+	norm := e.city.POIs.Normalizer()
+	check := func(params Params, wantMisses int64) {
+		t.Helper()
+		tp, err := e.Build(gp, q, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.CacheMisses(); got != wantMisses {
+			t.Fatalf("F=%v: cache misses = %d, want %d", params.F, got, wantMisses)
+		}
+		pts := e.relevantPoints(q)
+		res, err := fuzzy.Cluster(pts, norm, fuzzy.Config{
+			K: params.K, M: params.M, MaxIters: params.ClusterIters, Tol: 1e-4, Seed: params.Seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		builder := &ci.Builder{Coll: e.city.POIs, Query: q, Group: gp, Beta: params.Beta, Gamma: params.Gamma, Norm: norm}
+		want := params.Alpha * fuzzy.Eq1Value(pts, res, norm, params.F)
+		for _, c := range tp.CIs {
+			want += builder.ObjectiveValue(c)
+		}
+		if tp.ObjVal != want {
+			t.Fatalf("F=%v: ObjVal = %v, Eq. 1 from a fresh clustering = %v", params.F, tp.ObjVal, want)
+		}
+	}
+	check(params, 1) // miss: fills the memo
+	check(params, 1) // hit
+	params.F = 0.3
+	check(params, 2) // same clustering parameters, different F: its own entry
 }

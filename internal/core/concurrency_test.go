@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"grouptravel/internal/fuzzy"
-	"grouptravel/internal/geo"
 	"grouptravel/internal/query"
 )
 
@@ -146,7 +144,7 @@ func TestClusterCachePanicSafety(t *testing.T) {
 				t.Error("panic did not propagate to the computing goroutine")
 			}
 		}()
-		cc.getOrCompute(key, func() (*fuzzy.Result, []geo.Point, error) {
+		cc.getOrCompute(key, func() (*clustering, error) {
 			close(computing)
 			<-release
 			panic("boom")
@@ -170,10 +168,10 @@ func TestClusterCachePanicSafety(t *testing.T) {
 	// are not.
 	waiterDone := make(chan error, 1)
 	go func() {
-		res, _, err := cc.getOrCompute(key, func() (*fuzzy.Result, []geo.Point, error) {
-			return &fuzzy.Result{}, nil, nil
+		val, err := cc.getOrCompute(key, func() (*clustering, error) {
+			return &clustering{}, nil
 		})
-		if err == nil && res == nil {
+		if err == nil && val == nil {
 			waiterDone <- fmt.Errorf("waiter got nil result and nil error")
 			return
 		}
@@ -199,8 +197,8 @@ func TestClusterCachePanicSafety(t *testing.T) {
 	}
 
 	// The key is retryable afterwards.
-	if _, _, err := cc.getOrCompute(key, func() (*fuzzy.Result, []geo.Point, error) {
-		return &fuzzy.Result{}, nil, nil
+	if _, err := cc.getOrCompute(key, func() (*clustering, error) {
+		return &clustering{}, nil
 	}); err != nil {
 		t.Fatalf("retry after panic: %v", err)
 	}

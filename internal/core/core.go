@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -72,6 +73,15 @@ func (p Params) Validate() error {
 	if p.K < 1 {
 		return fmt.Errorf("core: K = %d", p.K)
 	}
+	// Every range check below is a comparison that NaN fails, so NaN would
+	// pass them all; and a NaN in the cluster-cache key never equals
+	// itself, so the entry it fills could never be found again.
+	for _, v := range [...]float64{p.Alpha, p.Beta, p.Gamma, p.F, p.M} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: non-finite weight or exponent (α=%v β=%v γ=%v F=%v M=%v)",
+				p.Alpha, p.Beta, p.Gamma, p.F, p.M)
+		}
+	}
 	if p.Alpha < 0 || p.Beta < 0 || p.Gamma < 0 {
 		return fmt.Errorf("core: negative objective weight (α=%v β=%v γ=%v)", p.Alpha, p.Beta, p.Gamma)
 	}
@@ -111,9 +121,9 @@ func (tp *TravelPackage) Measure() metrics.Dimensions {
 //
 // The fuzzy clustering step depends only on the city, the query's
 // category mask and the clustering parameters — not on the group profile —
-// so results are memoized: experiments that build thousands of packages
-// over one city (Table 2 builds 2400) pay for each distinct clustering
-// once. The memo is bounded (DefaultCacheCap entries, LRU-evicted; see
+// so its results (the centroids and Eq. 1's clustering term) are memoized:
+// experiments that build thousands of packages over one city (Table 2
+// builds 2400) pay for each distinct clustering once. The memo is bounded (DefaultCacheCap entries, LRU-evicted; see
 // SetCacheCap) so a long-lived server facing adversarial parameter
 // diversity cannot grow it without limit.
 //
@@ -172,11 +182,11 @@ func (e *Engine) Build(g *profile.Profile, q query.Query, params Params) (*Trave
 	if err != nil {
 		return nil, err
 	}
-	key := clusterKey{k: params.K, m: params.M, iters: params.ClusterIters, seed: params.Seed, catsMask: mask}
-	res, pts, err := e.cache.getOrCompute(key, func() (*fuzzy.Result, []geo.Point, error) {
+	key := clusterKey{k: params.K, m: params.M, f: params.F, iters: params.ClusterIters, seed: params.Seed, catsMask: mask}
+	cl, err := e.cache.getOrCompute(key, func() (*clustering, error) {
 		pts := e.relevantPoints(q)
 		if len(pts) < params.K {
-			return nil, nil, fmt.Errorf("core: %d relevant POIs for K = %d", len(pts), params.K)
+			return nil, fmt.Errorf("core: %d relevant POIs for K = %d", len(pts), params.K)
 		}
 		fc := fuzzy.Config{
 			K: params.K, M: params.M,
@@ -184,9 +194,9 @@ func (e *Engine) Build(g *profile.Profile, q query.Query, params Params) (*Trave
 		}
 		res, err := fuzzy.Cluster(pts, norm, fc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res, pts, nil
+		return &clustering{centroids: res.Centroids, eq1: fuzzy.Eq1Value(pts, res, norm, params.F)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -200,7 +210,7 @@ func (e *Engine) Build(g *profile.Profile, q query.Query, params Params) (*Trave
 		Gamma: params.Gamma,
 		Norm:  norm,
 	}
-	cis, err := e.buildAll(builder, res.Centroids, params.DistinctItems)
+	cis, err := e.buildAll(builder, cl.centroids, params.DistinctItems)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +249,7 @@ func (e *Engine) Build(g *profile.Profile, q query.Query, params Params) (*Trave
 		for _, it := range cis[prev].Items {
 			exclude[it.ID] = true
 		}
-		if rebuilt, err := builder.Build(res.Centroids[j], exclude); err == nil {
+		if rebuilt, err := builder.Build(cl.centroids[j], exclude); err == nil {
 			cis[j] = rebuilt
 		}
 	}
@@ -251,7 +261,7 @@ func (e *Engine) Build(g *profile.Profile, q query.Query, params Params) (*Trave
 		Params: params,
 		City:   e.city.Name,
 	}
-	tp.ObjVal = e.objective(tp, res, pts, norm, builder)
+	tp.ObjVal = objective(tp, cl, builder)
 	return tp, nil
 }
 
@@ -343,7 +353,13 @@ func (e *Engine) buildAll(builder *ci.Builder, centroids []geo.Point, distinct b
 // relevantPoints returns the coordinates of POIs whose category the query
 // requests.
 func (e *Engine) relevantPoints(q query.Query) []geo.Point {
-	var pts []geo.Point
+	n := 0
+	for _, cat := range poi.Categories {
+		if q.Counts[cat] > 0 {
+			n += len(e.city.POIs.ByCategory(cat))
+		}
+	}
+	pts := make([]geo.Point, 0, n)
 	for _, p := range e.city.POIs.All() {
 		if q.Counts[p.Cat] > 0 {
 			pts = append(pts, p.Coord)
@@ -353,9 +369,9 @@ func (e *Engine) relevantPoints(q query.Query) []geo.Point {
 }
 
 // objective evaluates Eq. 1 at the returned solution: α times the
-// clustering term plus the per-CI construction terms.
-func (e *Engine) objective(tp *TravelPackage, res *fuzzy.Result, pts []geo.Point, norm geo.Normalizer, builder *ci.Builder) float64 {
-	total := tp.Params.Alpha * fuzzy.Eq1Value(pts, res, norm, tp.Params.F)
+// memoized clustering term plus the per-CI construction terms.
+func objective(tp *TravelPackage, cl *clustering, builder *ci.Builder) float64 {
+	total := tp.Params.Alpha * cl.eq1
 	for _, c := range tp.CIs {
 		total += builder.ObjectiveValue(c)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"grouptravel/internal/consensus"
 	"grouptravel/internal/dataset"
@@ -208,6 +209,55 @@ func TestBuildErrors(t *testing.T) {
 	huge := query.MustNew(1, 1, 1, 100000, math.Inf(1))
 	if _, err := e.Build(nil, huge, DefaultParams(3)); err == nil {
 		t.Fatal("infeasible query accepted")
+	}
+}
+
+// TestValidateRejectsNonFinite covers the weights and exponents whose range
+// checks NaN used to pass. A NaN M also reached the cluster-cache key,
+// where it never equals itself: at cap, eviction kept picking that entry
+// and never found it to delete, so the next over-cap build never returned.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Params) *float64{
+		"Alpha": func(p *Params) *float64 { return &p.Alpha },
+		"Beta":  func(p *Params) *float64 { return &p.Beta },
+		"Gamma": func(p *Params) *float64 { return &p.Gamma },
+		"F":     func(p *Params) *float64 { return &p.F },
+		"M":     func(p *Params) *float64 { return &p.M },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultParams(3)
+			*field(&p) = v
+			if err := p.Validate(); err == nil {
+				t.Errorf("Validate accepted %s = %v", name, v)
+			}
+		}
+	}
+
+	e := engine(t)
+	e.SetCacheCap(1)
+	bad := DefaultParams(3)
+	bad.M = math.NaN()
+	if tp, err := e.Build(nil, query.Default(), bad); err == nil {
+		t.Errorf("Build accepted M = NaN (ObjVal %v)", tp.ObjVal)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for k := 3; k <= 4; k++ {
+			if _, err := e.Build(nil, query.Default(), DefaultParams(k)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("build over the cache cap did not return")
 	}
 }
 

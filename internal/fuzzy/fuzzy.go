@@ -105,12 +105,15 @@ func Cluster(points []geo.Point, norm geo.Normalizer, cfg Config) (*Result, erro
 	}
 	power := 2 / (cfg.M - 1)
 	workers := cfg.effectiveWorkers(n)
+	// The centroid update's weight rows, one per worker, allocated once
+	// and overwritten by every iteration.
+	scratch := make([]float64, min(workers, cfg.K)*n)
 
 	res := &Result{Centroids: centroids, Weights: weights}
 	for it := 0; it < cfg.MaxIters; it++ {
 		res.Iterations = it + 1
 		updateMemberships(points, centroids, weights, norm, power, workers)
-		moved := updateCentroids(points, centroids, weights, cfg.M, workers)
+		moved := updateCentroids(points, centroids, weights, cfg.M, workers, scratch)
 		if moved < cfg.Tol {
 			break
 		}
@@ -251,12 +254,13 @@ func membershipRows(points []geo.Point, centroids []geo.Point, weights [][]float
 // points (the exact FCM update for squared distances), returning the
 // largest movement in km.
 //
-// With workers > 1 the clusters are striped across goroutines, each with
-// its own weight scratch. Every cluster's weighted sum still runs over the
-// points in sequential order (parallelism is across clusters, never within
-// one accumulation), so centroids are bit-identical at any worker count;
-// the move reduction is a max, which is order-independent.
-func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]float64, m float64, workers int) float64 {
+// scratch holds min(workers, k) rows of n floats. With workers > 1 the
+// clusters are striped across goroutines, each with its own row. Every
+// cluster's weighted sum still runs over the points in sequential order
+// (parallelism is across clusters, never within one accumulation), so
+// centroids are bit-identical at any worker count; the move reduction is
+// a max, which is order-independent.
+func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]float64, m float64, workers int, scratch []float64) float64 {
 	k := len(centroids)
 	n := len(points)
 	moves := make([]float64, k)
@@ -264,7 +268,7 @@ func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]floa
 		workers = k
 	}
 	if workers <= 1 {
-		w := make([]float64, n)
+		w := scratch[:n]
 		for j := 0; j < k; j++ {
 			moves[j] = centroidStep(points, centroids, weights, m, w, j)
 		}
@@ -274,7 +278,7 @@ func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]floa
 			wg.Add(1)
 			go func(wk int) {
 				defer wg.Done()
-				w := make([]float64, n)
+				w := scratch[wk*n : (wk+1)*n]
 				for j := wk; j < k; j += workers {
 					moves[j] = centroidStep(points, centroids, weights, m, w, j)
 				}

@@ -1,6 +1,8 @@
 package fuzzy
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"grouptravel/internal/geo"
@@ -80,5 +82,41 @@ func TestEffectiveWorkers(t *testing.T) {
 	cfg := Config{}
 	if got := cfg.effectiveWorkers(1 << 20); got < 2 {
 		t.Skipf("single-core machine: auto workers = %d", got)
+	}
+}
+
+// TestIterationsReuseCentroidScratch: the centroid update's n-float weight
+// rows are allocated once per Cluster call, not once per iteration, on the
+// sequential and the parallel path. A cold clustering runs up to MaxIters
+// iterations, so a row per iteration would dominate the bytes the engine
+// allocates.
+func TestIterationsReuseCentroidScratch(t *testing.T) {
+	pts := clusterPoints(4000, 5)
+	norm := geo.NormalizerFor(pts)
+	run := func(workers, iters int) (bytes uint64, done int) {
+		cfg := DefaultConfig(5)
+		cfg.Workers = workers
+		cfg.MaxIters = iters
+		cfg.Tol = math.SmallestNonzeroFloat64 // run every iteration allowed
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Cluster(pts, norm, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res.Iterations
+	}
+	for _, workers := range []int{1, 2} {
+		b1, i1 := run(workers, 1)
+		b2, i2 := run(workers, 20)
+		if i2 < i1+10 {
+			t.Fatalf("workers=%d: only %d iterations ran", workers, i2)
+		}
+		perIter := (b2 - b1) / uint64(i2-i1)
+		if row := uint64(len(pts)) * 8; perIter >= row/4 {
+			t.Errorf("workers=%d: %d bytes allocated per extra iteration, want well under one %d-byte row",
+				workers, perIter, row)
+		}
 	}
 }

@@ -97,7 +97,7 @@ type groupState struct {
 	group *profile.Group
 
 	mu       sync.Mutex
-	profiles map[string]*profile.Profile      // consensus name -> aggregated profile
+	profiles map[string]*profile.Profile       // consensus name -> aggregated profile
 	aggs     map[string]*consensus.Incremental // consensus name -> incremental aggregator
 }
 

@@ -318,7 +318,9 @@ func WriteSnapshot(dir, key string, st *ServerState) (time.Time, error) {
 // callers should retry rather than treat as data corruption.
 type CorruptSnapshotError struct{ Err error }
 
-func (e *CorruptSnapshotError) Error() string { return fmt.Sprintf("store: corrupt snapshot: %v", e.Err) }
+func (e *CorruptSnapshotError) Error() string {
+	return fmt.Sprintf("store: corrupt snapshot: %v", e.Err)
+}
 func (e *CorruptSnapshotError) Unwrap() error { return e.Err }
 
 // ReadSnapshot loads a city's state from dir. A missing snapshot is not an

@@ -158,19 +158,19 @@ func TestServerStateRejectsCorruption(t *testing.T) {
 	good := buf.String()
 
 	cases := map[string]string{
-		"truncated":        good[:len(good)/2],
-		"garbage":          "{]",
-		"future version":   strings.Replace(good, `"version": 1`, `"version": 99`, 1),
-		"wrong city":       strings.Replace(good, `"city": "StoreCity"`, `"city": "Atlantis"`, 1),
-		"duplicate id":     strings.Replace(good, `"id": 2`, `"id": 1`, 1),
-		"id above nextId":  strings.Replace(good, `"id": 4`, `"id": 99`, 1),
-		"dangling group":   strings.Replace(good, `"groupId": 2`, `"groupId": 77`, 1),
-		"unknown poi":      strings.Replace(good, `"items": [`, `"items": [999999, `, 1),
-		"negative id":      strings.Replace(good, `"id": 3`, `"id": -3`, 1),
-		"zero nextId":      strings.Replace(good, `"nextId": 5`, `"nextId": 0`, 1),
-		"unknown op kind":  strings.Replace(good, `"kind": "REMOVE"`, `"kind": "EXPLODE"`, 1),
-		"op unknown poi":   strings.Replace(good, `"removed": [`, `"removed": [999999, `, 1),
-		"op bad member":    strings.Replace(good, `"member": 2`, `"member": 7`, 1),
+		"truncated":       good[:len(good)/2],
+		"garbage":         "{]",
+		"future version":  strings.Replace(good, `"version": 1`, `"version": 99`, 1),
+		"wrong city":      strings.Replace(good, `"city": "StoreCity"`, `"city": "Atlantis"`, 1),
+		"duplicate id":    strings.Replace(good, `"id": 2`, `"id": 1`, 1),
+		"id above nextId": strings.Replace(good, `"id": 4`, `"id": 99`, 1),
+		"dangling group":  strings.Replace(good, `"groupId": 2`, `"groupId": 77`, 1),
+		"unknown poi":     strings.Replace(good, `"items": [`, `"items": [999999, `, 1),
+		"negative id":     strings.Replace(good, `"id": 3`, `"id": -3`, 1),
+		"zero nextId":     strings.Replace(good, `"nextId": 5`, `"nextId": 0`, 1),
+		"unknown op kind": strings.Replace(good, `"kind": "REMOVE"`, `"kind": "EXPLODE"`, 1),
+		"op unknown poi":  strings.Replace(good, `"removed": [`, `"removed": [999999, `, 1),
+		"op bad member":   strings.Replace(good, `"member": 2`, `"member": 7`, 1),
 	}
 	for name, doc := range cases {
 		if doc == good {
