@@ -13,8 +13,11 @@ all: ci
 build:
 	$(GO) build ./...
 
+# macrobench is its own module, so the root `go vet ./...` skips it, and
+# the `go test` in macro-smoke runs only vet's small default subset.
 vet:
 	$(GO) vet ./...
+	cd macrobench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

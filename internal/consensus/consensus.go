@@ -52,11 +52,9 @@ func LeastMiseryPreference(values []float64) float64 {
 // Groups of one member have zero disagreement by definition.
 //
 // The sum is folded as per-member subtotals t_i = Σ_{j>i} |u_i − u_j|,
-// then Σ_i t_i. This is the exact fold Incremental maintains online (a
-// join appends terms to each existing subtotal), which is what makes the
-// incremental profile bit-identical to this full recompute: floating-point
-// addition is not associative, so the reference and the incremental path
-// must share one summation tree.
+// then Σ_i t_i. Keep this summation tree: floating-point addition is not
+// associative, so any other order changes low bits of the group profiles
+// the server memoizes and persists in its snapshots.
 func PairwiseDisagreement(values []float64) float64 {
 	n := len(values)
 	if n < 2 {
@@ -110,18 +108,6 @@ type Method struct {
 	W1    float64
 	WPref WeightedPreferenceFunc
 	WDis  WeightedDisagreementFunc
-
-	// inc marks which aggregators Incremental can maintain online.
-	// Custom methods leave it zero and still work — Incremental falls
-	// back to running the method's own functions over its cached member
-	// columns, which is bit-identical by construction.
-	inc incHints
-}
-
-// incHints flags the built-in aggregators with cheap online forms.
-type incHints struct {
-	prefixSum bool // Pref is AveragePreference: running prefix sums, O(1) reads
-	pairwise  bool // Dis is PairwiseDisagreement: per-member subtotals, O(n) reads
 }
 
 // The four methods evaluated in the paper (§4.1). The short display names
@@ -129,18 +115,16 @@ type incHints struct {
 var (
 	// AveragePref: average preference only (w1 = 1).
 	AveragePref = Method{Name: "average preference", Pref: AveragePreference, W1: 1,
-		WPref: WeightedAveragePreference, inc: incHints{prefixSum: true}}
+		WPref: WeightedAveragePreference}
 	// LeastMisery: least-misery preference only (w1 = 1).
 	LeastMisery = Method{Name: "least misery", Pref: LeastMiseryPreference, W1: 1,
 		WPref: weightedMin}
 	// PairwiseDis: average preference + average pairwise disagreement, w1 = 0.5.
 	PairwiseDis = Method{Name: "pair-wise disagreement", Pref: AveragePreference, Dis: PairwiseDisagreement, W1: 0.5,
-		WPref: WeightedAveragePreference, WDis: WeightedPairwiseDisagreement,
-		inc: incHints{prefixSum: true, pairwise: true}}
+		WPref: WeightedAveragePreference, WDis: WeightedPairwiseDisagreement}
 	// VarianceDis: average preference + disagreement variance, w1 = 0.5.
 	VarianceDis = Method{Name: "disagreement variance", Pref: AveragePreference, Dis: VarianceDisagreement, W1: 0.5,
-		WPref: WeightedAveragePreference, WDis: WeightedVarianceDisagreement,
-		inc: incHints{prefixSum: true}}
+		WPref: WeightedAveragePreference, WDis: WeightedVarianceDisagreement}
 )
 
 // Methods lists the paper's four consensus methods in Table 2 column order.

@@ -125,10 +125,10 @@ func WeightedVarianceDisagreement(values, weights []float64) float64 {
 
 // GroupProfileWeighted aggregates member profiles with per-member weights
 // (e.g. the trip organizer counts double, or children's preferences are
-// softened). Weights must be non-negative with a positive sum; they are
-// normalized internally, and weight-0 members are excluded entirely
-// (including from least-misery minima). The method must declare its
-// weighted aggregators (all built-in methods do).
+// softened). Weights must be finite and non-negative with a positive,
+// finite sum; they are normalized internally, and weight-0 members are
+// excluded entirely (including from least-misery minima). The method
+// must declare its weighted aggregators (all built-in methods do).
 func GroupProfileWeighted(g *profile.Group, m Method, weights []float64) (*profile.Profile, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -144,13 +144,18 @@ func GroupProfileWeighted(g *profile.Group, m Method, weights []float64) (*profi
 	}
 	total := 0.0
 	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 			return nil, fmt.Errorf("consensus: invalid weight %v for member %d", w, i)
 		}
 		total += w
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("consensus: all member weights are zero")
+	}
+	// Finite weights can still overflow their sum; normalizing by +Inf
+	// would silently zero every weight.
+	if math.IsInf(total, 0) {
+		return nil, fmt.Errorf("consensus: member weights sum to %v", total)
 	}
 
 	// Active members and their normalized weights.

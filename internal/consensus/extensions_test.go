@@ -156,6 +156,12 @@ func TestGroupProfileWeightedErrors(t *testing.T) {
 	if _, err := GroupProfileWeighted(g, AveragePref, []float64{0, 0, 0, 0}); err == nil {
 		t.Fatal("all-zero weights accepted")
 	}
+	if _, err := GroupProfileWeighted(g, AveragePref, []float64{1, math.Inf(1), 1, 1}); err == nil {
+		t.Fatal("infinite weight accepted")
+	}
+	if _, err := GroupProfileWeighted(g, AveragePref, []float64{1e308, 1e308, 0, 0}); err == nil {
+		t.Fatal("weights whose sum overflows accepted")
+	}
 	noWeighted := Method{Name: "plain", Pref: AveragePreference, W1: 1}
 	if _, err := GroupProfileWeighted(g, noWeighted, []float64{1, 1, 1, 1}); err == nil {
 		t.Fatal("method without weighted aggregators accepted")

@@ -92,64 +92,28 @@ type cityState struct {
 }
 
 // groupState is one registered group. group is immutable after creation;
-// mu guards the consensus memos.
+// mu guards the consensus memo.
 type groupState struct {
 	group *profile.Group
 
 	mu       sync.Mutex
-	profiles map[string]*profile.Profile       // consensus name -> aggregated profile
-	aggs     map[string]*consensus.Incremental // consensus name -> incremental aggregator
-}
-
-// agg returns the group's incremental aggregator for the method, building
-// it on first use by joining every member. The aggregator caches the
-// member values column-wise, so subsequent profiles — weighted requests
-// in particular, which arrive with caller-specific weights and were
-// previously full recomputes walking every member profile — reuse the
-// cached columns and online sums. Callers hold gs.mu.
-func (gs *groupState) agg(name string, method consensus.Method) (*consensus.Incremental, error) {
-	if a, ok := gs.aggs[name]; ok {
-		return a, nil
-	}
-	a, err := consensus.NewIncremental(gs.group.Schema(), method)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range gs.group.Members {
-		if err := a.Join(m); err != nil {
-			return nil, err
-		}
-	}
-	if gs.aggs == nil {
-		gs.aggs = make(map[string]*consensus.Incremental)
-	}
-	gs.aggs[name] = a
-	return a, nil
+	profiles map[string]*profile.Profile // consensus name -> aggregated profile
 }
 
 // profileFor returns the group's aggregated profile under the named
-// consensus method, memoizing unweighted aggregations. Both paths run on
-// the incremental aggregator, which is pinned bit-identical to the
-// GroupProfile / GroupProfileWeighted full recomputes by the equivalence
-// test in internal/consensus.
+// consensus method, memoizing unweighted aggregations. Weighted requests
+// carry caller-specific weights, so they are computed per request and
+// need no lock: the group never changes.
 func (gs *groupState) profileFor(name string, method consensus.Method, weights []float64) (*profile.Profile, error) {
+	if len(weights) > 0 {
+		return consensus.GroupProfileWeighted(gs.group, method, weights)
+	}
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	if len(weights) > 0 {
-		a, err := gs.agg(name, method)
-		if err != nil {
-			return nil, err
-		}
-		return a.ProfileWeighted(weights)
-	}
 	if gp, ok := gs.profiles[name]; ok {
 		return gp, nil
 	}
-	a, err := gs.agg(name, method)
-	if err != nil {
-		return nil, err
-	}
-	gp, err := a.Profile()
+	gp, err := consensus.GroupProfile(gs.group, method)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +160,7 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 	// A city loaded after promotion is an ordinary read-write city; only
 	// an active follower builds the replication mirror. (A fenced node is
 	// read-only too, but nothing feeds it frames — no mirror.)
-	follower := s.topo.Upstream() != "" && !s.promoted.Load()
+	follower := s.upstream != "" && !s.promoted.Load()
 	if cs.snapDir == "" {
 		if follower {
 			ap, mst, err := store.NewApplier(nil, cs.city)

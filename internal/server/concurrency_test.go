@@ -34,15 +34,17 @@ func TestConcurrentPackageBuildsMatchSequential(t *testing.T) {
 	type workload struct {
 		consensus string
 		k         int
+		weights   []float64
 	}
 	workloads := []workload{
-		{"pairwise", 2}, {"avg", 2}, {"leastmisery", 3}, {"variance", 3},
+		{"pairwise", 2, nil}, {"avg", 2, nil}, {"leastmisery", 3, nil}, {"variance", 3, nil},
+		{"pairwise", 2, []float64{2, 0, 1, 1}}, {"avg", 3, []float64{1, 3, 0, 1}},
 	}
 	want := make([]string, len(workloads))
 	for i, wl := range workloads {
 		var resp packageResponse
 		doJSON(t, "POST", seqTS.URL+"/api/packages", createPackageRequest{
-			GroupID: seqGID, Consensus: wl.consensus, K: wl.k,
+			GroupID: seqGID, Consensus: wl.consensus, K: wl.k, Weights: wl.weights,
 		}, 201, &resp)
 		want[i] = pkgFingerprint(t, resp)
 	}
@@ -64,7 +66,7 @@ func TestConcurrentPackageBuildsMatchSequential(t *testing.T) {
 					wl := workloads[i]
 					var resp packageResponse
 					if err := tryJSON(ts, "POST", ts.URL+"/api/packages", createPackageRequest{
-						GroupID: gid, Consensus: wl.consensus, K: wl.k,
+						GroupID: gid, Consensus: wl.consensus, K: wl.k, Weights: wl.weights,
 					}, 201, &resp); err != nil {
 						errs <- err
 						return

@@ -47,7 +47,7 @@ func (s *Server) observeEpoch(term int64, owner string) {
 	wasWritable := !s.isReadOnly()
 	s.epochOwner.Store(owner)
 	s.epochVal.Store(term)
-	if wasWritable && owner != s.topo.Advertise() {
+	if wasWritable && owner != s.advertise {
 		s.fenced.Store(true)
 	}
 	s.epochMu.Unlock()
@@ -61,7 +61,7 @@ func (s *Server) observeEpoch(term int64, owner string) {
 func (s *Server) bumpEpoch() (int64, string) {
 	s.epochMu.Lock()
 	term := s.epochVal.Load() + 1
-	owner := s.topo.Advertise()
+	owner := s.advertise
 	s.persistEpochLocked(term, owner)
 	s.epochOwner.Store(owner)
 	s.epochVal.Store(term)
@@ -114,13 +114,12 @@ func (s *Server) loadEpochs(keys []string) error {
 	}
 	s.epochOwner.Store(owner)
 	s.epochVal.Store(term)
-	advertise := s.topo.Advertise()
 	switch {
-	case owner != "" && owner == advertise:
+	case owner != "" && owner == s.advertise:
 		// This node owns the term: it was promoted before the restart.
 		// Replication must not resume against the (deposed) upstream.
 		s.promoted.Store(true)
-	case s.topo.Upstream() == "" && owner != advertise:
+	case s.upstream == "" && owner != s.advertise:
 		// Booted as a primary, but the fleet's term belongs to someone
 		// else: the fence survives the restart.
 		s.fenced.Store(true)

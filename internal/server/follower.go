@@ -324,7 +324,7 @@ func (s *Server) Role() string {
 	switch {
 	case s.fenced.Load():
 		return "fenced"
-	case s.topo.Upstream() == "":
+	case s.upstream == "":
 		return "primary"
 	case s.promoted.Load():
 		return "promoted"
@@ -333,13 +333,10 @@ func (s *Server) Role() string {
 	}
 }
 
-// Topology exposes the node-metadata source (health reports, embedders).
-func (s *Server) Topology() Topology { return s.topo }
-
 // isReadOnly: a follower that has not been promoted rejects mutations,
 // and so does any node fenced by a higher replication epoch.
 func (s *Server) isReadOnly() bool {
-	return s.fenced.Load() || (s.topo.Upstream() != "" && !s.promoted.Load())
+	return s.fenced.Load() || (s.upstream != "" && !s.promoted.Load())
 }
 
 // Follower exposes the replication tailer (nil on primaries) — tests and
@@ -364,7 +361,7 @@ func (s *Server) Close() {
 // and a restart recovers through the ordinary snapshot+log path.
 // Idempotent; concurrent callers all return after the flip completed.
 func (s *Server) Promote() error {
-	if s.topo.Upstream() == "" {
+	if s.upstream == "" {
 		return fmt.Errorf("server: not a follower")
 	}
 	s.promoteOnce.Do(func() {
@@ -403,7 +400,7 @@ type replicaDenied struct {
 func (s *Server) writable(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.isReadOnly() {
-			primary := s.topo.Upstream()
+			primary := s.upstream
 			if _, owner := s.Epoch(); owner != "" {
 				primary = owner
 			}
@@ -420,7 +417,7 @@ func (s *Server) writable(h http.HandlerFunc) http.HandlerFunc {
 
 // handlePromote is POST /promote.
 func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
-	if s.topo.Upstream() == "" {
+	if s.upstream == "" {
 		writeErr(w, http.StatusConflict, "already a primary")
 		return
 	}
@@ -428,5 +425,5 @@ func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"role": s.Role(), "formerPrimary": s.topo.Upstream()})
+	writeJSON(w, http.StatusOK, map[string]string{"role": s.Role(), "formerPrimary": s.upstream})
 }

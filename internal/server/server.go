@@ -125,10 +125,6 @@ type Options struct {
 	// (-advertise); it self-describes with it on /healthz so a router can
 	// match topology entries against X-GT-Primary hints.
 	Advertise string
-	// Topology overrides the node-metadata source. Nil builds a
-	// StaticTopology from Advertise and Follow — the normal boot path.
-	// When set, Follow and Advertise are ignored.
-	Topology Topology
 	// FollowerID names this node on its primary's replication-slot table
 	// (the ?fid= stream handshake): per-follower positions on the
 	// primary's /healthz and /metrics, and compaction holds while this
@@ -158,12 +154,19 @@ type Server struct {
 	compactEvery int64
 	compactBytes int64
 
-	// Replication role (see follower.go): topo carries the node metadata —
-	// Upstream is empty on a primary; follower tails the upstream's logs;
-	// promoted latches once Promote flips the process read-write
-	// (promoteOnce runs the flip exactly once; promoted is the fast flag
-	// handlers read).
-	topo        Topology
+	// Replication role (see follower.go): advertise is the base URL peers
+	// and front tiers reach this node at ("" when unknown); upstream is
+	// the primary this node replicates from, "" on a primary. Both are
+	// fixed for the life of the process: city loads decide from upstream
+	// whether to build replication state, and role *transitions* go
+	// through Promote — or through the replication epoch (epoch.go),
+	// which can fence a writable node read-only when a peer proves a
+	// newer term — never through a changing upstream. follower tails the
+	// upstream's logs; promoted latches once Promote flips the process
+	// read-write (promoteOnce runs the flip exactly once; promoted is the
+	// fast flag handlers read).
+	advertise   string
+	upstream    string
 	follower    *replicate.Follower
 	promoteOnce sync.Once
 	promoted    atomic.Bool
@@ -258,10 +261,6 @@ func NewMultiCity(opts Options) (*Server, error) {
 	}
 	sort.Strings(keys)
 
-	topo := opts.Topology
-	if topo == nil {
-		topo = StaticTopology{AdvertiseURL: opts.Advertise, PrimaryURL: opts.Follow}
-	}
 	s := &Server{
 		snapshotDir:  opts.SnapshotDir,
 		walSync:      opts.WALSync,
@@ -270,7 +269,8 @@ func NewMultiCity(opts Options) (*Server, error) {
 		// Set before the registry exists: city loads consult the role to
 		// decide whether to build the replication mirror, and pull their
 		// per-city counters off the metrics registry.
-		topo:      topo,
+		advertise: strings.TrimRight(opts.Advertise, "/"),
+		upstream:  strings.TrimRight(opts.Follow, "/"),
 		metrics:   newServerMetrics(),
 		accessLog: opts.AccessLog,
 	}
@@ -325,11 +325,11 @@ func NewMultiCity(opts Options) (*Server, error) {
 	if err := s.Preload(opts.PreloadCities...); err != nil {
 		return nil, err
 	}
-	if upstream := s.topo.Upstream(); upstream != "" && !s.promoted.Load() {
-		s.follower = replicate.NewFollower(upstream, keys, followerTarget{s}, max(opts.FollowPoll, 0))
+	if s.upstream != "" && !s.promoted.Load() {
+		s.follower = replicate.NewFollower(s.upstream, keys, followerTarget{s}, max(opts.FollowPoll, 0))
 		fid := opts.FollowerID
 		if fid == "" {
-			fid = s.topo.Advertise()
+			fid = s.advertise
 		}
 		s.follower.SetID(fid)
 		s.follower.SetEpochInfo(s.Epoch)
@@ -552,8 +552,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		City:        s.defaultCity,
 		DefaultCity: s.defaultCity,
 		Role:        s.Role(),
-		Primary:     s.topo.Upstream(),
-		Advertise:   s.topo.Advertise(),
+		Primary:     s.upstream,
+		Advertise:   s.advertise,
 		Registry:    s.reg.Stats(),
 		Cities:      map[string]cityHealth{},
 		Persistence: s.snapshotDir != "",

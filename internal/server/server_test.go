@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
+	"grouptravel/internal/consensus"
 	"grouptravel/internal/dataset"
 	"grouptravel/internal/poi"
+	"grouptravel/internal/profile"
 )
 
 var (
@@ -365,18 +369,90 @@ func TestConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestWeightedPackage builds over HTTP with every consensus name the
+// server accepts and checks the profile each package was built from:
+// weighted builds use GroupProfileWeighted (zero weights drop members),
+// unweighted builds use GroupProfile through the group's memo, and an
+// invalid weight vector is a 400 that registers no package and logs no
+// WAL record.
 func TestWeightedPackage(t *testing.T) {
-	ts := testServer(t)
-	gid := createGroup(t, ts, 3)
-	var resp packageResponse
-	doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{
-		GroupID: gid, Consensus: "avg", K: 2, Weights: []float64{5, 1, 1},
-	}, http.StatusCreated, &resp)
-	if !resp.Valid {
-		t.Fatal("weighted package invalid")
+	srv, ts := newPersistentServer(t)
+	key := srv.DefaultCity()
+	c, err := srv.Registry().Get(key)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Wrong weight count.
-	doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{
-		GroupID: gid, Consensus: "avg", K: 2, Weights: []float64{1},
-	}, http.StatusBadRequest, nil)
+	cs := c.State
+	gid := createGroup(t, ts, 4)
+	gs, err := cs.lookupGroup(gid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(name string, weights []float64) *profile.Profile {
+		t.Helper()
+		var resp packageResponse
+		doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{
+			GroupID: gid, Consensus: name, K: 2, Weights: weights,
+		}, http.StatusCreated, &resp)
+		if !resp.Valid {
+			t.Fatalf("%s: package invalid", name)
+		}
+		ps, _, err := cs.packageByID(strconv.Itoa(resp.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		return ps.session.Package().Group
+	}
+
+	weights := []float64{3, 0, 1, 0}
+	names := []string{"avg", "leastmisery", "pairwise", "variance", "mostpleasure", "avgnomisery"}
+	for _, name := range names {
+		method, _, err := methodByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := consensus.GroupProfileWeighted(gs.group, method, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := build(name, weights); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: weighted package profile differs from GroupProfileWeighted", name)
+		}
+		want, err = consensus.GroupProfile(gs.group, method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := build(name, nil)
+		if !reflect.DeepEqual(first, want) {
+			t.Fatalf("%s: unweighted package profile differs from GroupProfile", name)
+		}
+		if second := build(name, nil); second != first {
+			t.Fatalf("%s: second unweighted build did not reuse the memoized profile", name)
+		}
+	}
+
+	packages := func() int {
+		cs.mu.RLock()
+		defer cs.mu.RUnlock()
+		return len(cs.packages)
+	}
+	bad := map[string][]float64{
+		"wrong count": {1},
+		"negative":    {1, -1, 1, 1},
+		"all zero":    {0, 0, 0, 0},
+		"overflowing": {1e308, 1e308, 1, 1},
+	}
+	for _, name := range names {
+		for what, w := range bad {
+			n, head := packages(), primaryHead(t, srv, key)
+			doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{
+				GroupID: gid, Consensus: name, K: 2, Weights: w,
+			}, http.StatusBadRequest, nil)
+			if packages() != n || primaryHead(t, srv, key) != head {
+				t.Fatalf("%s, %s weights: rejected build registered a package or logged a record", name, what)
+			}
+		}
+	}
 }

@@ -29,7 +29,9 @@ const (
 	// slotStaleAfter collects slots whose stream stopped feeding them.
 	// Heartbeats touch the slot on the stream's hb cadence (default 2s),
 	// so a live stream — even fully caught up and idle — refreshes well
-	// inside this window.
+	// inside this window. A slot outlives its stream until then: the
+	// follower usually reconnects within a heartbeat, and dropping the
+	// slot at stream end would open a compaction window mid-reconnect.
 	slotStaleAfter = 10 * time.Second
 	// slotHoldDeadline caps how long one lagging slot can hold compaction
 	// before it is dropped (its follower then resyncs via handoff).
@@ -99,22 +101,6 @@ func (t *slotTable) touch(follower, city string, head int64) {
 		if s.lag != nil {
 			s.lag.Set(max(head-s.seq, 0))
 		}
-	}
-}
-
-// drop removes a follower's slot for one city (its stream ended).
-// The position is deliberately kept until staleness collects it: the
-// follower usually reconnects within a heartbeat, and dropping the slot
-// at every stream rotation would open a compaction window exactly when
-// the follower is mid-reconnect. Kept for symmetry and tests.
-func (t *slotTable) drop(follower, city string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.slots[slotKey{follower: follower, city: city}]; ok {
-		if s.lag != nil {
-			s.lag.Set(0)
-		}
-		delete(t.slots, slotKey{follower: follower, city: city})
 	}
 }
 
