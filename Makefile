@@ -1,12 +1,12 @@
 # GroupTravel build/test entry points. `make ci` is what a CI runner (or a
 # reviewer) should run: vet + build + race-enabled tests + the macro
-# benchmark's smoke suite. macrobench is its own module, so the root
+# benchmark's smoke suite + every example run to completion. macrobench is its own module, so the root
 # `go build ./...` never compiles it: a server or router API change can
 # break the benchmark while every root target stays green.
 
 GO ?= go
 
-.PHONY: all build vet test race lint bench benchfull benchcompare macro-smoke ci
+.PHONY: all build vet test race lint examples bench benchfull benchcompare macro-smoke ci
 
 all: ci
 
@@ -45,6 +45,18 @@ lint: vet
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed; skipped"; fi
 
+# Examples: `go build ./...` compiles examples/ but never runs them. Each
+# one is a self-contained walkthrough (temp dirs, loopback servers) that
+# exits non-zero when a step fails, so build them all once and run every
+# one; a failure prints that example's output.
+examples:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin/" ./examples/... && \
+	for ex in "$$bin"/*; do \
+		echo "examples: $$(basename "$$ex")"; \
+		out=$$("$$ex" 2>&1) || { echo "$$out"; echo "examples: $$(basename "$$ex") failed"; exit 1; }; \
+	done
+
 # Smoke check: run every Benchmark* a handful of times so the bench
 # harness (package-build scaling, server + multi-city throughput,
 # log-shipping apply rate, paper tables) cannot bit-rot unnoticed, and
@@ -81,4 +93,4 @@ benchcompare:
 	-$(GO) run ./cmd/benchjson -compare -tolerance 15 $(BENCH_BASE) BENCH_$(BENCH_GEN).json
 	$(GO) run ./cmd/benchjson -compare -tolerance 100 $(BENCH_BASE) BENCH_$(BENCH_GEN).json
 
-ci: lint build race macro-smoke
+ci: lint build race macro-smoke examples

@@ -744,11 +744,12 @@ func BenchmarkConsensusWeighted(b *testing.B) {
 // --- Log shipping: follower apply throughput ---
 
 // BenchmarkLogShipping measures how fast a follower replica drains a
-// primary's write-ahead log: records/sec applied end-to-end — HTTP fetch,
-// frame CRC verification, applier validation, materialization into the
-// serving registries, and the follower's own durable WAL append. Each
-// iteration boots a cold follower and catches it up on the same primary
-// history.
+// primary's write-ahead log through the synchronous barrier: records/sec
+// applied end-to-end by CatchUp — the /wal stream up to the announced
+// head, frame CRC verification, applier validation, materialization into
+// the serving registries, and the follower's own durable WAL append.
+// Each iteration boots a cold follower and catches it up on the same
+// primary history.
 func BenchmarkLogShipping(b *testing.B) {
 	benchSetup(b)
 	primary, err := server.NewMultiCity(server.Options{
@@ -830,15 +831,16 @@ func BenchmarkLogShipping(b *testing.B) {
 
 // --- Push replication: streaming follower drain throughput ---
 
-// BenchmarkPushReplication measures the push-based replication path end
+// BenchmarkPushReplication measures the background replication path end
 // to end: a streaming follower (its poll interval set far too long to
 // ever matter) connects, receives the primary's history over one stream
 // response, and applies it pipelined — frames decode off the wire
 // concurrently with apply, and each apply batch lands in the follower's
 // log under a single group-commit fsync instead of one per frame.
-// Directly comparable with BenchmarkLogShipping's records/s: the same
-// cold-follower-per-iteration structure over the same kind of history;
-// the delta is batched persistence plus streamed decode.
+// Comparable with BenchmarkLogShipping's records/s: the same stream and
+// apply path and the same cold-follower-per-iteration structure, but a
+// wider history (8 packages of 96 ops against one of 128) drained by the
+// tailer instead of CatchUp.
 func BenchmarkPushReplication(b *testing.B) {
 	pushReplicationBench(b, false)
 }

@@ -57,14 +57,14 @@ import (
 func main() {
 	citySpec := flag.String("city", "", `extra city: "builtin:<Name>" or a JSON path (default builtin:Paris when -data-dir is unset)`)
 	dataDir := flag.String("data-dir", "", "directory of <key>.json city datasets to serve")
-	snapshotDir := flag.String("snapshot-dir", "", "persist per-city groups/packages here (empty: in-memory only)")
+	snapshotDir := flag.String("snapshot-dir", "", "persist per-city groups/packages here (empty: in-memory only; required with -follow)")
 	walSync := flag.String("wal-sync", "always", `write-ahead-log fsync policy: "always", "off", "interval", or a duration like 100ms`)
 	compactEvery := flag.Int("compact-every", 0, "compact a city's log into its snapshot after this many records (0: default 1024, <0: off)")
 	compactBytes := flag.Int64("compact-bytes", 0, "byte-size compaction trigger (0: default 4MiB, <0: off)")
 	preload := flag.String("preload-cities", "", "comma-separated city keys to load at boot (warm-up)")
 	defaultCity := flag.String("default-city", "", "city key served by the legacy /api routes (default: first key)")
 	cacheCap := flag.Int("cluster-cache-cap", 0, "per-engine cluster cache bound (0: default, <0: unbounded)")
-	follow := flag.String("follow", "", "run as a read-only follower replicating from the primary at this base URL")
+	follow := flag.String("follow", "", "run as a read-only follower replicating from the primary at this base URL (requires -snapshot-dir)")
 	advertise := flag.String("advertise", "", "base URL peers and routers reach this node at (self-described on /healthz)")
 	followPoll := flag.Duration("follow-poll", 0, "replication stream reconnect pacing: the failure backoff base (0: default 250ms)")
 	followerID := flag.String("follower-id", "", "stable id this follower identifies itself as on the primary's replication slots (default: -advertise)")

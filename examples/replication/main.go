@@ -113,8 +113,8 @@ func main() {
 		log.Fatal(err)
 	}
 	lag, _ := follower.Follower().Lag("paris")
-	fmt.Printf("follower: caught up at seq %d — %d snapshot handoff(s), replicaLag %d records\n",
-		lag.AppliedSeq, lag.SnapshotHandoffs, lag.Records)
+	fmt.Printf("follower: caught up at seq %d — %d snapshot handoff(s)\n",
+		lag.AppliedSeq, lag.SnapshotHandoffs)
 
 	// 4. Post-handoff mutations arrive as ordinary log frames.
 	getJSON(fmt.Sprintf("%s/api/packages/%d", primaryURL, pid), &pkg)

@@ -17,7 +17,7 @@ import (
 // numbers make overlapping applies idempotent).
 type Target interface {
 	// Resume returns the city's last durably applied sequence — where the
-	// next fetch resumes. 0 means nothing applied yet.
+	// next stream resumes. 0 means nothing applied yet.
 	Resume(city string) (int64, error)
 	// ApplySnapshot validates and installs a compaction handoff, replacing
 	// the city's state wholesale, and returns the snapshot's watermark.
@@ -32,36 +32,31 @@ type Target interface {
 }
 
 // Lag is one city's replication position, as reported on the follower's
-// /healthz.
+// /healthz. How far it trails is measured where both positions are known:
+// the primary's gt_replication_follower_lag and gt_applied_seq on each
+// node.
 type Lag struct {
-	// Records is how far behind the primary this city was at the last
-	// completed sync, in sequence distance.
-	Records int64 `json:"records"`
-	// AppliedSeq is the city's last applied sequence; PrimarySeq the
-	// primary's head at the last sync.
+	// AppliedSeq is the city's last applied sequence.
 	AppliedSeq int64 `json:"appliedSeq"`
-	PrimarySeq int64 `json:"primarySeq"`
-	// PrimaryWALBytes is the primary's bytes-since-compaction gauge — the
-	// load/backpressure signal a front tier can route on.
-	PrimaryWALBytes int64 `json:"primaryWalBytes"`
 	// SnapshotHandoffs counts compaction handoffs taken; WireRetries
 	// counts torn/corrupt responses that forced a re-fetch.
 	SnapshotHandoffs int64 `json:"snapshotHandoffs"`
 	WireRetries      int64 `json:"wireRetries"`
-	// Syncs counts completed sync cycles; Err is the last sync's failure
+	// Syncs counts applied batches; Err is the last stream's failure
 	// (empty once healthy again).
 	Syncs int64  `json:"syncs"`
 	Err   string `json:"error,omitempty"`
 
-	// resumed: AppliedSeq is established (at least one successful sync),
-	// so the next cycle can resume from it without consulting the target.
+	// resumed: AppliedSeq is established (at least one applied batch), so
+	// the next stream can resume from it without consulting the target.
 	resumed bool
 }
 
 // Follower tails a primary's per-city logs and applies them to a Target.
-// One goroutine per city holds a push stream open; Sync and CatchUp run
-// one-shot fetches synchronously (tests, promotion barriers). Both paths
-// apply through the same step (apply).
+// One goroutine per city holds a push stream open; Sync and CatchUp read
+// the same stream synchronously (tests, promotion barriers), stopping at
+// the head the primary announced. Both apply through the same step
+// (apply).
 type Follower struct {
 	client   *Client
 	target   Target
@@ -69,8 +64,8 @@ type Follower struct {
 	interval time.Duration
 
 	// onEpoch, when set, is invoked with every nonzero replication term
-	// the primary reports (on stream open, every applied batch, and every
-	// fetch), letting the server layer persist and adopt it.
+	// the primary reports (on every applied batch, the first of each
+	// stream included), letting the server layer persist and adopt it.
 	onEpoch func(term int64, owner string)
 
 	mu  sync.Mutex
@@ -178,9 +173,9 @@ func (f *Follower) tail(city string) {
 		start := time.Now()
 		err := f.streamCity(city)
 		// Only a stream that actually lived a while earns the instant
-		// reconnect. A clean end within a second means the other side is
-		// answering ?stream=1 as a one-shot (an old primary, a proxy that
-		// cannot flush) — reconnecting instantly against that is a hot
+		// reconnect. A clean end within a second means something between
+		// the two ends answers the stream as one buffered response (a
+		// buffering proxy) — reconnecting instantly against that is a hot
 		// loop at thousands of requests a second, so pace on the interval.
 		immediate = time.Since(start) >= time.Second
 		if err != nil {
@@ -229,10 +224,9 @@ func (f *Follower) streamCity(city string) error {
 
 // apply installs one batch on top of the city's applied position — the
 // snapshot handoff when it moves past applied, then any frames beyond it
-// — and records the new position. Both transports land here: the push
-// stream once per batch, the one-shot fetch once per cycle. A batch with
-// nothing past applied never touches the target: a caught-up fetch or a
-// heartbeat-only stream costs the target nothing.
+// — and records the new position. Tailers and Sync both land here, once
+// per stream batch. A batch with nothing past applied never touches the
+// target: a caught-up stream's first batch costs the target nothing.
 func (f *Follower) apply(city string, applied int64, b *Batch) (int64, error) {
 	f.observeEpoch(b)
 	handoff := false
@@ -259,16 +253,13 @@ func (f *Follower) apply(city string, applied int64, b *Batch) (int64, error) {
 		}
 		l.AppliedSeq = applied
 		l.resumed = true
-		l.PrimarySeq = max(b.PrimarySeq, applied)
-		l.PrimaryWALBytes = b.PrimaryWALBytes
-		l.Records = l.PrimarySeq - applied
 		l.Syncs++
 		l.Err = ""
 	}
 	return applied, nil
 }
 
-// note records a stream or fetch cycle's outcome in the city's lag entry.
+// note records a stream's outcome in the city's lag entry.
 func (f *Follower) note(city string, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -297,34 +288,50 @@ func (f *Follower) Lag(city string) (Lag, bool) {
 	return *l, true
 }
 
-// Sync runs one fetch-and-apply cycle for a city: resume from the last
-// applied sequence, fetch, take the snapshot handoff if the primary sent
-// one, apply the frames, record lag. A torn/corrupt response applies its
-// valid prefix and reports ErrWireCorrupt — the next cycle re-fetches
-// from wherever apply got to, so a bad frame costs one round trip, never
-// consistency.
+// errSynced stops a Sync's stream once the announced head is applied.
+var errSynced = errors.New("replicate: announced head applied")
+
+// Sync brings a city up to the primary's head: it opens the same push
+// stream the tailers hold, applies batches as they arrive (the snapshot
+// handoff included), and returns nil as soon as it has applied the head
+// the primary announced on open — it never waits for the stream to end.
+// A torn/corrupt frame applies the valid prefix and reports
+// ErrWireCorrupt; the next Sync resumes from wherever apply got to, so a
+// bad frame costs one round trip, never consistency. A stream the primary
+// ends first (compaction, life cap) is an error naming both sequences.
 func (f *Follower) Sync(city string) error {
-	err := f.sync(city)
-	f.note(city, err)
-	return err
+	return f.sync(context.Background(), city)
 }
 
-func (f *Follower) sync(city string) error {
+// sync is Sync bounded by ctx (CatchUp's deadline).
+func (f *Follower) sync(ctx context.Context, city string) (err error) {
+	defer func() { f.note(city, err) }()
 	applied, err := f.resumeSeq(city)
 	if err != nil {
 		return err
 	}
-	batch, fetchErr := f.client.Fetch(city, applied)
-	if batch == nil {
-		return fetchErr
+	var head int64
+	err = f.client.Stream(ctx, city, applied, func(b *Batch) error {
+		head = b.PrimarySeq
+		var err error
+		if applied, err = f.apply(city, applied, b); err != nil {
+			return err
+		}
+		if applied >= head {
+			return errSynced
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, errSynced):
+		return nil
+	case err == nil:
+		return fmt.Errorf("replicate: sync %s: stream ended at seq %d, before the announced head %d", city, applied, head)
 	}
-	if _, err := f.apply(city, applied, batch); err != nil {
-		return err
-	}
-	return fetchErr // nil, or the wire corruption the prefix-apply healed around
+	return err
 }
 
-// resumeSeq is where a city's next stream or fetch resumes: the cached
+// resumeSeq is where a city's next stream resumes: the cached
 // position once established (every apply records it), else the target's
 // durable position.
 func (f *Follower) resumeSeq(city string) (int64, error) {
@@ -343,46 +350,36 @@ func (f *Follower) resumeSeq(city string) (int64, error) {
 	return seq, nil
 }
 
-// CatchUp syncs every city until each reports zero record lag, or the
+// CatchUp syncs every city until each Sync has returned nil, or the
 // timeout elapses. It is the barrier tests and controlled promotion use:
-// after it returns nil, the follower has applied everything the primary
-// had committed when its final sync ran.
+// after it returns nil, every city has applied at least the head its
+// primary announced during the call.
 func (f *Follower) CatchUp(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	failures := 0
-	for {
-		behind := ""
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	pending := append([]string(nil), f.cities...)
+	for failures := 1; ; failures++ {
 		var firstErr error
-		for _, city := range f.cities {
-			if err := f.Sync(city); err != nil {
+		behind := pending[:0]
+		for _, city := range pending {
+			if err := f.sync(ctx, city); err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
-				behind = city
-				continue
-			}
-			if l, ok := f.Lag(city); ok && l.Records > 0 {
-				behind = city
+				behind = append(behind, city)
 			}
 		}
-		if behind == "" {
+		if pending = behind; len(pending) == 0 {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			if firstErr != nil {
-				return fmt.Errorf("replicate: catch-up timed out on %s: %w", behind, firstErr)
-			}
-			return fmt.Errorf("replicate: catch-up timed out on %s", behind)
+		if ctx.Err() != nil {
+			return fmt.Errorf("replicate: catch-up timed out on %s: %w", pending[0], firstErr)
 		}
-		// Progress without errors retries almost immediately; failures
-		// back off like the tailers do, so catching up against a dead
-		// primary does not hammer it until the deadline.
-		if firstErr != nil {
-			failures++
-			time.Sleep(retryBackoff(failures, 10*time.Millisecond))
-		} else {
-			failures = 0
-			time.Sleep(time.Millisecond)
+		// Failures back off like the tailers do, so catching up against a
+		// dead primary does not hammer it until the deadline.
+		select {
+		case <-ctx.Done():
+		case <-time.After(retryBackoff(failures, 10*time.Millisecond)):
 		}
 	}
 }

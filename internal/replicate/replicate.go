@@ -1,9 +1,9 @@
 // Package replicate ships a city's write-ahead log from a primary server
 // to follower replicas over HTTP, turning the single-process engine into
-// a primary/standby pair: a follower tails `GET /cities/{city}/wal?from=
-// {seq}` and applies the framed records through the same store.Applier
-// the restart path replays with, so a replica is — by construction — a
-// restart that never stops happening.
+// a primary/standby pair: a follower holds `GET /cities/{city}/wal?from=
+// {seq}` open and applies the framed records through the same
+// store.Applier the restart path replays with, so a replica is — by
+// construction — a restart that never stops happening.
 //
 // # Wire format
 //
@@ -21,11 +21,10 @@
 // resume sequence has fallen behind the primary's compaction horizon (the
 // records it needs now live only in the snapshot), the primary sends its
 // sealed snapshot first and the log suffix after it. Response headers
-// carry the primary's position for lag accounting:
+// carry the primary's position:
 //
-//	X-GT-Primary-Seq:       last committed sequence at serve time
-//	X-GT-Primary-Wal-Bytes: primary log bytes since its last compaction
-//	X-GT-Snapshot-Seq:      watermark of the snapshot section, if present
+//	X-GT-Primary-Seq:  last committed sequence when the stream opened
+//	X-GT-Snapshot-Seq: watermark of the snapshot section, if present
 //
 // Delivery is at-least-once: a frame may arrive twice (a retry after a
 // cut stream re-fetches from the last durable sequence), and sequence
@@ -53,9 +52,8 @@ var streamMagic = [8]byte{'G', 'T', 'R', 'E', 'P', 'v', '1', '\n'}
 
 // Response headers (canonical MIME casing is applied by net/http).
 const (
-	HeaderPrimarySeq      = "X-GT-Primary-Seq"
-	HeaderPrimaryWALBytes = "X-GT-Primary-Wal-Bytes"
-	HeaderSnapshotSeq     = "X-GT-Snapshot-Seq"
+	HeaderPrimarySeq  = "X-GT-Primary-Seq"
+	HeaderSnapshotSeq = "X-GT-Snapshot-Seq"
 	// HeaderEpoch carries the replication term on both request and
 	// response: each side stamps its highest known term, and whichever
 	// side sees a higher one than its own adopts it (a writable node that
@@ -96,8 +94,8 @@ var ErrFollowerAhead = errors.New("replicate: follower is ahead of the primary")
 // writes the fleet has moved past — stop and re-resolve the primary.
 var ErrStaleEpoch = errors.New("replicate: peer is serving a stale replication epoch")
 
-// Batch is one parsed stream response: an optional snapshot handoff, the
-// log frames after it, and the primary's position for lag accounting.
+// Batch is one run of a stream response: an optional snapshot handoff,
+// log frames, and the head the primary announced.
 type Batch struct {
 	// Snapshot is the raw snapshot JSON of a compaction handoff (nil when
 	// the resume point was still inside the primary's log). SnapshotSeq is
@@ -109,11 +107,9 @@ type Batch struct {
 	// Frames in log order, each carrying its decoded sequence number.
 	Frames []store.WALFrame
 
-	// PrimarySeq is the primary's last committed sequence at serve time;
-	// PrimaryWALBytes its log bytes since compaction (the backpressure
-	// gauge).
-	PrimarySeq      int64
-	PrimaryWALBytes int64
+	// PrimarySeq is the head the primary announced when it opened the
+	// stream (X-GT-Primary-Seq); every batch of one stream repeats it.
+	PrimarySeq int64
 
 	// Epoch is the replication term the serving node reported (0 for a
 	// pre-epoch fleet), EpochPrimary the advertised URL of the term's
@@ -129,7 +125,6 @@ func WriteStream(w http.ResponseWriter, b *Batch) error {
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set(HeaderPrimarySeq, strconv.FormatInt(b.PrimarySeq, 10))
-	h.Set(HeaderPrimaryWALBytes, strconv.FormatInt(b.PrimaryWALBytes, 10))
 	if b.Epoch > 0 {
 		h.Set(HeaderEpoch, strconv.FormatInt(b.Epoch, 10))
 		if b.EpochPrimary != "" {
@@ -260,12 +255,6 @@ func (sr *streamReader) next() (store.WALFrame, error) {
 	}
 }
 
-// defaultFetchClient bounds every one-shot fetch. Without a deadline, a
-// primary lost to a partition (no RST, the connection just hangs) would
-// block a tailer forever — and Promote waits out in-flight syncs, so the
-// hang would reach exactly the code path that exists for a dead primary.
-var defaultFetchClient = &http.Client{Timeout: 30 * time.Second}
-
 // defaultStreamClient carries the push streams: keep-alives and idle
 // pooling for the reconnect cycle, a header deadline for a dead primary —
 // but no overall timeout, which would cut every healthy stream at the
@@ -277,12 +266,12 @@ var defaultStreamClient = &http.Client{Transport: &http.Transport{
 	ResponseHeaderTimeout: 30 * time.Second,
 }}
 
-// Client fetches stream batches from a primary's base URL.
+// Client opens push streams against a primary's base URL.
 type Client struct {
 	// Base is the primary's base URL, e.g. "http://primary:8080".
 	Base string
-	// HTTP overrides the transport; a 30s-timeout client when nil (and a
-	// timeout-less keep-alive client for Stream).
+	// HTTP overrides the transport; a timeout-less keep-alive client when
+	// nil.
 	HTTP *http.Client
 	// ID identifies this follower to the primary: Stream passes it as the
 	// ?fid= handshake parameter so the primary can keep a per-follower
@@ -290,7 +279,7 @@ type Client struct {
 	// an anonymous stream still replicates, it just isn't slot-tracked.
 	ID string
 	// EpochInfo, when set, supplies the follower's highest known
-	// replication term and its owner; both requests stamp them as
+	// replication term and its owner; every stream request stamps them as
 	// X-GT-Epoch / X-GT-Epoch-Primary so the serving node can discover it
 	// has been deposed even from a follower's pull.
 	EpochInfo func() (int64, string)
@@ -325,74 +314,6 @@ func (c *Client) checkEpoch(resp *http.Response, city string) (int64, string, er
 	return respTerm, respOwner, nil
 }
 
-// Fetch pulls every committed record after `from` for one city. It may
-// return a non-nil partial Batch together with ErrWireCorrupt (apply the
-// prefix, retry), or ErrFollowerAhead on divergence. The body decodes
-// incrementally off the connection — frames append to the batch as they
-// arrive, and a connection cut mid-body yields the intact prefix.
-func (c *Client) Fetch(city string, from int64) (*Batch, error) {
-	hc := c.HTTP
-	if hc == nil {
-		hc = defaultFetchClient
-	}
-	u := fmt.Sprintf("%s/cities/%s/wal?from=%d", c.Base, url.PathEscape(city), from)
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return nil, fmt.Errorf("replicate: fetch %s: %w", city, err)
-	}
-	c.stampEpoch(req)
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replicate: fetch %s: %w", city, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		return nil, fmt.Errorf("%w (city %s, from %d)", ErrFollowerAhead, city, from)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("replicate: fetch %s: %s: %s", city, resp.Status, msg)
-	}
-	respTerm, respOwner, err := c.checkEpoch(resp, city)
-	if err != nil {
-		return nil, err
-	}
-	sr := newStreamReader(resp.Body)
-	if err := sr.readMagic(); err != nil {
-		return nil, err
-	}
-	intHeader := func(name string) int64 {
-		v, _ := strconv.ParseInt(resp.Header.Get(name), 10, 64)
-		return v
-	}
-	b := &Batch{
-		SnapshotSeq:     intHeader(HeaderSnapshotSeq),
-		PrimarySeq:      intHeader(HeaderPrimarySeq),
-		PrimaryWALBytes: intHeader(HeaderPrimaryWALBytes),
-		Epoch:           respTerm,
-		EpochPrimary:    respOwner,
-	}
-	if resp.Header.Get(HeaderSnapshotSeq) != "" {
-		snap, err := sr.readSnapshot()
-		if err != nil {
-			// A corrupt snapshot voids the response: the frames after it
-			// only make sense on top of the snapshot's state.
-			return nil, err
-		}
-		b.Snapshot = snap
-	}
-	for {
-		fr, err := sr.next()
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-		b.Frames = append(b.Frames, fr)
-	}
-}
-
 // DefaultStreamHeartbeat is the keepalive cadence Stream requests when
 // the caller does not choose.
 const DefaultStreamHeartbeat = 2 * time.Second
@@ -405,12 +326,14 @@ const DefaultStreamHeartbeat = 2 * time.Second
 // during an apply coalesce into the next batch — so a follower persists
 // them under one group-commit fsync instead of one each.
 //
-// The first apply may carry a snapshot handoff (resume point behind the
-// primary's compaction horizon), exactly like Fetch. A stall watchdog
-// cancels the connection when nothing — frames or heartbeats — arrives
-// for several heartbeat intervals: a primary lost to a partition looks
-// like silence, and silence is the one thing a healthy stream never
-// produces.
+// The first apply comes right after the headers, before any frame: it
+// carries the announced head (PrimarySeq) and, when the resume point is
+// behind the primary's compaction horizon, the snapshot handoff. So even
+// a caught-up caller gets one apply, and one that only needs the head
+// (Follower.Sync) can stop there. A stall watchdog cancels the connection
+// when nothing — frames or heartbeats — arrives for several heartbeat
+// intervals: a primary lost to a partition looks like silence, and
+// silence is the one thing a healthy stream never produces.
 func (c *Client) Stream(ctx context.Context, city string, from int64, apply func(*Batch) error) error {
 	hb := DefaultStreamHeartbeat
 	hc := c.HTTP
@@ -419,7 +342,7 @@ func (c *Client) Stream(ctx context.Context, city string, from int64, apply func
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	u := fmt.Sprintf("%s/cities/%s/wal?from=%d&stream=1&hb=%s",
+	u := fmt.Sprintf("%s/cities/%s/wal?from=%d&hb=%s",
 		c.Base, url.PathEscape(city), from, hb)
 	if c.ID != "" {
 		u += "&fid=" + url.QueryEscape(c.ID)
@@ -459,23 +382,15 @@ func (c *Client) Stream(ctx context.Context, city string, from int64, apply func
 		v, _ := strconv.ParseInt(resp.Header.Get(name), 10, 64)
 		return v
 	}
-	primarySeq := intHeader(HeaderPrimarySeq)
-	primaryWALBytes := intHeader(HeaderPrimaryWALBytes)
+	first := &Batch{PrimarySeq: intHeader(HeaderPrimarySeq), Epoch: respTerm, EpochPrimary: respOwner}
 	if resp.Header.Get(HeaderSnapshotSeq) != "" {
-		snap, err := sr.readSnapshot()
-		if err != nil {
+		if first.Snapshot, err = sr.readSnapshot(); err != nil {
 			return err
 		}
-		if err := apply(&Batch{
-			Snapshot:        snap,
-			SnapshotSeq:     intHeader(HeaderSnapshotSeq),
-			PrimarySeq:      primarySeq,
-			PrimaryWALBytes: primaryWALBytes,
-			Epoch:           respTerm,
-			EpochPrimary:    respOwner,
-		}); err != nil {
-			return err
-		}
+		first.SnapshotSeq = intHeader(HeaderSnapshotSeq)
+	}
+	if err := apply(first); err != nil {
+		return err
 	}
 
 	// Decode goroutine: frames flow through the channel while apply runs.
@@ -504,13 +419,7 @@ func (c *Client) Stream(ctx context.Context, city string, from int64, apply func
 		if len(batch) == 0 {
 			return nil
 		}
-		b := &Batch{
-			Frames:          batch,
-			PrimarySeq:      max(primarySeq, batch[len(batch)-1].Seq),
-			PrimaryWALBytes: primaryWALBytes,
-			Epoch:           respTerm,
-			EpochPrimary:    respOwner,
-		}
+		b := &Batch{Frames: batch, PrimarySeq: first.PrimarySeq, Epoch: respTerm, EpochPrimary: respOwner}
 		err := apply(b)
 		batch = batch[:0]
 		return err

@@ -48,7 +48,6 @@ import (
 	"container/list"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"grouptravel/internal/telemetry"
@@ -129,46 +128,18 @@ func edgeKey(city, path, rawQuery string) string {
 }
 
 // edgeCacheable is the explicit route guard: which routed reads may
-// touch the edge cache at all. The replication stream (/wal, one-shot
-// or push — flushed chunk by chunk, held open arbitrarily long) must
-// relay untouched; /metrics and /healthz are live gauges even when a
-// backend serves them under a city prefix; and an unbounded query
-// string must not mint unbounded key space. Everything the guard
-// rejects is routed exactly as before — never cached, never coalesced.
+// touch the edge cache at all. The replication stream (/wal — flushed
+// chunk by chunk, held open arbitrarily long) must relay untouched;
+// /metrics and /healthz are live gauges even when a backend serves them
+// under a city prefix; and an unbounded query string must not mint
+// unbounded key space. Everything the guard rejects is routed exactly as
+// before — never cached, never coalesced.
 func edgeCacheable(rest, rawQuery string) bool {
 	switch rest {
 	case "wal", "metrics", "healthz":
 		return false
 	}
-	if len(rawQuery) > maxEdgeKeyQuery {
-		return false
-	}
-	// A stream parameter on any route: a response the backend trickles
-	// must pass through, not buffer into a cache fill.
-	if rawQuery != "" && hasQueryParam(rawQuery, "stream") {
-		return false
-	}
-	return true
-}
-
-// hasQueryParam reports whether the raw query names the parameter,
-// without allocating url.Values on the hot path.
-func hasQueryParam(rawQuery, name string) bool {
-	for q := rawQuery; q != ""; {
-		var pair string
-		if i := strings.IndexByte(q, '&'); i >= 0 {
-			pair, q = q[:i], q[i+1:]
-		} else {
-			pair, q = q, ""
-		}
-		if i := strings.IndexByte(pair, '='); i >= 0 {
-			pair = pair[:i]
-		}
-		if pair == name {
-			return true
-		}
-	}
-	return false
+	return len(rawQuery) <= maxEdgeKeyQuery
 }
 
 // floor returns the city's commit floor: the minimum applied sequence a

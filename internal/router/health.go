@@ -24,8 +24,8 @@ const healthPollTimeout = 3 * time.Second
 // NodeView is the router's cached picture of one backend node — the
 // replica-health feed routing decisions read. It is refreshed by polling
 // the node's /healthz (role, advertised URL, upstream) and /cities
-// (per-city appliedSeq + walBytes, one cheap call), never by the request
-// path: a routed read must not block on a health round trip.
+// (per-city appliedSeq, one cheap call), never by the request path: a
+// routed read must not block on a health round trip.
 type NodeView struct {
 	URL       string `json:"url"`
 	Role      string `json:"role,omitempty"`      // primary | follower | promoted | fenced; "" never polled
@@ -39,10 +39,8 @@ type NodeView struct {
 	Epoch        int64  `json:"epoch,omitempty"`
 	EpochPrimary string `json:"epochPrimary,omitempty"`
 	// AppliedSeq is the node's last committed/applied WAL sequence per
-	// city — what session tokens are compared against. WALBytes is the
-	// per-city bytes-since-compaction backpressure gauge.
+	// city — what session tokens are compared against.
 	AppliedSeq map[string]int64 `json:"appliedSeq,omitempty"`
-	WALBytes   map[string]int64 `json:"walBytes,omitempty"`
 	// Err is the last poll's failure; a node with Err set keeps its last
 	// known sequences but is ineligible for routing until a poll succeeds.
 	Err      string    `json:"error,omitempty"`
@@ -232,14 +230,10 @@ func (hf *healthFeed) poll(url string) {
 		v.Epoch, v.EpochPrimary = respTerm, respOwner
 	}
 	applied := make(map[string]int64, len(rows))
-	walBytes := make(map[string]int64, len(rows))
 	for _, row := range rows {
 		applied[row.Key] = row.AppliedSeq
-		if row.WALBytes > 0 {
-			walBytes[row.Key] = row.WALBytes
-		}
 	}
-	v.AppliedSeq, v.WALBytes = applied, walBytes
+	v.AppliedSeq = applied
 }
 
 // instruments returns the node's scrape metrics (nil-safe no-ops when

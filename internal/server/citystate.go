@@ -157,18 +157,7 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 		epochInfo:    s.Epoch,
 	}
 	cs.persistErr.Store("")
-	// A city loaded after promotion is an ordinary read-write city; only
-	// an active follower builds the replication mirror. (A fenced node is
-	// read-only too, but nothing feeds it frames — no mirror.)
-	follower := s.upstream != "" && !s.promoted.Load()
 	if cs.snapDir == "" {
-		if follower {
-			ap, mst, err := store.NewApplier(nil, cs.city)
-			if err != nil {
-				return nil, err
-			}
-			cs.replica = &replicaMirror{st: mst, ap: ap}
-		}
 		return cs, nil
 	}
 
@@ -201,7 +190,10 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 		}
 		cs.groups, cs.packages = groups, packages
 	}
-	if follower {
+	// A city loaded after promotion is an ordinary read-write city; only
+	// an active follower builds the replication mirror. (A fenced node is
+	// read-only too, but nothing feeds it frames — no mirror.)
+	if s.upstream != "" && !s.promoted.Load() {
 		// Keep the recovered state as the replication mirror: the applier
 		// resumes validation exactly where recovery stopped, so the
 		// follower's resume point survives its own restarts.
@@ -555,24 +547,12 @@ func (cs *cityState) collectState() *store.ServerState {
 // are re-appended verbatim AFTER materialization, so the local log head
 // never runs ahead of the serving state — the invariant a router's
 // freshness pinning relies on). 0 when the city runs without persistence
-// and without a replication mirror — no sequence space exists then.
-//
-// The mirror branch (persistence-less follower) must go quiet on a
-// latched fault: the mirror's cursor then includes a record the serving
-// registries never received, and reporting it would route a pinned read
-// here for state this node cannot serve. Under-reporting is always safe.
+// — no sequence space exists then.
 func (cs *cityState) appliedSeq() int64 {
-	if cs.wal != nil {
-		return cs.wal.LastSeq()
+	if cs.wal == nil {
+		return 0
 	}
-	if m := cs.replica; m != nil {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.ap != nil && m.fault == nil {
-			return m.ap.LastSeq()
-		}
-	}
-	return 0
+	return cs.wal.LastSeq()
 }
 
 // health summarizes the city for the health endpoint.

@@ -151,7 +151,7 @@ func TestPromotedRoleSurvivesRestart(t *testing.T) {
 
 // TestPromoteWhileStreaming: promoting a follower that (a) is tailing
 // the primary over a live push stream and (b) is itself serving an
-// inbound ?stream=1 consumer must cleanly end both exactly once — the
+// inbound /wal stream consumer must cleanly end both exactly once — the
 // outbound tailer stops applying, the inbound consumer's response
 // terminates so it can re-handshake against the new role — while the
 // promoted node keeps serving writes. Run under -race via `make race`.
@@ -185,7 +185,7 @@ func TestPromoteWhileStreaming(t *testing.T) {
 	applied := waitApplied(1)
 
 	// An inbound push consumer on the follower (a cascading replica).
-	streamResp, err := http.Get(fmt.Sprintf("%s/cities/alpha/wal?from=%d&stream=1&hb=100ms&fid=probe", fts.URL, applied))
+	streamResp, err := http.Get(fmt.Sprintf("%s/cities/alpha/wal?from=%d&hb=100ms&fid=probe", fts.URL, applied))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 			break
 		}
 	}
-	if cs.wal != nil && len(toAppend) > 0 {
+	if len(toAppend) > 0 {
 		// Persistence failures never stall replication — the in-memory
 		// copy is committed; they surface on /healthz like any primary
 		// append failure. A fault mid-batch still
@@ -249,18 +249,16 @@ func (cs *cityState) applySnapshot(raw []byte) (int64, error) {
 	}
 	defer cs.compacting.Store(false)
 	cs.persistMu.Lock()
-	if cs.wal != nil {
-		if err := store.WriteSnapshotRaw(cs.snapDir, cs.key, raw); err != nil {
-			cs.persistErr.Store(err.Error())
-		} else if err := store.RemovePendingWAL(cs.snapDir, cs.key); err != nil {
-			cs.persistErr.Store(err.Error())
-		} else if err := cs.wal.Reset(); err != nil {
-			cs.persistErr.Store(err.Error())
-		} else {
-			cs.wal.Seed(0, st.WALSeq)
-			cs.snapTime.Store(time.Now().UnixNano())
-			cs.persistErr.Store("")
-		}
+	if err := store.WriteSnapshotRaw(cs.snapDir, cs.key, raw); err != nil {
+		cs.persistErr.Store(err.Error())
+	} else if err := store.RemovePendingWAL(cs.snapDir, cs.key); err != nil {
+		cs.persistErr.Store(err.Error())
+	} else if err := cs.wal.Reset(); err != nil {
+		cs.persistErr.Store(err.Error())
+	} else {
+		cs.wal.Seed(0, st.WALSeq)
+		cs.snapTime.Store(time.Now().UnixNano())
+		cs.persistErr.Store("")
 	}
 	cs.mu.Lock()
 	cs.groups, cs.packages, cs.nextID = groups, packages, st.NextID
@@ -281,9 +279,7 @@ func (cs *cityState) sealPromoted() {
 		m.st, m.ap = nil, nil
 		m.mu.Unlock()
 	}
-	if cs.wal != nil {
-		_ = cs.wal.Sync()
-	}
+	_ = cs.wal.Sync()
 	// A generation tick, not a position change: push streams re-check and
 	// notice the role flip on their next read.
 	cs.notify.wake(cs.appliedSeq())

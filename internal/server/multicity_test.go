@@ -265,6 +265,12 @@ func TestEmptyDataDirWithPreloadedCity(t *testing.T) {
 	if _, err := NewMultiCity(Options{DataDir: t.TempDir()}); err == nil {
 		t.Fatal("empty data dir with no preloaded cities accepted")
 	}
+	// So does a follower with nowhere to keep its replicated log.
+	if _, err := NewMultiCity(Options{
+		Cities: []*dataset.City{mcCities[0]}, Follow: "http://primary.invalid", FollowPoll: -1,
+	}); err == nil || !strings.Contains(err.Error(), "SnapshotDir") {
+		t.Fatalf("follower without a snapshot dir: err = %v", err)
+	}
 }
 
 // TestCorruptSnapshotSurfacesOnHealth: a tampered compaction snapshot must

@@ -119,7 +119,9 @@ type Options struct {
 	PreloadCities []string
 	// Follow runs this server as a read-only follower replicating every
 	// city from the primary at this base URL (log shipping; see
-	// internal/replicate). Mutating routes answer 403 until Promote.
+	// internal/replicate). Mutating routes answer 403 until Promote. It
+	// requires SnapshotDir: a follower keeps its replicated position in
+	// its own write-ahead log.
 	Follow string
 	// Advertise is the base URL peers and front tiers reach this node at
 	// (-advertise); it self-describes with it on /healthz so a router can
@@ -229,6 +231,9 @@ func scanDataDir(dir string) ([]string, error) {
 // NewMultiCity builds a server over a data directory and/or preloaded
 // cities.
 func NewMultiCity(opts Options) (*Server, error) {
+	if opts.Follow != "" && opts.SnapshotDir == "" {
+		return nil, fmt.Errorf("server: a follower needs a SnapshotDir (-snapshot-dir): it replicates into its own write-ahead log")
+	}
 	preloaded := make(map[string]*dataset.City, len(opts.Cities))
 	var keys []string
 	for _, c := range opts.Cities {
@@ -505,9 +510,8 @@ type cityHealth struct {
 	LastSnapshot string          `json:"lastSnapshot,omitempty"` // RFC3339; empty when never compacted
 	PersistErr   string          `json:"persistenceError,omitempty"`
 	WAL          *walHealth      `json:"wal,omitempty"`
-	// Replication is the follower's position against the primary for this
-	// city: replicaLag in records and bytes, handoff/retry counters, and
-	// the primary's bytes-since-compaction gauge. Followers only.
+	// Replication is the follower's replication state for this city: its
+	// applied sequence and handoff/retry counters. Followers only.
 	Replication *replicate.Lag `json:"replication,omitempty"`
 }
 

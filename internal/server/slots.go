@@ -23,7 +23,10 @@ import (
 // handoff (snapshot + suffix). That is what licenses the deadlines —
 // a dead follower's slot is collected after slotStaleAfter without being
 // fed, and a live-but-stuck one stops holding compaction after
-// slotHoldDeadline.
+// slotHoldDeadline. Any client can handshake with a fresh ?fid=, so every
+// new slot first collects the stale ones, and a dropped slot takes its
+// lag series with it: the table and /metrics stay bounded by the live
+// streams.
 
 const (
 	// slotStaleAfter collects slots whose stream stopped feeding them.
@@ -37,6 +40,9 @@ const (
 	// before it is dropped (its follower then resyncs via handoff).
 	slotHoldDeadline = 30 * time.Second
 )
+
+// followerLagMetric is the per-(follower, city) series each slot feeds.
+const followerLagMetric = "gt_replication_follower_lag"
 
 type slotKey struct{ follower, city string }
 
@@ -71,9 +77,10 @@ func (t *slotTable) update(follower, city string, seq, head int64) {
 	k := slotKey{follower: follower, city: city}
 	s := t.slots[k]
 	if s == nil {
+		t.collectStale(t.now())
 		s = &slot{}
 		if t.reg != nil {
-			s.lag = t.reg.Gauge("gt_replication_follower_lag",
+			s.lag = t.reg.Gauge(followerLagMetric,
 				"Records between the primary's log head and this follower's stream position.",
 				"follower", follower, "city", city)
 		}
@@ -113,16 +120,10 @@ func (t *slotTable) hold(city string, head int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
+	t.collectStale(now)
 	holding := false
 	for k, s := range t.slots {
 		if k.city != city {
-			continue
-		}
-		if now.Sub(s.lastSeen) > slotStaleAfter {
-			if s.lag != nil {
-				s.lag.Set(0)
-			}
-			delete(t.slots, k)
 			continue
 		}
 		if s.seq >= head {
@@ -132,15 +133,30 @@ func (t *slotTable) hold(city string, head int64) bool {
 		if s.holdSince.IsZero() {
 			s.holdSince = now
 		} else if now.Sub(s.holdSince) > slotHoldDeadline {
-			if s.lag != nil {
-				s.lag.Set(0)
-			}
-			delete(t.slots, k)
+			t.drop(k)
 			continue
 		}
 		holding = true
 	}
 	return holding
+}
+
+// collectStale drops every slot whose stream stopped feeding it. t.mu
+// must be held.
+func (t *slotTable) collectStale(now time.Time) {
+	for k, s := range t.slots {
+		if now.Sub(s.lastSeen) > slotStaleAfter {
+			t.drop(k)
+		}
+	}
+}
+
+// drop removes a slot and its lag series. t.mu must be held.
+func (t *slotTable) drop(k slotKey) {
+	delete(t.slots, k)
+	if t.reg != nil {
+		t.reg.Unregister(followerLagMetric, "follower", k.follower, "city", k.city)
+	}
 }
 
 // slotHealth is one follower-city row of the /healthz replication view.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,22 +13,22 @@ import (
 )
 
 // This file is the primary half of log shipping: GET /cities/{city}/wal
-// ?from={seq} serves every committed record after the follower's resume
+// ?from={seq} streams every committed record after the follower's resume
 // point, straight from the city's log files — and, when the resume point
 // has fallen behind the compaction horizon (the records now live only in
-// the snapshot), the sealed snapshot plus the log suffix. The frames go
-// out byte-for-byte as they sit in the log. A follower's own /wal
-// endpoint serves the same way, so replicas can cascade.
+// the snapshot), the sealed snapshot first. The frames go out
+// byte-for-byte as they sit in the log. A follower's own /wal endpoint
+// serves the same way, so replicas can cascade.
 //
-// Beyond the classic one-shot response the endpoint is commit-driven:
-// ?stream=1 holds the connection open — the handler writes the initial
-// batch (snapshot handoff included when needed), then flushes frames via
-// http.Flusher as commits land (the city's commitNotify wakes it), with
-// zero-length heartbeat frames every ?hb={dur} so proxies and stall
-// detectors see a live wire. The server may end the stream at any time —
-// compaction moving the log out from under the reader, the stream-life
-// cap, a promotion — and the client simply reconnects; at-least-once
-// delivery and sequence-idempotent apply make the cut invisible.
+// The response is held open and commit-driven: the handler writes the
+// initial batch (snapshot handoff included when needed), then flushes
+// frames via http.Flusher as commits land (the city's commitNotify wakes
+// it), with zero-length heartbeat frames every ?hb={dur} so proxies and
+// stall detectors see a live wire. The server may end the stream at any
+// time — compaction moving the log out from under the reader, the
+// stream-life cap, a promotion — and the client simply reconnects;
+// at-least-once delivery and sequence-idempotent apply make the cut
+// invisible.
 //
 // A request for a city this node has not loaded yet loads it, exactly as
 // any other city-scoped request does: the appender's sequence counter is
@@ -41,7 +40,7 @@ import (
 var errStreamAhead = errors.New("ahead of log head")
 
 // errStreamBusy: compaction kept moving the files under the reader for
-// every retry. Transient; the follower's next poll retries.
+// every retry. Transient; the follower's reconnect retries.
 var errStreamBusy = errors.New("log rotating; retry")
 
 const (
@@ -56,31 +55,23 @@ const (
 	maxHeartbeat     = 30 * time.Second
 )
 
-// walStreamParams are the commit-driven knobs of one /wal request.
+// walStreamParams are the knobs of one /wal stream.
 type walStreamParams struct {
-	stream bool          // hold the connection open, push frames
-	hb     time.Duration // heartbeat cadence on an idle stream
-	fid    string        // follower id for the replication-slot table
+	hb  time.Duration // heartbeat cadence on an idle stream
+	fid string        // follower id for the replication-slot table
 }
 
 // maxFollowerIDLen bounds ?fid= so a hostile handshake cannot grow the
 // slot table's keys (and its metric labels) without bound.
 const maxFollowerIDLen = 200
 
-// parseStreamParams reads stream/hb/fid; on a bad value it writes the
-// 400 and reports !ok. The heartbeat must be strictly positive: omitting
-// the parameter is how a caller asks for the default.
+// parseStreamParams reads hb/fid; on a bad value it writes the 400 and
+// reports !ok. The heartbeat must be strictly positive: omitting the
+// parameter is how a caller asks for the default. The stream=1 older
+// followers send is ignored: every /wal response streams.
 func parseStreamParams(w http.ResponseWriter, r *http.Request) (walStreamParams, bool) {
 	p := walStreamParams{hb: defaultHeartbeat}
 	q := r.URL.Query()
-	switch v := q.Get("stream"); v {
-	case "", "0", "false":
-	case "1", "true":
-		p.stream = true
-	default:
-		writeErr(w, http.StatusBadRequest, "bad stream %q", v)
-		return p, false
-	}
 	if v := q.Get("hb"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
@@ -100,8 +91,7 @@ func parseStreamParams(w http.ResponseWriter, r *http.Request) (walStreamParams,
 }
 
 // handleWAL resolves the city — loading it on first touch — and serves
-// its stream: the push stream on ?stream=1, the classic one-shot
-// otherwise. "No WAL configured" is 501, never 409 — a follower must be
+// its stream. "No WAL configured" is 501, never 409 — a follower must be
 // able to tell a misconfigured primary apart from real divergence — and
 // is answered without loading anything.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
@@ -131,95 +121,42 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "city %q unavailable: %v", key, err)
 		return
 	}
-	cs := c.State
-	if p.stream {
-		cs.serveWALPush(w, r, from, p)
-		return
-	}
-	batch, err := streamFrom(cs.snapDir, cs.key, from, cs.walHead)
-	cs.stampBatch(batch)
-	writeStreamResult(w, from, batch, err)
+	c.State.serveWAL(w, r, from, p)
 }
 
-// walHead is the live stream head: the appender's last sequence and the
-// log's bytes since compaction.
-func (cs *cityState) walHead() (int64, int64) { return cs.wal.LastSeq(), cs.wal.Stats().Bytes }
-
-// stampBatch adds the node's replication term to an outgoing batch.
-func (cs *cityState) stampBatch(b *replicate.Batch) {
-	if b != nil && cs.epochInfo != nil {
-		b.Epoch, b.EpochPrimary = cs.epochInfo()
-	}
-}
-
-// awaitCommit blocks until the city's applied sequence passes from, the
-// wait elapses, or the request dies. The head/channel pair from await()
-// makes the check race-free: a commit landing between the sequence read
-// and the select either advanced the head already or will close ch.
-func (cs *cityState) awaitCommit(ctx context.Context, from int64, wait time.Duration) {
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for {
-		head, ch := cs.notify.await()
-		if head > from || cs.wal.LastSeq() > from {
-			return
-		}
-		select {
-		case <-ch:
-			cs.streams.wakeups.Inc()
-		case <-timer.C:
-			return
-		case <-ctx.Done():
-			return
-		}
-	}
-}
-
-// serveWALPush is the push mode: one initial batch (snapshot handoff
-// included when the resume point is behind the compaction horizon), then
-// frames flushed as commits land. Mid-stream the response can only carry
-// raw frames — headers and the snapshot section are spent — so any
-// condition that needs them again (compaction moved the log past the
-// cursor, a snapshot handoff installed, the life cap) simply ends the
-// stream; the client reconnects into a fresh decision. A replication
+// serveWAL writes one initial batch (snapshot handoff included when the
+// resume point is behind the compaction horizon), then flushes frames as
+// commits land. Mid-stream the response can only carry raw frames —
+// headers and the snapshot section are spent — so any condition that
+// needs them again (compaction moved the log past the cursor, a snapshot
+// handoff installed, the life cap) simply ends the stream; the client
+// reconnects into a fresh decision. A replication
 // term change ends the stream too: the term was stamped into this
 // response's headers at the top and cannot be restated, and after a
 // promotion or fence the consumer must re-handshake against the node's
 // new role rather than keep draining a response that claims the old one.
+// A response writer that cannot flush would hold every frame back until
+// the stream ends, so it gets a 500 instead.
 //
 // A ?fid= handshake feeds the server's slot table: the initial batch and
 // every flushed run advance the follower's recorded position, heartbeats
 // refresh its liveness — which is what lets compaction hold for exactly
 // the followers that are alive and behind.
-func (cs *cityState) serveWALPush(w http.ResponseWriter, r *http.Request, from int64, p walStreamParams) {
-	hb := p.hb
-	startTerm := int64(0)
-	if cs.epochInfo != nil {
-		startTerm, _ = cs.epochInfo()
-	}
-	batch, err := streamFrom(cs.snapDir, cs.key, from, cs.walHead)
-	if err != nil {
-		writeStreamResult(w, from, nil, err)
-		return
-	}
-	cs.stampBatch(batch)
+func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64, p walStreamParams) {
 	fl := telemetry.FlusherFor(w)
 	if fl == nil {
-		// Nothing in the writer stack can flush, so no push. Degrade to a
-		// bounded wait: when caught up, hold for a commit first so the
-		// client's clean-end reconnect self-paces on ~2×hb instead of
-		// hot-looping one-shots, then answer the batch.
-		if batch.Snapshot == nil && len(batch.Frames) == 0 {
-			cs.awaitCommit(r.Context(), from, 2*hb)
-			if batch, err = streamFrom(cs.snapDir, cs.key, from, cs.walHead); err != nil {
-				writeStreamResult(w, from, nil, err)
-				return
-			}
-			cs.stampBatch(batch)
-		}
-		writeStreamResult(w, from, batch, nil)
+		writeErr(w, http.StatusInternalServerError, "response writer cannot flush; /wal needs a streaming response")
 		return
 	}
+	batch, err := streamFrom(cs.snapDir, cs.key, from, cs.wal.LastSeq)
+	if err != nil {
+		writeStreamErr(w, from, err)
+		return
+	}
+	if cs.epochInfo != nil {
+		batch.Epoch, batch.EpochPrimary = cs.epochInfo()
+	}
+	hb := p.hb
 	cs.streams.open.Add(1)
 	defer cs.streams.open.Add(-1)
 	if err := replicate.WriteStream(w, batch); err != nil {
@@ -247,7 +184,7 @@ func (cs *cityState) serveWALPush(w http.ResponseWriter, r *http.Request, from i
 	for {
 		head, ch := cs.notify.await()
 		if cs.epochInfo != nil {
-			if term, _ := cs.epochInfo(); term != startTerm {
+			if term, _ := cs.epochInfo(); term != batch.Epoch {
 				// Promotion or fence mid-stream: end it. Promote bumps the
 				// term before sealing (each seal wakes this notifier), so a
 				// consumer can never be handed a frame committed after the
@@ -398,31 +335,26 @@ func parseFrom(w http.ResponseWriter, r *http.Request) (int64, bool) {
 	return n, true
 }
 
-// writeStreamResult maps a streamFrom result onto the response; true
-// means a batch was written.
-func writeStreamResult(w http.ResponseWriter, from int64, batch *replicate.Batch, err error) bool {
+// writeStreamErr maps a streamFrom failure onto the response status.
+func writeStreamErr(w http.ResponseWriter, from int64, err error) {
 	switch {
 	case errors.Is(err, errStreamAhead):
 		writeErr(w, http.StatusConflict, "follower at seq %d is ahead of this log", from)
-		return false
 	case errors.Is(err, errStreamBusy):
 		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-		return false
-	case err != nil:
+	default:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return false
 	}
-	_ = replicate.WriteStream(w, batch) // a cut connection is the client's retry
-	return true
 }
 
-// streamFrom assembles one stream batch: all committed records with
-// sequence > from, up to the live head the appender reports. The log files are read without locks while the
-// appender, and possibly a compaction, keep running — a torn tail just
-// ends the committed prefix, and the races that matter (a rotation or
-// compaction landing between two file reads) all surface as a sequence
-// gap, which is detected and retried rather than ever shipped.
-func streamFrom(dir, key string, from int64, head func() (int64, int64)) (*replicate.Batch, error) {
+// streamFrom assembles a stream's initial batch: all committed records
+// with sequence > from, up to the live head the appender reports. The log
+// files are read without locks while the appender, and possibly a
+// compaction, keep running — a torn tail just ends the committed prefix,
+// and the races that matter (a rotation or compaction landing between two
+// file reads) all surface as a sequence gap, which is detected and
+// retried rather than ever shipped.
+func streamFrom(dir, key string, from int64, head func() int64) (*replicate.Batch, error) {
 	for attempt := 0; ; attempt++ {
 		batch, err := tryCollect(dir, key, from, head)
 		if err != nil {
@@ -440,15 +372,15 @@ func streamFrom(dir, key string, from int64, head func() (int64, int64)) (*repli
 
 // tryCollect makes one read pass; nil batch with nil error means "raced
 // a rotation, retry".
-func tryCollect(dir, key string, from int64, head func() (int64, int64)) (*replicate.Batch, error) {
-	last, walBytes := head()
+func tryCollect(dir, key string, from int64, head func() int64) (*replicate.Batch, error) {
+	last := head()
 	if from > last {
 		return nil, errStreamAhead
 	}
 	if from == last {
-		// Caught up: the steady-state poll answers from the sequence
-		// counter alone, without reading (or parsing) a byte of log.
-		return &replicate.Batch{PrimarySeq: last, PrimaryWALBytes: walBytes}, nil
+		// Caught up: the stream opens from the sequence counter alone,
+		// without reading (or parsing) a byte of log.
+		return &replicate.Batch{PrimarySeq: last}, nil
 	}
 	frames, err := store.CollectWALFrames(dir, key)
 	if err != nil {
@@ -457,7 +389,7 @@ func tryCollect(dir, key string, from int64, head func() (int64, int64)) (*repli
 	if !strictlyAscending(frames) {
 		return nil, nil // two reads straddled a rotation
 	}
-	batch := &replicate.Batch{PrimarySeq: last, PrimaryWALBytes: walBytes}
+	batch := &replicate.Batch{PrimarySeq: last}
 	lo := last + 1 // an empty log: everything lives in the snapshot
 	if len(frames) > 0 {
 		lo = frames[0].Seq

@@ -8,7 +8,8 @@ import (
 )
 
 // TestParseStreamParams pins the /wal query contract, in particular that
-// a non-positive heartbeat is rejected outright rather than clamped.
+// a non-positive heartbeat is rejected outright rather than clamped, and
+// that the stream=1 older followers send is accepted and ignored.
 func TestParseStreamParams(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -18,13 +19,8 @@ func TestParseStreamParams(t *testing.T) {
 	}{
 		{name: "defaults", query: "", ok: true,
 			want: walStreamParams{hb: defaultHeartbeat}},
-		{name: "stream on", query: "stream=1", ok: true,
-			want: walStreamParams{stream: true, hb: defaultHeartbeat}},
-		{name: "stream true", query: "stream=true", ok: true,
-			want: walStreamParams{stream: true, hb: defaultHeartbeat}},
-		{name: "stream off", query: "stream=0", ok: true,
+		{name: "legacy stream ignored", query: "stream=1", ok: true,
 			want: walStreamParams{hb: defaultHeartbeat}},
-		{name: "stream garbage rejected", query: "stream=yes", ok: false},
 		{name: "hb", query: "hb=1s", ok: true,
 			want: walStreamParams{hb: time.Second}},
 		{name: "hb clamped up", query: "hb=1ms", ok: true,
@@ -34,8 +30,8 @@ func TestParseStreamParams(t *testing.T) {
 		{name: "hb zero rejected", query: "hb=0s", ok: false},
 		{name: "hb negative rejected", query: "hb=-100ms", ok: false},
 		{name: "hb garbage rejected", query: "hb=fast", ok: false},
-		{name: "fid", query: "stream=1&fid=follower-b", ok: true,
-			want: walStreamParams{stream: true, hb: defaultHeartbeat, fid: "follower-b"}},
+		{name: "fid", query: "fid=follower-b", ok: true,
+			want: walStreamParams{hb: defaultHeartbeat, fid: "follower-b"}},
 		{name: "fid too long rejected",
 			query: "fid=" + strings.Repeat("x", maxFollowerIDLen+1), ok: false},
 		{name: "fid at cap", query: "fid=" + strings.Repeat("x", maxFollowerIDLen), ok: true,

@@ -109,7 +109,7 @@ func (m *serverMetrics) city(key string) cityMetrics {
 
 // registerScrapeFuncs wires the scrape-time rows: registry residency,
 // per-city WAL stats and applied sequence, and — on followers — the
-// replication lag this node's tailer reports. Closures sample loaded
+// replication counters this node's tailers report. Closures sample loaded
 // cities only (scraping never forces a load); cities not loaded yet read 0.
 func (s *Server) registerScrapeFuncs(keys []string) {
 	reg := s.metrics.reg
@@ -166,13 +166,11 @@ func (s *Server) registerScrapeFuncs(keys []string) {
 				return 0
 			}
 		}
-		reg.GaugeFunc("gt_replication_lag_records", "Records behind the primary at the last sync.",
-			lagField(func(l replicate.Lag) float64 { return float64(l.Records) }), "city", key)
 		reg.CounterFunc("gt_replication_snapshot_handoffs_total", "Compaction handoffs installed.",
 			lagField(func(l replicate.Lag) float64 { return float64(l.SnapshotHandoffs) }), "city", key)
 		reg.CounterFunc("gt_replication_wire_retries_total", "Torn/corrupt wire responses that forced a re-fetch.",
 			lagField(func(l replicate.Lag) float64 { return float64(l.WireRetries) }), "city", key)
-		reg.CounterFunc("gt_replication_syncs_total", "Completed replication sync cycles.",
+		reg.CounterFunc("gt_replication_syncs_total", "Replication batches applied.",
 			lagField(func(l replicate.Lag) float64 { return float64(l.Syncs) }), "city", key)
 	}
 }

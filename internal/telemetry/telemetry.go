@@ -13,17 +13,20 @@
 // /metrics exposition can be backed by the *same* underlying values —
 // the two surfaces can never disagree.
 //
-// Series are registered up front (cities, shards and nodes are known at
-// boot), so the request path performs only atomic operations: no locks,
-// no maps, no allocation. Values that are cheaper to read than to track
-// (replication lag, WAL stats, residency) register as CounterFunc/
-// GaugeFunc and are sampled at scrape time.
+// Callers register a series once and keep the instrument, so the request
+// path performs only atomic operations: no locks, no maps, no allocation.
+// Registration may still happen while serving (a city's first load, a
+// follower's first stream, a topology reload that adds a node); it and
+// the scrape share one registry lock. Values that are cheaper to read
+// than to track (WAL stats, residency) register as CounterFunc/GaugeFunc
+// and are sampled at scrape time.
 package telemetry
 
 import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -306,8 +309,10 @@ func labelSig(labels []string) string {
 }
 
 // register returns the family's series for the labels, creating family
-// and series as needed.
-func (r *Registry) register(name, help string, kind metricKind, labels []string) *series {
+// and series as needed, and runs init on the series under the registry
+// lock — so a concurrent scrape, which copies series under the same lock,
+// never sees an instrument half-installed.
+func (r *Registry) register(name, help string, kind metricKind, labels []string, init func(*series)) *series {
 	sig := labelSig(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -326,53 +331,69 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 		f.series[sig] = s
 		f.order = append(f.order, sig)
 	}
+	init(s)
 	return s
+}
+
+// Unregister removes one series (a departed follower's row, say); a later
+// registration of the same (name, labels) starts afresh. Unknown series
+// are ignored.
+func (r *Registry) Unregister(name string, labels ...string) {
+	sig := labelSig(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.families[name]
+	if f == nil || f.series[sig] == nil {
+		return
+	}
+	delete(f.series, sig)
+	f.order = slices.DeleteFunc(f.order, func(o string) bool { return o == sig })
 }
 
 // Counter registers (or returns the existing) counter. labels are
 // key/value pairs: Counter("gt_hits_total", "hits", "city", "paris").
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.register(name, help, kindCounter, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.register(name, help, kindCounter, labels, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+	}).counter
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(name, help, kindGauge, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.register(name, help, kindGauge, labels, func(s *series) {
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+	}).gauge
 }
 
 // CounterFunc registers a counter sampled at scrape time — for
 // monotonically increasing values something else already tracks (WAL
 // fsync counts, replication sync counts). Re-registration replaces fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	r.register(name, help, kindCounter, labels).fn = fn
+	r.register(name, help, kindCounter, labels, func(s *series) { s.fn = fn })
 }
 
 // GaugeFunc registers a gauge sampled at scrape time — for values that
 // are cheaper to read than to track (lag, residency, queue depths).
 // Re-registration replaces fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	r.register(name, help, kindGauge, labels).fn = fn
+	r.register(name, help, kindGauge, labels, func(s *series) { s.fn = fn })
 }
 
 // Histogram registers (or returns the existing) histogram with the given
 // bucket upper bounds (nil: DefLatencyBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	s := r.register(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		if bounds == nil {
-			bounds = DefLatencyBuckets
+	return r.register(name, help, kindHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			if bounds == nil {
+				bounds = DefLatencyBuckets
+			}
+			s.hist = newHistogram(bounds)
 		}
-		s.hist = newHistogram(bounds)
-	}
-	return s.hist
+	}).hist
 }
 
 // formatFloat renders a sample value: integers without a decimal point
@@ -386,13 +407,23 @@ func formatFloat(v float64) string {
 
 // WritePrometheus renders the whole registry in the Prometheus text
 // exposition format (version 0.0.4), families in registration order,
-// series in registration order within each family.
+// series in registration order within each family. The series are copied
+// under the registry lock; their values are read after it is released,
+// so a slow scrape func never blocks registration.
 func (r *Registry) WritePrometheus(w *strings.Builder) {
+	type familyRows struct {
+		*family
+		rows []series
+	}
 	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
+	fams := make([]familyRows, len(r.order))
+	for i, n := range r.order {
+		f := r.families[n]
+		rows := make([]series, len(f.order))
+		for j, sig := range f.order {
+			rows[j] = *f.series[sig]
+		}
+		fams[i] = familyRows{f, rows}
 	}
 	r.mu.Unlock()
 
@@ -409,8 +440,8 @@ func (r *Registry) WritePrometheus(w *strings.Builder) {
 		w.WriteByte(' ')
 		w.WriteString(string(f.kind))
 		w.WriteByte('\n')
-		for _, sig := range f.order {
-			s := f.series[sig]
+		for i := range f.rows {
+			s := &f.rows[i]
 			switch {
 			case f.kind == kindHistogram:
 				writeHistogram(w, f.name, s)

@@ -176,6 +176,46 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 	}
 }
 
+// TestRegistryRegisterWhileRendering: series are registered while
+// serving — a city's first load, a follower's first stream, a topology
+// reload that adds a node — so a scrape must be safe against concurrent
+// registration of new series, and against a scrape func being replaced.
+// Run under -race (make race).
+func TestRegistryRegisterWhileRendering(t *testing.T) {
+	reg := NewRegistry()
+	const n = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			city := strconv.Itoa(i)
+			reg.Gauge("gt_lag", "lag", "city", city).Set(int64(i))
+			reg.Counter("gt_ops_total", "ops", "city", city).Inc()
+			reg.Histogram("gt_op_seconds", "op latency", nil, "city", city).Observe(0.001)
+			reg.GaugeFunc("gt_resident", "resident", func() float64 { return float64(i) })
+		}
+	}()
+	for renders := 0; ; renders++ {
+		select {
+		case <-done:
+			samples := parseExposition(t, reg.Render())
+			for _, i := range []int{0, n / 2, n - 1} {
+				city := strconv.Itoa(i)
+				if samples[`gt_lag{city="`+city+`"}`] != float64(i) || samples[`gt_ops_total{city="`+city+`"}`] != 1 ||
+					samples[`gt_op_seconds_count{city="`+city+`"}`] != 1 {
+					t.Fatalf("city %s missing or wrong after %d concurrent renders", city, renders)
+				}
+			}
+			if samples["gt_resident"] != n-1 {
+				t.Fatalf("gt_resident = %v, want the last registered func's %d", samples["gt_resident"], n-1)
+			}
+			return
+		default:
+			reg.Render()
+		}
+	}
+}
+
 // parseExposition is a minimal Prometheus text-format parser: it
 // validates line shape and returns sample name+labels -> value.
 func parseExposition(t *testing.T, body string) map[string]float64 {
