@@ -1,12 +1,13 @@
 # GroupTravel build/test entry points. `make ci` is what a CI runner (or a
-# reviewer) should run: vet + build + race-enabled tests + the macro
-# benchmark's smoke suite + every example run to completion. macrobench is its own module, so the root
+# developer before pushing) should run: vet + build + race-enabled tests +
+# a short fuzz of the recovery path + the macro benchmark's smoke suite +
+# every example run to completion. macrobench is its own module, so the root
 # `go build ./...` never compiles it: a server or router API change can
 # break the benchmark while every root target stays green.
 
 GO ?= go
 
-.PHONY: all build vet test race lint examples bench benchfull benchcompare macro-smoke ci
+.PHONY: all build vet test race fuzz lint examples bench benchfull benchcompare macro-smoke ci
 
 all: ci
 
@@ -31,6 +32,17 @@ test:
 # code the race detector exists for.
 race:
 	$(GO) test -race ./...
+
+# Fuzz the recovery path, 10 s per target: the WAL replayer (framing,
+# sequence order, in-place repair), the snapshot loader, and a city's full
+# restart recovery, which applies every log record through the function
+# replication applies shipped frames through. `go test -fuzz` takes one
+# target per run. -fuzzminimizetime keeps each run's budget on exploring:
+# minimizing a new input would otherwise take up to the default 60 s.
+fuzz:
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzLoadServerState$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzCityRecovery$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Static analysis beyond vet. gofmt ships with the Go toolchain, so any
 # file it would reformat fails the target. staticcheck and govulncheck run
@@ -93,4 +105,4 @@ benchcompare:
 	-$(GO) run ./cmd/benchjson -compare -tolerance 15 $(BENCH_BASE) BENCH_$(BENCH_GEN).json
 	$(GO) run ./cmd/benchjson -compare -tolerance 100 $(BENCH_BASE) BENCH_$(BENCH_GEN).json
 
-ci: lint build race macro-smoke examples
+ci: lint build race fuzz macro-smoke examples

@@ -112,6 +112,12 @@ func (s *Session) Log() []Op { return s.log }
 // profile refinement, is reinstated.
 func (s *Session) SetLog(ops []Op) { s.log = append([]Op(nil), ops...) }
 
+// AppendLog logs one op whose effect already reached the package by other
+// means — a replayed or replicated log record carries the post-op CI — so,
+// like SetLog, it does not re-apply it. Amortized O(1): a restart
+// replaying n ops onto one package stays linear in n.
+func (s *Session) AppendLog(op Op) { s.log = append(s.log, op) }
+
 // LookupPOI resolves a POI id in the session's city, or nil — useful for
 // moderation policies that inspect a request's target before it applies.
 func (s *Session) LookupPOI(id int) *poi.POI { return s.city.POIs.ByID(id) }

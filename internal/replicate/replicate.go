@@ -1,9 +1,9 @@
 // Package replicate ships a city's write-ahead log from a primary server
 // to follower replicas over HTTP, turning the single-process engine into
 // a primary/standby pair: a follower holds `GET /cities/{city}/wal?from=
-// {seq}` open and applies the framed records through the same
-// store.Applier the restart path replays with, so a replica is — by
-// construction — a restart that never stops happening.
+// {seq}` open and applies the framed records through the same function
+// the restart path replays its log with (the Target's ApplyFrames), so a
+// replica is — by construction — a restart that never stops happening.
 //
 // # Wire format
 //

@@ -79,9 +79,13 @@ type cityState struct {
 	replay       store.WALReplayInfo
 	replayMillis float64
 
-	// replica is the follower-mode apply state (see follower.go); nil on
-	// primaries and set once at construction.
-	replica *replicaMirror
+	// Follower apply state (follower.go). replMu serializes replication
+	// applies; replSeq is the last applied sequence, the stream's resume
+	// point. replStopped is set when the city does not replicate: from
+	// the start on a primary, at promotion on a follower.
+	replMu      sync.Mutex
+	replSeq     int64
+	replStopped bool
 
 	// slots is the server's follower-position ledger (slots.go): push
 	// streams feed it, compaction consults it. epochInfo reads the
@@ -155,6 +159,8 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 		streams:      &s.metrics.streams,
 		slots:        s.slots,
 		epochInfo:    s.Epoch,
+		// A city loaded after promotion is an ordinary read-write city.
+		replStopped: s.upstream == "" || s.promoted.Load(),
 	}
 	cs.persistErr.Store("")
 	if cs.snapDir == "" {
@@ -162,8 +168,7 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 	}
 
 	start := time.Now()
-	st, err := cs.recoverState()
-	if err != nil {
+	if err := cs.recoverState(); err != nil {
 		return nil, err
 	}
 	wal, err := store.OpenWAL(cs.snapDir, cs.key, s.walSync)
@@ -179,38 +184,16 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 	wal.Seed(cs.replay.CurrentRecords, cs.replay.LastSeq)
 	cs.wal = wal
 	cs.replayMillis = float64(time.Since(start)) / float64(time.Millisecond)
-	if st != nil {
-		cs.nextID = st.NextID
-		groups, packages, err := materializeState(cs.city, st)
-		if err != nil {
-			// The registry forgets failed loads and retries on the next
-			// request; leaving the log open would leak one fd per retry.
-			wal.Close()
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		cs.groups, cs.packages = groups, packages
-	}
-	// A city loaded after promotion is an ordinary read-write city; only
-	// an active follower builds the replication mirror. (A fenced node is
-	// read-only too, but nothing feeds it frames — no mirror.)
-	if s.upstream != "" && !s.promoted.Load() {
-		// Keep the recovered state as the replication mirror: the applier
-		// resumes validation exactly where recovery stopped, so the
-		// follower's resume point survives its own restarts.
-		ap, mst, err := store.NewApplier(st, cs.city)
-		if err != nil {
-			wal.Close()
-			return nil, err
-		}
-		ap.Seed(cs.replay.LastSeq)
-		cs.replica = &replicaMirror{st: mst, ap: ap}
-	}
+	// A follower resumes replication where its own log ends.
+	cs.replSeq = cs.replay.LastSeq
 	return cs, nil
 }
 
-// materializeState builds the serving registries from a persisted state —
-// the one route from durable form to live form, shared by restart
-// recovery and a follower's snapshot handoff.
+// materializeState builds the serving registries from a snapshot — the
+// one route from durable form to live form, shared by restart recovery
+// and a follower's snapshot handoff. The store validates structure
+// against the city; consensus names are server vocabulary, so they are
+// checked here, at load, rather than 500ing on the first /refine.
 func materializeState(city *dataset.City, st *store.ServerState) (map[int]*groupState, map[int]*packageState, error) {
 	groups := make(map[int]*groupState, len(st.Groups))
 	packages := make(map[int]*packageState, len(st.Packages))
@@ -222,6 +205,9 @@ func materializeState(city *dataset.City, st *store.ServerState) (map[int]*group
 		groups[gr.ID] = &groupState{group: gr.Group, profiles: profiles}
 	}
 	for _, pr := range st.Packages {
+		if _, _, err := methodByName(pr.Method); err != nil {
+			return nil, nil, fmt.Errorf("package %d: %w", pr.ID, err)
+		}
 		sess, err := interact.NewSession(city, pr.Package)
 		if err != nil {
 			return nil, nil, fmt.Errorf("restore package %d: %w", pr.ID, err)
@@ -234,44 +220,125 @@ func materializeState(city *dataset.City, st *store.ServerState) (map[int]*group
 	return groups, packages, nil
 }
 
-// recoverState reads snapshot + log. It returns nil state (not an error)
-// when the city starts empty: nothing persisted yet, or corruption that
-// was quarantined. I/O failures are returned as errors so the registry
-// forgets the load and the next request retries.
-func (cs *cityState) recoverState() (*store.ServerState, error) {
+// recoverState installs the snapshot and replays the log over it through
+// applyRecord. Corruption never fails the load: a snapshot that does not
+// decode, validate or materialize quarantines the city's files and the
+// city starts empty; a bad log record cuts the log there (replay repairs
+// the file and reports the cut on /healthz). I/O failures are returned as
+// errors so the registry forgets the load and the next request retries.
+func (cs *cityState) recoverState() error {
 	base, err := store.ReadSnapshot(cs.snapDir, cs.key, cs.city)
 	if err != nil {
-		// Corruption must not brick the city — quarantine, start empty,
-		// surface on /healthz. A transient I/O failure is different:
-		// quarantining an intact snapshot would orphan it, so fail this
-		// load instead.
+		// A transient I/O failure is not corruption: quarantining an
+		// intact snapshot would orphan it, so fail this load instead.
 		var corrupt *store.CorruptSnapshotError
 		if !errors.As(err, &corrupt) {
-			return nil, fmt.Errorf("server: snapshot for %q: %w", cs.key, err)
+			return fmt.Errorf("server: snapshot for %q: %w", cs.key, err)
 		}
 		cs.quarantineState(err)
-		return nil, nil
+		return nil
 	}
-	st, info, err := store.ReplayWAL(cs.snapDir, cs.key, cs.city, base)
+	var after int64
+	if base != nil {
+		groups, packages, err := materializeState(cs.city, base)
+		if err != nil {
+			cs.quarantineState(err)
+			return nil
+		}
+		cs.groups, cs.packages, cs.nextID = groups, packages, base.NextID
+		after = base.WALSeq
+	}
+	info, err := store.ReplayWAL(cs.snapDir, cs.key, cs.city, after, cs.applyRecord)
 	if err != nil {
-		return nil, fmt.Errorf("server: wal replay for %q: %w", cs.key, err)
+		return fmt.Errorf("server: wal replay for %q: %w", cs.key, err)
 	}
 	cs.replay = *info
-	// The store validates structure against the city; consensus names are
-	// server vocabulary, so check them here — at load, where the failure
-	// lands on /healthz — rather than letting a hand-edited method 500 on
-	// the first /refine.
-	for _, pr := range st.Packages {
-		if _, _, err := methodByName(pr.Method); err != nil {
-			cs.quarantineState(fmt.Errorf("package %d: %w", pr.ID, err))
-			cs.replay = store.WALReplayInfo{}
-			return nil, nil
+	return nil
+}
+
+// applyRecord applies one decoded log record to the serving state. It is
+// the one place a record's meaning lives: restart recovery replays the
+// log through it, and a follower applies shipped frames through it, so
+// replay and replication cannot disagree. Every check that needs the
+// state runs before anything changes, so a rejected record leaves the
+// state as it was — replay cuts the log there, a follower stops at it.
+func (cs *cityState) applyRecord(rec store.Record) error {
+	switch rec.Kind {
+	case store.RecordGroupCreate:
+		cs.mu.Lock()
+		defer cs.mu.Unlock()
+		if err := cs.claimIDLocked(rec.ID); err != nil {
+			return err
 		}
+		cs.groups[rec.ID] = &groupState{group: rec.Group, profiles: map[string]*profile.Profile{}}
+
+	case store.RecordPackageBuild, store.RecordRefine:
+		if _, _, err := methodByName(rec.Method); err != nil {
+			return fmt.Errorf("package %d: %w", rec.ID, err)
+		}
+		sess, err := interact.NewSession(cs.city, rec.Package)
+		if err != nil {
+			return err
+		}
+		cs.mu.Lock()
+		defer cs.mu.Unlock()
+		if cs.groups[rec.GroupID] == nil {
+			return fmt.Errorf("%s references unknown group %d", rec.Kind, rec.GroupID)
+		}
+		if err := cs.claimIDLocked(rec.ID); err != nil {
+			return err
+		}
+		cs.packages[rec.ID] = &packageState{groupID: rec.GroupID, method: rec.Method, session: sess}
+
+	case store.RecordCustomOp:
+		cs.mu.RLock()
+		ps := cs.packages[rec.PackageID]
+		var gs *groupState
+		if ps != nil {
+			gs = cs.groups[ps.groupID]
+		}
+		cs.mu.RUnlock()
+		if ps == nil || gs == nil {
+			return fmt.Errorf("customOp references unknown package %d", rec.PackageID)
+		}
+		op := rec.Op
+		if op.Member >= gs.group.Size() {
+			return fmt.Errorf("customOp member %d outside a group of %d", op.Member, gs.group.Size())
+		}
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		tp := ps.session.Package()
+		switch {
+		case op.Kind == interact.OpGenerate:
+			// GENERATE appends; its CIIndex is the new CI's slot.
+			if op.CIIndex != len(tp.CIs) {
+				return fmt.Errorf("generate CI index %d, package has %d CIs", op.CIIndex, len(tp.CIs))
+			}
+			tp.CIs = append(tp.CIs, rec.After)
+		case op.CIIndex >= len(tp.CIs):
+			return fmt.Errorf("op CI index %d out of range [0,%d)", op.CIIndex, len(tp.CIs))
+		default:
+			tp.CIs[op.CIIndex] = rec.After
+		}
+		ps.session.AppendLog(op)
+
+	default:
+		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
-	if st.NextID == 1 && len(st.Groups) == 0 && len(st.Packages) == 0 && base == nil {
-		return nil, nil // true first boot: no snapshot, no log
+	return nil
+}
+
+// claimIDLocked admits the id a log record allocated: positive, unused by
+// any group or package, and the allocator moves past it. cs.mu is held.
+func (cs *cityState) claimIDLocked(id int) error {
+	if id < 1 {
+		return fmt.Errorf("id %d out of range", id)
 	}
-	return st, nil
+	if cs.groups[id] != nil || cs.packages[id] != nil {
+		return fmt.Errorf("duplicate id %d", id)
+	}
+	cs.nextID = max(cs.nextID, id+1)
+	return nil
 }
 
 // quarantineState moves the snapshot and log aside (to <file>.corrupt) so
@@ -544,7 +611,7 @@ func (cs *cityState) collectState() *store.ServerState {
 
 // appliedSeq is the city's current WAL position: the last committed
 // sequence on a primary, the last applied sequence on a follower (frames
-// are re-appended verbatim AFTER materialization, so the local log head
+// are re-appended verbatim AFTER they apply, so the local log head
 // never runs ahead of the serving state — the invariant a router's
 // freshness pinning relies on). 0 when the city runs without persistence
 // — no sequence space exists then.

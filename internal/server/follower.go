@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
-	"grouptravel/internal/interact"
-	"grouptravel/internal/profile"
 	"grouptravel/internal/replicate"
 	"grouptravel/internal/store"
 )
@@ -16,105 +13,79 @@ import (
 // This file is the follower half of log shipping. A server constructed
 // with Options.Follow tails the primary's per-city logs (internal/
 // replicate) and keeps a warm, read-only copy of every city's serving
-// state: each shipped frame is validated and applied through the same
-// store.Applier restart replay uses, materialized into the live
-// group/package registries, and appended verbatim to the follower's own
-// write-ahead log — so a follower restart recovers its position from its
-// own disk and resumes where it left off. Mutating routes answer 403
-// with a pointer at the primary until Promote flips the process into a
-// full read-write server.
+// state: each shipped frame is decoded (store.DecodeRecord), applied to
+// the live group/package registries by applyRecord — the function
+// restart recovery replays the log through — and appended verbatim to the
+// follower's own write-ahead log, so a follower restart recovers its
+// position from its own disk and resumes where it left off. The serving
+// state is the only copy of the city the follower holds. Mutating routes
+// answer 403 with a pointer at the primary until Promote flips the
+// process into a full read-write server.
 
-// replicaMirror is a follower city's apply state: the persistent-form
-// mirror the applier validates against, applied in lockstep with the
-// serving registries. mu serializes replication applies (syncs for one
-// city are single-flighted by sequence anyway; the lock makes overlap
-// harmless). st/ap become nil at promotion: the mirror is dead weight
-// once local mutations — which bypass it — are allowed. fault latches a
-// materialization failure that left the mirror ahead of the serving
-// state: retrying would skip the frame the mirror already consumed, so
-// the city stops replicating (and keeps reporting the fault) instead of
-// silently losing a record.
-type replicaMirror struct {
-	mu    sync.Mutex
-	st    *store.ServerState
-	ap    *store.Applier
-	fault error
+// errNotReplicating answers replication calls for a city that does not
+// replicate: a primary's, or a follower's after promotion.
+func (cs *cityState) errNotReplicating() error {
+	return fmt.Errorf("server: %q is not replicating", cs.key)
 }
 
 // replicaResume is the city's resume point: the last applied sequence.
 func (cs *cityState) replicaResume() (int64, error) {
-	m := cs.replica
-	if m == nil {
-		return 0, fmt.Errorf("server: %q is not replicating", cs.key)
+	cs.replMu.Lock()
+	defer cs.replMu.Unlock()
+	if cs.replStopped {
+		return 0, cs.errNotReplicating()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ap == nil {
-		return 0, fmt.Errorf("server: %q was promoted; replication stopped", cs.key)
-	}
-	return m.ap.LastSeq(), nil
+	return cs.replSeq, nil
 }
 
-// applyFrames applies shipped records in order: validate against the
-// mirror, materialize into the serving registries, persist to the local
-// log — all under the read side of persistMu, exactly like a primary
-// mutation commit, so a follower compaction can never snapshot a state
-// whose record it then truncates. Frames at or below the current
-// position are skipped (at-least-once delivery). An error means the
-// stream and the local state disagree; the city stops advancing rather
-// than guessing.
+// applyFrames applies shipped records in order through applyRecord, then
+// persists them to the local log — all under the read side of persistMu,
+// exactly like a primary mutation commit, so a follower compaction can
+// never snapshot a state whose record it then truncates. Frames at or
+// below the current position are skipped (at-least-once delivery). An
+// error means the stream and the local state disagree; applyRecord left
+// the state at the record before it, and the city stops advancing there
+// rather than guessing.
 //
-// Persistence is batched: each applied frame materializes immediately,
-// but the verbatim re-append to the follower's own log happens once for
-// the whole batch through WAL.AppendFrames — one write, one group-commit
-// fsync — instead of one write and (under WALSyncAlways) one fsync per
-// frame. The read lock spans the batch so the [materialize + append]
-// pair stays atomic against compaction, and the append still runs
-// strictly after materialization, preserving the invariant that the
-// local log head never leads the serving state.
+// Persistence is batched: each frame applies immediately, but the
+// verbatim re-append to the follower's own log happens once for the whole
+// batch through WAL.AppendFrames — one write, one group-commit fsync —
+// instead of one write and (under WALSyncAlways) one fsync per frame. The
+// read lock spans the batch so the [apply + append] pair stays atomic
+// against compaction, and the append still runs strictly after the
+// apply, preserving the invariant that the local log head never leads the
+// serving state.
 func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
-	m := cs.replica
-	if m == nil {
-		return 0, fmt.Errorf("server: %q is not replicating", cs.key)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ap == nil {
-		return 0, fmt.Errorf("server: %q was promoted; replication stopped", cs.key)
-	}
-	if m.fault != nil {
-		return m.ap.LastSeq(), m.fault
+	cs.replMu.Lock()
+	defer cs.replMu.Unlock()
+	if cs.replStopped {
+		return 0, cs.errNotReplicating()
 	}
 	logged := false
 	var applyErr error
 	var toAppend []store.WALFrame
 	cs.persistMu.RLock()
 	for _, fr := range frames {
-		if fr.Seq <= m.ap.LastSeq() {
+		if fr.Seq <= cs.replSeq {
 			continue
 		}
-		res, err := m.ap.ApplyPayload(fr.Payload)
-		if err == nil && !res.Skipped {
-			if merr := cs.materializeRecord(res); merr != nil {
-				// The mirror already consumed this sequence; a retry
-				// would skip it and silently lose the record. Latch.
-				err = merr
-				m.fault = fmt.Errorf("server: %q replication fault at seq %d: %w", cs.key, fr.Seq, merr)
-			} else {
-				cs.met.framesApplied.Inc()
-				toAppend = append(toAppend, fr)
-			}
+		rec, err := store.DecodeRecord(fr.Payload, cs.city)
+		if err == nil {
+			err = cs.applyRecord(rec)
 		}
 		if err != nil {
 			applyErr = fmt.Errorf("seq %d: %w", fr.Seq, err)
 			break
 		}
+		cs.replSeq = fr.Seq
+		cs.met.framesApplied.Inc()
+		toAppend = append(toAppend, fr)
 	}
 	if len(toAppend) > 0 {
 		// Persistence failures never stall replication — the in-memory
 		// copy is committed; they surface on /healthz like any primary
-		// append failure. A fault mid-batch still
-		// persists the frames applied before it.
+		// append failure, and appliedSeq (the log head) stops there. A
+		// rejected frame mid-batch still persists the frames before it.
 		if werr := cs.wal.AppendFrames(toAppend); werr != nil {
 			cs.persistErr.Store(werr.Error())
 		} else {
@@ -122,11 +93,6 @@ func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 		}
 	}
 	cs.persistMu.RUnlock()
-	m.ap.Finish()
-	cs.mu.Lock()
-	cs.nextID = m.st.NextID
-	cs.mu.Unlock()
-	last := m.ap.LastSeq()
 	if len(toAppend) > 0 {
 		// One wake per batch: cascading replicas tailing this follower
 		// resume with the whole batch in one read.
@@ -135,114 +101,31 @@ func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 	if logged {
 		cs.maybeCompact()
 	}
-	return last, applyErr
-}
-
-// materializeRecord updates the serving registries for one applied
-// record — the incremental form of the full materializeState a restart
-// runs, touching only the entity the record touched.
-func (cs *cityState) materializeRecord(res store.Applied) error {
-	m := cs.replica
-	switch res.Kind {
-	case store.RecordGroupCreate:
-		gr := m.ap.Group(res.ID)
-		if gr == nil {
-			return fmt.Errorf("applied group %d missing from mirror", res.ID)
-		}
-		profiles := gr.Profiles
-		if profiles == nil {
-			profiles = map[string]*profile.Profile{}
-		}
-		cs.mu.Lock()
-		cs.groups[res.ID] = &groupState{group: gr.Group, profiles: profiles}
-		cs.mu.Unlock()
-
-	case store.RecordPackageBuild, store.RecordRefine:
-		pr := m.ap.Package(res.ID)
-		if pr == nil {
-			return fmt.Errorf("applied package %d missing from mirror", res.ID)
-		}
-		sess, err := interact.NewSession(cs.city, pr.Package) // deep-copies CIs
-		if err != nil {
-			return fmt.Errorf("materialize package %d: %w", res.ID, err)
-		}
-		sess.SetLog(pr.Ops)
-		cs.mu.Lock()
-		cs.packages[res.ID] = &packageState{groupID: pr.GroupID, method: pr.Method, session: sess}
-		cs.mu.Unlock()
-
-	case store.RecordCustomOp:
-		pr := m.ap.Package(res.PackageID)
-		cs.mu.RLock()
-		ps := cs.packages[res.PackageID]
-		cs.mu.RUnlock()
-		if pr == nil || ps == nil || len(pr.Ops) == 0 {
-			return fmt.Errorf("customOp package %d not materialized", res.PackageID)
-		}
-		// The applier already validated the op and installed the post-op
-		// CI in the mirror; graft a clone of exactly that CI into the
-		// serving session, so this path and restart replay produce
-		// identical sessions.
-		op := pr.Ops[len(pr.Ops)-1]
-		after := pr.Package.CIs[op.CIIndex].Clone()
-		ps.mu.Lock()
-		tp := ps.session.Package()
-		switch {
-		case op.CIIndex == len(tp.CIs):
-			tp.CIs = append(tp.CIs, after) // GENERATE
-		case op.CIIndex < len(tp.CIs):
-			tp.CIs[op.CIIndex] = after
-		default:
-			ps.mu.Unlock()
-			return fmt.Errorf("customOp CI %d beyond package %d", op.CIIndex, res.PackageID)
-		}
-		ps.session.SetLog(pr.Ops)
-		ps.mu.Unlock()
-
-	default:
-		return fmt.Errorf("unknown record kind %q", res.Kind)
-	}
-	return nil
+	return cs.replSeq, applyErr
 }
 
 // applySnapshot installs a compaction handoff: full validation, then the
-// on-disk state (raw snapshot + emptied log) and the in-memory state
-// (registries + mirror) swap together. Claiming the compaction slot and
-// the write side of persistMu excludes a follower compaction from
-// overwriting the handoff with the state it replaces.
+// on-disk state (raw snapshot + emptied log) and the in-memory registries
+// swap together. Claiming the compaction slot and the write side of
+// persistMu excludes a follower compaction from overwriting the handoff
+// with the state it replaces.
 func (cs *cityState) applySnapshot(raw []byte) (int64, error) {
-	m := cs.replica
-	if m == nil {
-		return 0, fmt.Errorf("server: %q is not replicating", cs.key)
+	cs.replMu.Lock()
+	defer cs.replMu.Unlock()
+	if cs.replStopped {
+		return 0, cs.errNotReplicating()
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ap == nil {
-		return 0, fmt.Errorf("server: %q was promoted; replication stopped", cs.key)
-	}
-	// A latched fault does not block a handoff: the snapshot replaces the
-	// state wholesale, so installing it is the one way the city can heal.
 	st, err := store.LoadServerState(bytes.NewReader(raw), cs.city)
 	if err != nil {
 		return 0, fmt.Errorf("server: handoff snapshot: %w", err)
 	}
-	if st.WALSeq <= m.ap.LastSeq() {
-		return m.ap.LastSeq(), nil // stale handoff; frames will cover the rest
-	}
-	for _, pr := range st.Packages {
-		if _, _, err := methodByName(pr.Method); err != nil {
-			return 0, fmt.Errorf("server: handoff package %d: %w", pr.ID, err)
-		}
+	if st.WALSeq <= cs.replSeq {
+		return cs.replSeq, nil // stale handoff; frames will cover the rest
 	}
 	groups, packages, err := materializeState(cs.city, st)
 	if err != nil {
 		return 0, fmt.Errorf("server: handoff: %w", err)
 	}
-	ap, mst, err := store.NewApplier(st, cs.city)
-	if err != nil {
-		return 0, err
-	}
-	ap.Seed(st.WALSeq)
 
 	for !cs.compacting.CompareAndSwap(false, true) {
 		time.Sleep(time.Millisecond)
@@ -264,21 +147,18 @@ func (cs *cityState) applySnapshot(raw []byte) (int64, error) {
 	cs.groups, cs.packages, cs.nextID = groups, packages, st.NextID
 	cs.mu.Unlock()
 	cs.persistMu.Unlock()
-	m.st, m.ap = mst, ap
-	m.fault = nil // the installed snapshot supersedes whatever was lost
+	cs.replSeq = st.WALSeq
 	cs.notify.wake(st.WALSeq)
 	return st.WALSeq, nil
 }
 
-// sealPromoted flips one city out of replica mode: fsync the log tail and
-// drop the mirror — local mutations commit through the WAL appender and
-// never touch it again.
+// sealPromoted flips one city out of replica mode: stop applying shipped
+// records and fsync the log tail — local mutations commit through the WAL
+// appender from here on.
 func (cs *cityState) sealPromoted() {
-	if m := cs.replica; m != nil {
-		m.mu.Lock()
-		m.st, m.ap = nil, nil
-		m.mu.Unlock()
-	}
+	cs.replMu.Lock()
+	cs.replStopped = true
+	cs.replMu.Unlock()
 	_ = cs.wal.Sync()
 	// A generation tick, not a position change: push streams re-check and
 	// notice the role flip on their next read.
@@ -372,8 +252,8 @@ func (s *Server) Promote() error {
 		// exchange to fence the deposed primary.
 		s.bumpEpoch()
 		for _, key := range s.reg.Keys() {
-			// Never force-load: an unloaded city has no open log and no
-			// mirror to seal, and loads read-write after the flip.
+			// Never force-load: an unloaded city has no open log to
+			// seal, and loads read-write after the flip.
 			if c, ok := s.reg.Resident(key); ok {
 				c.State.sealPromoted()
 			}

@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +17,7 @@ import (
 
 	"grouptravel/internal/dataset"
 	"grouptravel/internal/poi"
+	"grouptravel/internal/store"
 )
 
 // testTimeout bounds waits on replication catch-up.
@@ -331,6 +337,125 @@ func TestCorruptSnapshotSurfacesOnHealth(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("tampered snapshot still in place (err=%v)", err)
+	}
+}
+
+// TestUnknownConsensusInLogCutsReplay: a log record naming a consensus
+// this server does not know is an inapplicable record like any other.
+// Replay cuts the log there, serves the prefix and reports the cut on
+// /healthz; nothing is quarantined. (A snapshot naming one still
+// quarantines the city: TestCorruptSnapshotSurfacesOnHealth.)
+func TestUnknownConsensusInLogCutsReplay(t *testing.T) {
+	snapDir := t.TempDir()
+	_, ts := multiCityServer(t, snapDir)
+	gid, err := mcCreateGroup(ts, mcCities[0], "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkg packageResponse
+	if err := tryJSON(ts, "POST", ts.URL+"/cities/alpha/packages", createPackageRequest{
+		GroupID: gid, Consensus: "pairwise", K: 2,
+	}, 201, &pkg); err != nil {
+		t.Fatal(err)
+	}
+	// Rename the package record's consensus and re-frame it, so the log
+	// stays well-formed and only the record's meaning is bad.
+	walPath := store.WALPath(snapDir, "alpha")
+	frames, _, err := store.ReadWALFramesAt(walPath, 0)
+	if err != nil || len(frames) != 2 {
+		t.Fatalf("log holds %d frames (err %v), want group + package", len(frames), err)
+	}
+	bogus := bytes.Replace(frames[1].Payload, []byte(`"method":"pairwise"`), []byte(`"method":"bogus"`), 1)
+	if bytes.Equal(bogus, frames[1].Payload) {
+		t.Fatal("tamper target not found in the package record")
+	}
+	out := []byte("GTWALv1\n")
+	out = append(out, store.EncodeFrame(frames[0].Payload)...)
+	out = append(out, store.EncodeFrame(bogus)...)
+	if err := os.WriteFile(walPath, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := multiCityServer(t, snapDir)
+	if err := tryJSON(ts2, "GET", fmt.Sprintf("%s/cities/alpha/groups/%d", ts2.URL, gid), nil, 200, nil); err != nil {
+		t.Fatalf("prefix before the cut not served: %v", err)
+	}
+	if err := tryJSON(ts2, "GET", fmt.Sprintf("%s/cities/alpha/packages/%d", ts2.URL, pkg.ID), nil, 404, nil); err != nil {
+		t.Fatal(err)
+	}
+	var health healthResponse
+	if err := tryJSON(ts2, "GET", ts2.URL+"/healthz", nil, 200, &health); err != nil {
+		t.Fatal(err)
+	}
+	ch := health.Cities["alpha"]
+	if ch.WAL == nil || ch.WAL.Replayed != 1 || !strings.Contains(ch.WAL.ReplayTruncated, "bogus") {
+		t.Fatalf("cut not reported: %+v", ch.WAL)
+	}
+	if ch.PersistErr != "" {
+		t.Fatalf("an inapplicable log record quarantined the city: %q", ch.PersistErr)
+	}
+	if _, err := os.Stat(walPath + ".corrupt"); !os.IsNotExist(err) {
+		t.Fatalf("log quarantined (err=%v)", err)
+	}
+}
+
+// TestCityMetricsMatchHealth: /metrics serves each loaded city's
+// cluster-cache misses and load time, the values /healthz reports, and 0
+// for a city not loaded.
+func TestCityMetricsMatchHealth(t *testing.T) {
+	_, ts := multiCityServer(t, t.TempDir())
+	gid, err := mcCreateGroup(ts, mcCities[0], "alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tryJSON(ts, "POST", ts.URL+"/cities/alpha/packages", createPackageRequest{
+		GroupID: gid, Consensus: "pairwise", K: 2,
+	}, 201, nil); err != nil {
+		t.Fatal(err)
+	}
+	var health healthResponse
+	if err := tryJSON(ts, "GET", ts.URL+"/healthz", nil, 200, &health); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := func(name, city string) float64 {
+		t.Helper()
+		prefix := name + `{city="` + city + `"} `
+		for _, line := range strings.Split(string(scrape), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s", prefix)
+		return 0
+	}
+	misses := metric("gt_cluster_cache_misses_total", "alpha")
+	if want := float64(health.Cities["alpha"].Cache.Misses); misses < 1 || misses != want {
+		t.Fatalf("cluster-cache misses: /metrics %v, /healthz %v", misses, want)
+	}
+	var loadMillis float64
+	for _, c := range health.Registry.Cities {
+		if c.Key == "alpha" {
+			loadMillis = c.LoadMillis
+		}
+	}
+	if got := metric("gt_city_load_seconds", "alpha"); loadMillis <= 0 || math.Abs(got*1000-loadMillis) > 1e-9*loadMillis {
+		t.Fatalf("load time: /metrics %vs, /healthz %vms", got, loadMillis)
+	}
+	if metric("gt_cluster_cache_misses_total", "beta") != 0 || metric("gt_city_load_seconds", "beta") != 0 {
+		t.Fatal("a city not loaded reports nonzero")
 	}
 }
 

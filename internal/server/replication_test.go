@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"grouptravel/internal/dataset"
+	"grouptravel/internal/store"
 )
 
 // The replication correctness harness: a primary and an in-process
@@ -75,7 +76,7 @@ type mutator struct {
 
 func (m *mutator) base() string { return m.ts.URL + "/cities/" + m.key }
 
-func (m *mutator) step(t *testing.T) {
+func (m *mutator) step(t testing.TB) {
 	switch k := m.rng.Intn(10); {
 	case k < 2 || len(m.groups) == 0: // create a group
 		gid, err := mcCreateGroup(m.ts, m.city, m.key)
@@ -219,6 +220,74 @@ func TestReplicationConvergence(t *testing.T) {
 		}
 		if head := primaryHead(t, p, key); lag.AppliedSeq == 0 || lag.AppliedSeq != head {
 			t.Fatalf("%s applied %d vs primary %d", key, lag.AppliedSeq, head)
+		}
+	}
+}
+
+// TestFollowerRestartEqualsReplication pins "replay equals replication":
+// the state a follower builds by applying shipped frames must be exactly
+// the state its own restart rebuilds from its own directory — both run
+// every record through applyRecord — and both must equal the primary's.
+// The workload runs every record kind in every city; the follower
+// compacts alpha itself and the primary compacts beta while the follower
+// lags, forcing a snapshot handoff; gamma stays log-only. The restart
+// then recovers a snapshot plus log suffix, a handoff snapshot plus log
+// suffix, and a bare log.
+func TestFollowerRestartEqualsReplication(t *testing.T) {
+	followerDir := t.TempDir()
+	p, pts, f, _ := replicationPair(t,
+		Options{SnapshotDir: t.TempDir()},
+		Options{SnapshotDir: followerDir})
+	muts := make([]*mutator, len(mcKeys))
+	for i, key := range mcKeys {
+		muts[i] = &mutator{ts: pts, city: mcCities[i], key: key, rng: rand.New(rand.NewSource(int64(500 + i)))}
+	}
+	round := func(steps int) {
+		for _, m := range muts {
+			for i := 0; i < steps; i++ {
+				m.step(t)
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	round(6)
+	if err := f.Follower().CatchUp(testTimeout()); err != nil {
+		t.Fatal(err)
+	}
+	compactCity(t, f, "alpha")
+	round(6)
+	compactCity(t, p, "beta")
+	round(4)
+	if err := f.Follower().CatchUp(testTimeout()); err != nil {
+		t.Fatal(err)
+	}
+	if lag, _ := f.Follower().Lag("beta"); lag.SnapshotHandoffs == 0 {
+		t.Fatalf("beta took no snapshot handoff: %+v", lag)
+	}
+	assertConverged(t, p, f, mcKeys)
+	before := make(map[string]*store.ServerState, len(mcKeys))
+	for _, key := range mcKeys {
+		before[key] = captureState(t, f, key)
+	}
+
+	// Restart from the follower's own directory with no catch-up: every
+	// city's state comes from its snapshot and log alone.
+	f.Close()
+	f2, _ := followerFor(t, pts.URL, Options{SnapshotDir: followerDir})
+	assertConverged(t, p, f2, mcKeys)
+	for _, key := range mcKeys {
+		if got := captureState(t, f2, key); !reflect.DeepEqual(before[key], got) {
+			t.Fatalf("%s: restarted follower differs from its state before the restart:\nbefore: %+v\nafter:  %+v",
+				key, before[key], got)
+		}
+		c, err := f2.Registry().Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := c.State.health(); h.WAL == nil || h.WAL.ReplayTruncated != "" || h.PersistErr != "" {
+			t.Fatalf("%s: restart recovery was not clean: %+v", key, h)
 		}
 	}
 }

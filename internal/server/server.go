@@ -272,8 +272,8 @@ func NewMultiCity(opts Options) (*Server, error) {
 		compactEvery: int64(opts.CompactEvery),
 		compactBytes: opts.CompactBytes,
 		// Set before the registry exists: city loads consult the role to
-		// decide whether to build the replication mirror, and pull their
-		// per-city counters off the metrics registry.
+		// decide whether they replicate, and pull their per-city counters
+		// off the metrics registry.
 		advertise: strings.TrimRight(opts.Advertise, "/"),
 		upstream:  strings.TrimRight(opts.Follow, "/"),
 		metrics:   newServerMetrics(),

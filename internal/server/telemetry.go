@@ -4,9 +4,9 @@ package server
 // embedded servers and tests stay isolated), per-class HTTP metrics via
 // the shared middleware, real counters on the compaction and replication
 // apply paths, and scrape-time GaugeFunc/CounterFunc rows for values the
-// system already tracks (WAL stats, replication lag, registry residency)
-// — the same values /healthz reports, so the two surfaces can never
-// disagree.
+// system already tracks (WAL stats, replication lag, registry residency
+// and load times, cluster-cache misses) — the same values /healthz
+// reports, so the two surfaces can never disagree.
 
 import (
 	"grouptravel/internal/replicate"
@@ -108,7 +108,8 @@ func (m *serverMetrics) city(key string) cityMetrics {
 }
 
 // registerScrapeFuncs wires the scrape-time rows: registry residency,
-// per-city WAL stats and applied sequence, and — on followers — the
+// per-city WAL stats, applied sequence, cluster-cache misses and load
+// time, and — on followers — the
 // replication counters this node's tailers report. Closures sample loaded
 // cities only (scraping never forces a load); cities not loaded yet read 0.
 func (s *Server) registerScrapeFuncs(keys []string) {
@@ -151,6 +152,12 @@ func (s *Server) registerScrapeFuncs(keys []string) {
 			func() float64 {
 				return s.sampleCity(key, func(cs *cityState) float64 { return float64(cs.appliedSeq()) })
 			}, "city", key)
+		reg.CounterFunc("gt_cluster_cache_misses_total", "Clusterings the city's engine computed (cluster-cache misses).",
+			func() float64 {
+				return s.sampleCity(key, func(cs *cityState) float64 { return float64(cs.engine.CacheStats().Misses) })
+			}, "city", key)
+		reg.GaugeFunc("gt_city_load_seconds", "Wall time of the city's load: dataset, engine and state (snapshot read and log replay).",
+			func() float64 { return s.cityLoadSeconds(key) }, "city", key)
 	}
 
 	if s.follower == nil {
@@ -182,6 +189,17 @@ func (s *Server) sampleCity(key string, f func(cs *cityState) float64) float64 {
 		return 0
 	}
 	return f(c.State)
+}
+
+// cityLoadSeconds is a loaded city's load time, the value /healthz
+// reports as registry.cities[].loadMillis; 0 when not loaded.
+func (s *Server) cityLoadSeconds(key string) float64 {
+	for _, c := range s.reg.Stats().Cities {
+		if c.Key == key {
+			return c.LoadMillis / 1000
+		}
+	}
+	return 0
 }
 
 // Metrics exposes the server's telemetry registry (the /metrics source)

@@ -7,16 +7,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-
-	"grouptravel/internal/dataset"
 )
 
-// This file is the read side of the write-ahead log for consumers other
-// than restart recovery — most importantly log shipping (internal/
-// replicate): a primary serves committed frames from its live log, and a
-// follower applies them through the exact apply path ReplayWAL uses, so
+// This file is the frame codec and the read side of the write-ahead log
+// for consumers other than restart recovery — most importantly log
+// shipping (internal/replicate): a primary serves committed frames from
+// its live log, and a follower decodes them with DecodeRecord and applies
+// them through the same function restart recovery passes to ReplayWAL, so
 // replication and crash recovery can never disagree about what a log
-// means. Everything here is read-only and safe on a live, concurrently
+// means. The readers here are read-only and safe on a live, concurrently
 // appended file: a torn tail is simply where the committed prefix ends,
 // never something to repair from this side.
 
@@ -42,11 +41,15 @@ func (f WALFrame) WireLen() int64 { return int64(walFrameLen + len(f.Payload)) }
 // EncodeFrame frames one record payload exactly as the WAL writes it:
 // little-endian payload length, CRC32-Castagnoli, payload.
 func EncodeFrame(payload []byte) []byte {
-	buf := make([]byte, walFrameLen+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, walCRC))
-	copy(buf[walFrameLen:], payload)
-	return buf
+	return appendFrame(make([]byte, 0, walFrameLen+len(payload)), payload)
+}
+
+// appendFrame appends payload's frame to buf: the one encoder of the
+// frame header, behind Append, AppendFrames and the replication wire.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, walCRC))
+	return append(buf, payload...)
 }
 
 // DecodeFrame splits the first frame off buf, returning its payload and
@@ -85,44 +88,14 @@ func FrameSeq(payload []byte) (int64, error) {
 	return rec.Seq, nil
 }
 
-// ReadWALFrames reads the committed frames of a log file — the longest
-// valid prefix — without modifying it, so it is safe on a live log that an
-// appender (or this process's own WAL) is still writing: a torn or
-// corrupt tail just ends the prefix, exactly as replay would cut it. A
-// missing file yields no frames; a file without a valid header is an
-// error (the appender never produces one).
-func ReadWALFrames(path string) ([]WALFrame, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: read wal: %w", err)
-	}
-	if int64(len(raw)) < walHeaderLen || [8]byte(raw[:walHeaderLen]) != walMagic {
-		return nil, fmt.Errorf("store: wal %s has no valid header", path)
-	}
-	var frames []WALFrame
-	buf := raw[walHeaderLen:]
-	for len(buf) > 0 {
-		payload, n, err := DecodeFrame(buf)
-		if err != nil {
-			break // committed prefix ends here; replay repairs, we only read
-		}
-		seq, err := FrameSeq(payload)
-		if err != nil {
-			break
-		}
-		frames = append(frames, WALFrame{Seq: seq, Payload: payload})
-		buf = buf[n:]
-	}
-	return frames, nil
-}
-
-// ReadWALFramesAt reads the committed frames of a log file starting at
-// byte offset off (walHeaderLen for the first record), returning the
-// frames plus the offset just past the last one — the incremental read a
-// live push stream uses so a wakeup costs O(new bytes), not O(log). The
+// ReadWALFramesAt reads the committed frames of a log file — the longest
+// valid prefix — starting at byte offset off (0 or walHeaderLen for the
+// first record), returning the frames plus the offset just past the last
+// one: the incremental read a live push stream uses so a wakeup costs
+// O(new bytes), not O(log). It never modifies the file, so it is safe on
+// a live log an appender is still writing: a torn or corrupt tail just
+// ends the prefix, exactly where replay would cut it. A file without a
+// valid header is an error (the appender never produces one). The
 // header is validated only when reading from the top; at an interior
 // offset the caller's cursor may have been invalidated by a rotation, in
 // which case decoding fails (CRC over arbitrary bytes) or the sequence
@@ -186,11 +159,11 @@ func ReadWALFramesAt(path string, off int64) ([]WALFrame, int64, error) {
 // construction (rotation preserves the counter); callers detect the race
 // where a rotation lands between the two reads by checking contiguity.
 func CollectWALFrames(dir, key string) ([]WALFrame, error) {
-	pending, err := ReadWALFrames(PendingWALPath(dir, key))
+	pending, _, err := ReadWALFramesAt(PendingWALPath(dir, key), 0)
 	if err != nil {
 		return nil, err
 	}
-	current, err := ReadWALFrames(WALPath(dir, key))
+	current, _, err := ReadWALFramesAt(WALPath(dir, key), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -257,92 +230,3 @@ func WriteSnapshotRaw(dir, key string, raw []byte) error {
 	}
 	return nil
 }
-
-// --- exported apply path ---
-
-// Record kinds as they appear in Applied.Kind (and in walRecordJSON.Op).
-const (
-	RecordGroupCreate  = walOpGroupCreate
-	RecordPackageBuild = walOpPackageBuild
-	RecordCustomOp     = walOpCustomOp
-	RecordRefine       = walOpRefine
-)
-
-// Applied describes the effect of one applied record, enough for a caller
-// maintaining a materialized view (a follower's serving state) to update
-// exactly the touched entity.
-type Applied struct {
-	Kind      string
-	Seq       int64
-	ID        int  // groupCreate / packageBuild / refine: the allocated id
-	PackageID int  // customOp: the mutated package
-	Skipped   bool // sequence already covered; the state did not change
-}
-
-// Applier is the WAL apply path, exported: it applies framed record
-// payloads onto a ServerState with full validation, and it is the same
-// code restart replay runs — ReplayWAL and a replication follower cannot
-// diverge on what a record means because they share this type. Not safe
-// for concurrent use.
-type Applier struct {
-	ap *walApplier
-}
-
-// NewApplier builds an applier over st (which it mutates in place; nil is
-// an empty first-boot state) for the given city. The applier resumes from
-// st's WALSeq watermark; if records beyond the watermark were already
-// applied into st (a follower recovering snapshot + log), call Seed with
-// the true last applied sequence.
-func NewApplier(st *ServerState, city *dataset.City) (*Applier, *ServerState, error) {
-	if city == nil || city.POIs == nil {
-		return nil, nil, fmt.Errorf("store: nil city")
-	}
-	if st == nil {
-		st = &ServerState{City: city.Name, NextID: 1}
-	}
-	return &Applier{ap: newWALApplier(st, city)}, st, nil
-}
-
-// Seed moves the applier's resume point: records at or below lastSeq are
-// treated as already present in the state (skipped, not errors).
-func (a *Applier) Seed(lastSeq int64) {
-	if lastSeq > a.ap.skip {
-		a.ap.skip = lastSeq
-	}
-	if lastSeq > a.ap.lastSeq {
-		a.ap.lastSeq = lastSeq
-	}
-}
-
-// LastSeq is the highest sequence the applier has applied or been seeded
-// with — a follower's resume point.
-func (a *Applier) LastSeq() int64 { return a.ap.lastSeq }
-
-// ApplyPayload decodes one frame payload and applies it. A returned error
-// means the record was rejected and the state is untouched — for replay
-// that is the truncation point, for a follower a replication fault.
-func (a *Applier) ApplyPayload(payload []byte) (Applied, error) {
-	return a.ap.applyPayload(payload)
-}
-
-// Group returns the applied group record with the given id, or nil. The
-// record is owned by the applier's state; treat it as read-only.
-func (a *Applier) Group(id int) *GroupRecord {
-	if i, ok := a.ap.groups[id]; ok {
-		return &a.ap.st.Groups[i]
-	}
-	return nil
-}
-
-// Package returns the applied package record with the given id, or nil.
-func (a *Applier) Package(id int) *PackageRecord {
-	if i, ok := a.ap.pkgs[id]; ok {
-		return &a.ap.st.Packages[i]
-	}
-	return nil
-}
-
-// Finish restores the sorted-by-id invariant on the underlying state.
-// Idempotent; an applier keeps working after it (a follower finishes
-// every batch so compaction can snapshot a canonical state).
-func (a *Applier) Finish() { a.ap.finish() }

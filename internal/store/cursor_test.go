@@ -6,56 +6,6 @@ import (
 	"testing"
 )
 
-// TestApplierMatchesReplay is the one-code-path regression test: applying
-// a log frame-by-frame through the exported Applier — exactly what a
-// replication follower does with shipped frames — must produce the same
-// state, and the same resume sequence, as ReplayWAL's restart path over
-// the same log. Before the extraction the apply logic was only reachable
-// via restart; this pins the two entry points to one behavior.
-func TestApplierMatchesReplay(t *testing.T) {
-	fx := makeWALFixture(t)
-	dir := t.TempDir()
-	writeWAL(t, dir, "equiv", fx.records)
-
-	viaReplay, info, err := ReplayWAL(dir, "equiv", fx.city, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	frames, err := CollectWALFrames(dir, "equiv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != len(fx.records) {
-		t.Fatalf("read %d frames, wrote %d records", len(frames), len(fx.records))
-	}
-	ap, viaApplier, err := NewApplier(nil, fx.city)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fr := range frames {
-		res, err := ap.ApplyPayload(fr.Payload)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if res.Skipped || res.Seq != fr.Seq {
-			t.Fatalf("frame %d applied as %+v", i, res)
-		}
-	}
-	ap.Finish()
-
-	if got, want := stateJSON(t, viaApplier), stateJSON(t, viaReplay); got != want {
-		t.Fatalf("applier state differs from replay state:\n%s\nvs\n%s", got, want)
-	}
-	if ap.LastSeq() != info.LastSeq {
-		t.Fatalf("applier resume seq %d, replay %d", ap.LastSeq(), info.LastSeq)
-	}
-	// The materialization getters see every applied entity.
-	if ap.Group(1) == nil || ap.Package(2) == nil || ap.Package(3) == nil || ap.Group(9) != nil {
-		t.Fatal("applier getters disagree with the applied state")
-	}
-}
-
 // TestReadWALFramesLive: the cursor is a pure reader — a torn tail (an
 // append cut mid-frame, as on a live log) just ends the committed prefix,
 // and the file is left byte-for-byte alone for the appender to continue.
@@ -64,7 +14,7 @@ func TestReadWALFramesLive(t *testing.T) {
 	dir := t.TempDir()
 	writeWAL(t, dir, "live", fx.records)
 	path := WALPath(dir, "live")
-	whole, err := ReadWALFrames(path)
+	whole, _, err := ReadWALFramesAt(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +35,7 @@ func TestReadWALFramesLive(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-7); err != nil {
 		t.Fatal(err)
 	}
-	prefix, err := ReadWALFrames(path)
+	prefix, _, err := ReadWALFramesAt(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +54,12 @@ func TestReadWALFramesLive(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a wal"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadWALFrames(path); err == nil {
+	if _, _, err := ReadWALFramesAt(path, 0); err == nil {
 		t.Fatal("headerless file read as empty")
 	}
 	// A missing file reads as empty (no error): the pending segment is
 	// usually absent.
-	if frames, err := ReadWALFrames(WALPath(dir, "absent")); err != nil || frames != nil {
+	if frames, _, err := ReadWALFramesAt(WALPath(dir, "absent"), 0); err != nil || frames != nil {
 		t.Fatalf("missing file: frames=%v err=%v", frames, err)
 	}
 }
@@ -141,7 +91,7 @@ func TestAppendFrameShipsVerbatim(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
 	writeWAL(t, dir, "primary", fx.records)
-	frames, err := ReadWALFrames(WALPath(dir, "primary"))
+	frames, _, err := ReadWALFramesAt(WALPath(dir, "primary"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +118,11 @@ func TestAppendFrameShipsVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, info, err := ReplayWAL(dir, "follower", fx.city, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, info := replay(t, dir, "follower", fx.city, 0)
 	if info.Truncated != "" || info.Records != len(fx.records) {
 		t.Fatalf("follower replay info %+v", info)
 	}
-	if got, want := stateJSON(t, st), stateJSON(t, fx.want); got != want {
+	if got, want := streamJSON(t, recs), writtenJSON(t, 1, fx.records); got != want {
 		t.Fatalf("shipped log replays differently:\n%s\nvs\n%s", got, want)
 	}
 }
@@ -190,12 +137,9 @@ func TestSnapshotRawHandoff(t *testing.T) {
 		t.Fatalf("missing snapshot: raw=%v seq=%d err=%v", raw, seq, err)
 	}
 
-	st, _, err := replayFixtureState(t, fx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := *fx.want
 	st.WALSeq = 6
-	if _, err := WriteSnapshot(dir, "a", st); err != nil {
+	if _, err := WriteSnapshot(dir, "a", &st); err != nil {
 		t.Fatal(err)
 	}
 	raw, seq, err := ReadSnapshotRaw(dir, "a")
@@ -210,51 +154,7 @@ func TestSnapshotRawHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.WALSeq != 6 || stateJSON(t, got) != stateJSON(t, st) {
+	if got.WALSeq != 6 || stateJSON(t, got) != stateJSON(t, &st) {
 		t.Fatal("raw-installed snapshot loads differently")
-	}
-}
-
-// replayFixtureState builds the fixture's state via a throwaway log — a
-// convenience for tests needing a realistic *ServerState.
-func replayFixtureState(t *testing.T, fx *walFixture) (*ServerState, *WALReplayInfo, error) {
-	t.Helper()
-	dir := t.TempDir()
-	writeWAL(t, dir, "tmp", fx.records)
-	return ReplayWAL(dir, "tmp", fx.city, nil)
-}
-
-// TestApplierFinishKeepsLookupsExact: ids can commit slightly out of id
-// order (concurrent mutations), and a follower calls Finish after every
-// batch while the applier keeps applying. Finish's sort must keep the
-// id lookups exact — a stale index would resolve an id to a different
-// record's slot and corrupt the next batch's customOp target.
-func TestApplierFinishKeepsLookupsExact(t *testing.T) {
-	fx := makeWALFixture(t)
-	g := fx.want.Groups[0].Group
-	dir := t.TempDir()
-	// Two groups committed in reverse id order, then Finish (sorts).
-	writeWAL(t, dir, "ooo", []WALRecord{GroupCreateRecord(2, g), GroupCreateRecord(1, g)})
-	frames, err := ReadWALFrames(WALPath(dir, "ooo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, st, err := NewApplier(nil, fx.city)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fr := range frames {
-		if _, err := ap.ApplyPayload(fr.Payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ap.Finish()
-	if st.Groups[0].ID != 1 || st.Groups[1].ID != 2 {
-		t.Fatalf("groups not sorted: %d, %d", st.Groups[0].ID, st.Groups[1].ID)
-	}
-	for id := 1; id <= 2; id++ {
-		if gr := ap.Group(id); gr == nil || gr.ID != id {
-			t.Fatalf("Group(%d) resolved to %+v after Finish", id, gr)
-		}
 	}
 }

@@ -94,9 +94,10 @@ func FuzzLoadServerState(f *testing.F) {
 // FuzzReplayWAL feeds arbitrary bytes to the write-ahead-log replayer.
 // Log files sit on disk across crashes — torn tails and bit rot are their
 // expected failure modes, not edge cases — so the replayer must never
-// panic, must apply exactly the surviving prefix, and its in-place repair
-// must be a fixpoint: replaying the repaired file again yields the same
-// state with nothing further truncated.
+// panic, must pass on exactly the surviving prefix, and its in-place
+// repair must be a fixpoint: replaying the repaired file again decodes the
+// same records with nothing further truncated. (What the records do to a
+// city's state is the server's; FuzzCityRecovery fuzzes that.)
 func FuzzReplayWAL(f *testing.F) {
 	city, err := dataset.Generate(dataset.TestSpec("FuzzWALCity", 84))
 	if err != nil {
@@ -130,25 +131,32 @@ func FuzzReplayWAL(f *testing.F) {
 		}
 		// Fuzz seeds were written against the fixture's city; replay here
 		// runs against FuzzWALCity, so even "valid" streams exercise the
-		// inapplicable-record path (unknown POIs, schema mismatches).
-		st, info, err := ReplayWAL(dir, "fuzz", city, nil)
+		// undecodable-record path (unknown POIs, schema mismatches).
+		var recs, recs2 []Record
+		info, err := ReplayWAL(dir, "fuzz", city, 0, func(r Record) error {
+			recs = append(recs, r)
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("replay returned I/O error on in-memory data: %v", err)
 		}
-		if st == nil || info == nil {
-			t.Fatal("replay returned nil state/info without error")
+		if info == nil || len(recs) != info.Records {
+			t.Fatalf("replay passed %d records, info %+v", len(recs), info)
 		}
 		// Repair fixpoint: the truncated (or quarantined) file replays
-		// cleanly to the identical state.
-		st2, info2, err := ReplayWAL(dir, "fuzz", city, nil)
+		// cleanly to the identical record stream.
+		info2, err := ReplayWAL(dir, "fuzz", city, 0, func(r Record) error {
+			recs2 = append(recs2, r)
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("repaired replay errored: %v", err)
 		}
-		if info2.Truncated != "" || info2.Records != info.Records {
+		if info2.Truncated != "" || info2.Records != info.Records || info2.LastSeq != info.LastSeq {
 			t.Fatalf("repair not a fixpoint: first %+v, second %+v", info, info2)
 		}
-		if stateJSON(t, st) != stateJSON(t, st2) {
-			t.Fatal("repaired log replays to a different state")
+		if streamJSON(t, recs) != streamJSON(t, recs2) {
+			t.Fatal("repaired log replays to a different record stream")
 		}
 	})
 }

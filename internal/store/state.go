@@ -102,34 +102,48 @@ func opsToJSON(ops []interact.Op) []opJSON {
 func opsFromJSON(in []opJSON, city *dataset.City, groupSize int) ([]interact.Op, error) {
 	out := make([]interact.Op, 0, len(in))
 	for i, oj := range in {
-		kind, err := interact.ParseOpKind(oj.Kind)
-		if err != nil {
-			return nil, fmt.Errorf("store: op %d: %w", i, err)
-		}
-		if oj.Member < 0 || oj.Member >= groupSize || oj.CI < 0 {
+		if oj.Member >= groupSize {
 			return nil, fmt.Errorf("store: op %d member/ci out of range", i)
 		}
-		op := interact.Op{Kind: kind, Member: oj.Member, CIIndex: oj.CI}
-		resolve := func(ids []int) ([]*poi.POI, error) {
-			var pois []*poi.POI
-			for _, id := range ids {
-				p := city.POIs.ByID(id)
-				if p == nil {
-					return nil, fmt.Errorf("store: op %d references unknown POI %d", i, id)
-				}
-				pois = append(pois, p)
-			}
-			return pois, nil
-		}
-		if op.Added, err = resolve(oj.Added); err != nil {
-			return nil, err
-		}
-		if op.Removed, err = resolve(oj.Removed); err != nil {
-			return nil, err
+		op, err := opFromJSON(oj, city)
+		if err != nil {
+			return nil, fmt.Errorf("store: op %d: %w", i, err)
 		}
 		out = append(out, op)
 	}
 	return out, nil
+}
+
+// opFromJSON rebuilds one logged op against the city. Its member is not
+// checked against the group's size: that needs the group, which only the
+// caller knows.
+func opFromJSON(oj opJSON, city *dataset.City) (interact.Op, error) {
+	kind, err := interact.ParseOpKind(oj.Kind)
+	if err != nil {
+		return interact.Op{}, err
+	}
+	if oj.Member < 0 || oj.CI < 0 {
+		return interact.Op{}, fmt.Errorf("member/ci out of range")
+	}
+	op := interact.Op{Kind: kind, Member: oj.Member, CIIndex: oj.CI}
+	resolve := func(ids []int) ([]*poi.POI, error) {
+		var pois []*poi.POI
+		for _, id := range ids {
+			p := city.POIs.ByID(id)
+			if p == nil {
+				return nil, fmt.Errorf("references unknown POI %d", id)
+			}
+			pois = append(pois, p)
+		}
+		return pois, nil
+	}
+	if op.Added, err = resolve(oj.Added); err != nil {
+		return interact.Op{}, err
+	}
+	if op.Removed, err = resolve(oj.Removed); err != nil {
+		return interact.Op{}, err
+	}
+	return op, nil
 }
 
 type serverStateJSON struct {

@@ -1,13 +1,11 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +22,15 @@ import (
 // state is snapshot + log suffix: WriteSnapshot (state.go) captures the
 // full state at compaction time, and between compactions every mutation
 // appends exactly one typed record here, so mutation cost is O(1 record)
-// instead of O(city state). Recovery replays the snapshot and then the
-// log; a torn tail (partial frame, CRC mismatch, or a record the state
-// cannot apply) is truncated at the last valid record rather than
-// bricking the city. The record stream is also the replication hook: a
-// follower can tail frames, which it could never do with atomic renames.
+// instead of O(city state). This package owns the file: framing,
+// checksums, sequence order and repair. What a record does to a city's
+// state belongs to the caller: ReplayWAL decodes each record
+// (DecodeRecord) and hands it to the caller's apply function, the same
+// one a replication follower runs on shipped frames. A torn tail (partial
+// frame, CRC mismatch, or a record the caller cannot apply) is truncated
+// at the last valid record rather than bricking the city. The record
+// stream is also the replication hook: a follower can tail frames, which
+// it could never do with atomic renames.
 //
 // # On-disk format
 //
@@ -57,12 +59,13 @@ const maxWALRecord = 16 << 20
 // walCRC is CRC32-Castagnoli — hardware-accelerated on amd64/arm64.
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Record kinds. Each mirrors one server mutation.
+// Record kinds, as they appear in Record.Kind and in the payload's "op"
+// field. Each mirrors one server mutation.
 const (
-	walOpGroupCreate  = "groupCreate"  // a group registered
-	walOpPackageBuild = "packageBuild" // a package built for a group
-	walOpCustomOp     = "customOp"     // one §3.3 customization op applied
-	walOpRefine       = "refine"       // a package rebuilt from a refined profile
+	RecordGroupCreate  = "groupCreate"  // a group registered
+	RecordPackageBuild = "packageBuild" // a package built for a group
+	RecordCustomOp     = "customOp"     // one §3.3 customization op applied
+	RecordRefine       = "refine"       // a package rebuilt from a refined profile
 )
 
 // walRecordJSON is the on-disk payload of one record. Exactly the fields
@@ -115,13 +118,13 @@ func (r WALRecord) Kind() string { return r.rec.Op }
 // GroupCreateRecord logs a group registration under the allocated id.
 func GroupCreateRecord(id int, g *profile.Group) WALRecord {
 	gj := groupToJSON(g)
-	return WALRecord{rec: walRecordJSON{Op: walOpGroupCreate, ID: id, Group: &gj}}
+	return WALRecord{rec: walRecordJSON{Op: RecordGroupCreate, ID: id, Group: &gj}}
 }
 
 // PackageBuildRecord logs a built package under the allocated id.
 func PackageBuildRecord(id, groupID int, method string, tp *core.TravelPackage) WALRecord {
 	pj := packageToJSON(tp)
-	return WALRecord{rec: walRecordJSON{Op: walOpPackageBuild, ID: id, GroupID: groupID, Method: method, Package: &pj}}
+	return WALRecord{rec: walRecordJSON{Op: RecordPackageBuild, ID: id, GroupID: groupID, Method: method, Package: &pj}}
 }
 
 // RefineRecord logs a package rebuilt from a refined profile. Replay
@@ -130,7 +133,7 @@ func PackageBuildRecord(id, groupID int, method string, tp *core.TravelPackage) 
 func RefineRecord(id, groupID int, method string, tp *core.TravelPackage, source int, strategy string) WALRecord {
 	pj := packageToJSON(tp)
 	return WALRecord{rec: walRecordJSON{
-		Op: walOpRefine, ID: id, GroupID: groupID, Method: method, Package: &pj,
+		Op: RecordRefine, ID: id, GroupID: groupID, Method: method, Package: &pj,
 		Source: source, Strategy: strategy,
 	}}
 }
@@ -140,7 +143,85 @@ func RefineRecord(id, groupID int, method string, tp *core.TravelPackage, source
 func CustomOpRecord(packageID int, op interact.Op, after *ci.CI) WALRecord {
 	oj := opsToJSON([]interact.Op{op})[0]
 	cj := ciToJSON(after)
-	return WALRecord{rec: walRecordJSON{Op: walOpCustomOp, PackageID: packageID, Change: &oj, After: &cj}}
+	return WALRecord{rec: walRecordJSON{Op: RecordCustomOp, PackageID: packageID, Change: &oj, After: &cj}}
+}
+
+// Record is one decoded log record, resolved against its city: the fields
+// its kind needs are present and every POI id names a POI of the city.
+// Whether it applies — the id is unused, the group or package exists, the
+// member and CI index fit, the consensus name is known — depends on the
+// state it lands on, so the consumer checks that.
+type Record struct {
+	Kind string
+	Seq  int64
+
+	// groupCreate / packageBuild / refine: the allocated id.
+	ID int
+
+	// groupCreate.
+	Group *profile.Group
+
+	// packageBuild / refine.
+	GroupID int
+	Method  string
+	Package *core.TravelPackage
+
+	// customOp: the logged op and the affected CI's post-op state.
+	PackageID int
+	Op        interact.Op
+	After     *ci.CI
+}
+
+// DecodeRecord decodes one frame payload and resolves it against the city.
+// It is stateless: an error means the record cannot mean anything in this
+// city, whatever state it lands on.
+func DecodeRecord(payload []byte, city *dataset.City) (Record, error) {
+	rec, err := parseRecord(payload)
+	if err != nil {
+		return Record{}, err
+	}
+	return resolveRecord(rec, city)
+}
+
+func parseRecord(payload []byte) (walRecordJSON, error) {
+	var rec walRecordJSON
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return rec, fmt.Errorf("undecodable record: %v", err)
+	}
+	return rec, nil
+}
+
+func resolveRecord(rec walRecordJSON, city *dataset.City) (Record, error) {
+	out := Record{
+		Kind: rec.Op, Seq: rec.Seq, ID: rec.ID,
+		GroupID: rec.GroupID, Method: rec.Method, PackageID: rec.PackageID,
+	}
+	var err error
+	switch rec.Op {
+	case RecordGroupCreate:
+		if rec.Group == nil {
+			return Record{}, fmt.Errorf("groupCreate without group")
+		}
+		out.Group, err = groupFromJSON(*rec.Group, city.Schema)
+	case RecordPackageBuild, RecordRefine:
+		if rec.Package == nil {
+			return Record{}, fmt.Errorf("%s without package", rec.Op)
+		}
+		out.Package, err = packageFromJSON(*rec.Package, city)
+	case RecordCustomOp:
+		if rec.Change == nil || rec.After == nil {
+			return Record{}, fmt.Errorf("customOp without change/after")
+		}
+		if out.Op, err = opFromJSON(*rec.Change, city); err == nil {
+			out.After, err = ciFromJSON(*rec.After, city)
+		}
+	default:
+		return Record{}, fmt.Errorf("unknown record kind %q", rec.Op)
+	}
+	if err != nil {
+		return Record{}, err
+	}
+	return out, nil
 }
 
 // WALPath is the canonical log location for a city key inside a state
@@ -397,21 +478,26 @@ func (w *WAL) Path() string { return w.path }
 func (w *WAL) Append(rec WALRecord) (int64, error) {
 	start := time.Now()
 	w.mu.Lock()
-	if w.f == nil {
+	if err := w.writableLocked(); err != nil {
 		w.mu.Unlock()
-		return 0, fmt.Errorf("store: wal closed")
+		return 0, err
 	}
-	rec.rec.Seq = w.nextSeq
+	seq := w.nextSeq
+	rec.rec.Seq = seq
 	payload, err := json.Marshal(rec.rec)
 	if err != nil {
 		w.mu.Unlock()
 		return 0, fmt.Errorf("store: wal encode: %w", err)
 	}
-	if err := w.appendLocked(payload, rec.rec.Seq); err != nil {
+	if len(payload) > maxWALRecord {
+		w.mu.Unlock()
+		return 0, fmt.Errorf("store: wal record %d bytes exceeds cap %d", len(payload), maxWALRecord)
+	}
+	if err := w.writeLocked(EncodeFrame(payload), 1, seq+1); err != nil {
 		return 0, err
 	}
 	w.appendHist.ObserveSince(start)
-	return rec.rec.Seq, nil
+	return seq, nil
 }
 
 // AppendFrames appends a run of already-sequenced frames — shipped from a
@@ -421,61 +507,69 @@ func (w *WAL) Append(rec WALRecord) (int64, error) {
 // frame is encoded into a single buffer, written with one write call, and
 // covered by a single group-commit fsync. Frames whose sequence the log
 // already holds are skipped (at-least-once delivery re-sends them, and
-// replaying a duplicate would double-apply); within the run sequences
-// must be strictly ascending. An error
-// means none of the run's frames committed: a partial write is healed by
-// truncating back to the run's start, like Append.
+// replaying a duplicate would double-apply). The rest must continue the
+// log without a hole: a run whose first new frame is not LastSeq()+1, or
+// that skips a sequence, is refused whole and the log is left untouched —
+// appending past a hole would report a head whose records a restart
+// cannot replay. An error means none of the run's frames committed: a
+// partial write is healed by truncating back to the run's start, like
+// Append.
 func (w *WAL) AppendFrames(frames []WALFrame) error {
-	if len(frames) == 0 {
-		return nil
-	}
 	start := time.Now()
 	w.mu.Lock()
-	if w.f == nil {
+	if err := w.writableLocked(); err != nil {
 		w.mu.Unlock()
-		return fmt.Errorf("store: wal closed")
+		return err
 	}
-	if w.broken {
-		w.mu.Unlock()
-		return fmt.Errorf("store: wal broken by earlier write failure (compaction or restart recovers)")
-	}
-	var total int
+	next := w.nextSeq
+	var buf []byte
 	n := 0
-	seq := w.nextSeq
 	for _, fr := range frames {
-		if fr.Seq < seq {
+		switch {
+		case fr.Seq < next:
 			continue // already durable here; idempotent re-send
-		}
-		if len(fr.Payload) > maxWALRecord {
+		case fr.Seq > next:
+			w.mu.Unlock()
+			return fmt.Errorf("store: wal append: frame seq %d does not follow seq %d", fr.Seq, next-1)
+		case len(fr.Payload) > maxWALRecord:
 			w.mu.Unlock()
 			return fmt.Errorf("store: wal record %d bytes exceeds cap %d", len(fr.Payload), maxWALRecord)
 		}
-		total += walFrameLen + len(fr.Payload)
-		seq = fr.Seq + 1
+		buf = appendFrame(buf, fr.Payload)
+		next++
 		n++
 	}
 	if n == 0 {
 		w.mu.Unlock()
 		return nil
 	}
-	buf := make([]byte, 0, total)
-	next := w.nextSeq
-	for _, fr := range frames {
-		if fr.Seq < next {
-			continue
-		}
-		var hdr [walFrameLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(fr.Payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(fr.Payload, walCRC))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, fr.Payload...)
-		next = fr.Seq + 1
+	if err := w.writeLocked(buf, n, next); err != nil {
+		return err
 	}
-	startOff := w.size.Load()
+	w.appendHist.ObserveSince(start)
+	return nil
+}
+
+// writableLocked refuses appends to a closed or broken log; w.mu is held.
+func (w *WAL) writableLocked() error {
+	if w.f == nil {
+		return fmt.Errorf("store: wal closed")
+	}
+	if w.broken {
+		return fmt.Errorf("store: wal broken by earlier write failure (compaction or restart recovers)")
+	}
+	return nil
+}
+
+// writeLocked writes buf — n whole frames, the last one sequence next-1 —
+// at the end of the log, then applies the sync policy. Called with w.mu
+// held; it unlocks.
+func (w *WAL) writeLocked(buf []byte, n int, next int64) error {
+	start := w.size.Load()
 	wrote, err := w.f.Write(buf)
 	if err != nil {
 		if wrote > 0 {
-			if terr := w.f.Truncate(startOff); terr != nil {
+			if terr := w.f.Truncate(start); terr != nil {
 				w.broken = true
 				w.size.Add(int64(wrote))
 			}
@@ -483,57 +577,9 @@ func (w *WAL) AppendFrames(frames []WALFrame) error {
 		w.mu.Unlock()
 		return fmt.Errorf("store: wal append: %w", err)
 	}
-	w.size.Store(startOff + int64(wrote))
+	w.size.Store(start + int64(wrote))
 	w.records += int64(n)
 	w.nextSeq = next
-	off := w.size.Load()
-	w.mu.Unlock()
-
-	var serr error
-	switch w.policy.Mode {
-	case WALSyncAlways:
-		serr = w.syncTo(off, false)
-	case WALSyncInterval:
-		serr = w.syncTo(off, true)
-	}
-	if serr != nil {
-		return serr
-	}
-	w.appendHist.ObserveSince(start)
-	return nil
-}
-
-// appendLocked frames and writes one payload whose stamped sequence is
-// seq, then applies the sync policy. Called with w.mu held; it unlocks.
-func (w *WAL) appendLocked(payload []byte, seq int64) error {
-	if w.broken {
-		w.mu.Unlock()
-		return fmt.Errorf("store: wal broken by earlier write failure (compaction or restart recovers)")
-	}
-	if len(payload) > maxWALRecord {
-		w.mu.Unlock()
-		return fmt.Errorf("store: wal record %d bytes exceeds cap %d", len(payload), maxWALRecord)
-	}
-	buf := make([]byte, walFrameLen+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, walCRC))
-	copy(buf[walFrameLen:], payload)
-
-	start := w.size.Load()
-	n, err := w.f.Write(buf)
-	if err != nil {
-		if n > 0 {
-			if terr := w.f.Truncate(start); terr != nil {
-				w.broken = true
-				w.size.Add(int64(n))
-			}
-		}
-		w.mu.Unlock()
-		return fmt.Errorf("store: wal append: %w", err)
-	}
-	w.size.Store(start + int64(n))
-	w.records++
-	w.nextSeq = seq + 1
 	off := w.size.Load()
 	w.mu.Unlock()
 
@@ -759,28 +805,52 @@ type WALReplayInfo struct {
 }
 
 // ReplayWAL reads the city's log — pending segment first, then the
-// current file — and applies every valid record to base (the snapshot
-// state; nil means an empty first-boot state), returning the resulting
-// state. Records whose sequence number the snapshot already covers are
-// skipped, so replay is idempotent no matter where a compaction crashed.
-// Within each file the longest valid prefix wins: at the first torn
-// frame, CRC mismatch or inapplicable record, the file is truncated to
-// the last valid record in place — the repair that lets the next appender
-// continue from a consistent tail — and the cut is reported in the info.
-// A file whose header is unreadable is quarantined to <path>.corrupt like
-// a corrupt snapshot. I/O errors (not corruption) fail the replay.
-func ReplayWAL(dir, key string, city *dataset.City, base *ServerState) (*ServerState, *WALReplayInfo, error) {
+// current file — decodes every valid record (DecodeRecord) and passes it
+// to apply, in log order. Records whose sequence number is at or below
+// after (the snapshot's watermark) are skipped undecoded, so replay is
+// idempotent no matter where a compaction crashed; a record whose
+// sequence does not rise above the last one passed is out of order.
+// Within each file the longest valid prefix wins: at the first torn frame,
+// CRC mismatch, undecodable or out-of-order record, or record apply
+// rejects, the file is truncated to the last valid record in place — the
+// repair that lets the next appender continue from a consistent tail —
+// and the cut is reported in the info. apply must leave its state as it
+// was when it rejects a record, so the state ends at exactly the kept
+// prefix. A file whose header is unreadable is quarantined to
+// <path>.corrupt like a corrupt snapshot. I/O errors (not corruption) fail
+// the replay.
+func ReplayWAL(dir, key string, city *dataset.City, after int64, apply func(Record) error) (*WALReplayInfo, error) {
 	if city == nil || city.POIs == nil {
-		return nil, nil, fmt.Errorf("store: nil city")
+		return nil, fmt.Errorf("store: nil city")
 	}
-	st := base
-	if st == nil {
-		st = &ServerState{City: city.Name, NextID: 1}
+	info := &WALReplayInfo{LastSeq: after}
+	step := func(payload []byte) (skipped bool, err error) {
+		rec, err := parseRecord(payload)
+		if err != nil {
+			return false, err
+		}
+		if rec.Seq != 0 {
+			if rec.Seq <= after {
+				return true, nil // the snapshot already folded this record in
+			}
+			if rec.Seq <= info.LastSeq {
+				return false, fmt.Errorf("sequence %d regresses (last %d)", rec.Seq, info.LastSeq)
+			}
+		}
+		dec, err := resolveRecord(rec, city)
+		if err != nil {
+			return false, err
+		}
+		if err := apply(dec); err != nil {
+			return false, err
+		}
+		if rec.Seq != 0 {
+			info.LastSeq = rec.Seq
+		}
+		return false, nil
 	}
-	info := &WALReplayInfo{}
-	ap := newWALApplier(st, city)
-	if err := replayWALFile(PendingWALPath(dir, key), false, ap, info); err != nil {
-		return nil, nil, err
+	if err := replayWALFile(PendingWALPath(dir, key), false, step, info); err != nil {
+		return nil, err
 	}
 	if info.Truncated != "" {
 		// The pending segment lost records (torn tail or quarantine). The
@@ -789,14 +859,12 @@ func ReplayWAL(dir, key string, city *dataset.City, base *ServerState) (*ServerS
 		// had — an op log with a hole in the middle. Drop the current log
 		// entirely: the surviving prefix ends where the pending cut is.
 		if err := dropWALFile(WALPath(dir, key), info); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-	} else if err := replayWALFile(WALPath(dir, key), true, ap, info); err != nil {
-		return nil, nil, err
+	} else if err := replayWALFile(WALPath(dir, key), true, step, info); err != nil {
+		return nil, err
 	}
-	info.LastSeq = ap.lastSeq
-	ap.finish()
-	return st, info, nil
+	return info, nil
 }
 
 // dropWALFile discards a log file's records (truncating it back to its
@@ -831,9 +899,9 @@ func dropWALFile(path string, info *WALReplayInfo) error {
 	return nil
 }
 
-// replayWALFile scans one log file, applying records through ap and
-// repairing torn tails in place.
-func replayWALFile(path string, current bool, ap *walApplier, info *WALReplayInfo) error {
+// replayWALFile scans one log file, passing each record's payload to
+// step and repairing torn tails in place.
+func replayWALFile(path string, current bool, step func(payload []byte) (skipped bool, err error), info *WALReplayInfo) error {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -866,14 +934,12 @@ func replayWALFile(path string, current bool, ap *walApplier, info *WALReplayInf
 			addCut(fmt.Sprintf("bad frame at offset %d: %v", off, err))
 			break
 		}
-		// The shared apply path: exactly what a replication follower runs
-		// on shipped frames, so replay and replication cannot diverge.
-		res, err := ap.applyPayload(payload)
+		skipped, err := step(payload)
 		if err != nil {
 			addCut(fmt.Sprintf("inapplicable record at offset %d: %v", off, err))
 			break
 		}
-		if res.Skipped {
+		if skipped {
 			info.Skipped++
 		} else {
 			info.Records++
@@ -891,183 +957,4 @@ func replayWALFile(path string, current bool, ap *walApplier, info *WALReplayInf
 	}
 	info.Bytes += off - walHeaderLen
 	return nil
-}
-
-// walApplier applies decoded records onto a ServerState, carrying id →
-// slice-index maps so applying n records is O(n), not O(n²). skip is the
-// snapshot's sequence watermark (records at or below it are already in
-// the base state); lastSeq enforces strictly increasing sequences above
-// it.
-type walApplier struct {
-	st      *ServerState
-	city    *dataset.City
-	skip    int64
-	lastSeq int64
-	used    map[int]bool // every id in the state (groups + packages)
-	groups  map[int]int  // id -> index into st.Groups
-	pkgs    map[int]int  // id -> index into st.Packages
-}
-
-func newWALApplier(st *ServerState, city *dataset.City) *walApplier {
-	ap := &walApplier{
-		st:      st,
-		city:    city,
-		skip:    st.WALSeq,
-		lastSeq: st.WALSeq,
-		used:    make(map[int]bool, len(st.Groups)+len(st.Packages)),
-		groups:  make(map[int]int, len(st.Groups)),
-		pkgs:    make(map[int]int, len(st.Packages)),
-	}
-	for i := range st.Groups {
-		ap.used[st.Groups[i].ID] = true
-		ap.groups[st.Groups[i].ID] = i
-	}
-	for i := range st.Packages {
-		ap.used[st.Packages[i].ID] = true
-		ap.pkgs[st.Packages[i].ID] = i
-	}
-	return ap
-}
-
-// takeID admits a newly created id: positive, unused, and advances NextID
-// past it so post-replay allocation cannot collide.
-func (ap *walApplier) takeID(id int) error {
-	if id < 1 {
-		return fmt.Errorf("id %d out of range", id)
-	}
-	if ap.used[id] {
-		return fmt.Errorf("duplicate id %d", id)
-	}
-	ap.used[id] = true
-	if id >= ap.st.NextID {
-		ap.st.NextID = id + 1
-	}
-	return nil
-}
-
-// applyPayload decodes one frame payload and integrates it — the single
-// apply path shared by restart replay and replication followers. The
-// returned Applied reports what changed (Skipped: the sequence was
-// already in the snapshot). A rejected record leaves the state untouched.
-func (ap *walApplier) applyPayload(payload []byte) (Applied, error) {
-	var rec walRecordJSON
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return Applied{}, fmt.Errorf("undecodable record: %v", err)
-	}
-	res := Applied{Kind: rec.Op, Seq: rec.Seq, ID: rec.ID, PackageID: rec.PackageID}
-	if rec.Seq != 0 {
-		if rec.Seq <= ap.skip {
-			res.Skipped = true
-			return res, nil // the snapshot already folded this record in
-		}
-		if rec.Seq <= ap.lastSeq {
-			return Applied{}, fmt.Errorf("sequence %d regresses (last %d)", rec.Seq, ap.lastSeq)
-		}
-	}
-	if err := ap.applyOp(rec); err != nil {
-		return Applied{}, err
-	}
-	if rec.Seq != 0 {
-		ap.lastSeq = rec.Seq
-	}
-	return res, nil
-}
-
-func (ap *walApplier) applyOp(rec walRecordJSON) error {
-	switch rec.Op {
-	case walOpGroupCreate:
-		// Validate fully before mutating: a rejected record must leave
-		// the state untouched (it becomes the truncation point, and the
-		// surviving prefix must replay to exactly the surviving state).
-		if rec.Group == nil {
-			return fmt.Errorf("groupCreate without group")
-		}
-		g, err := groupFromJSON(*rec.Group, ap.city.Schema)
-		if err != nil {
-			return err
-		}
-		if err := ap.takeID(rec.ID); err != nil {
-			return err
-		}
-		ap.st.Groups = append(ap.st.Groups, GroupRecord{ID: rec.ID, Group: g})
-		ap.groups[rec.ID] = len(ap.st.Groups) - 1
-		return nil
-
-	case walOpPackageBuild, walOpRefine:
-		if rec.Package == nil {
-			return fmt.Errorf("%s without package", rec.Op)
-		}
-		if _, ok := ap.groups[rec.GroupID]; !ok {
-			return fmt.Errorf("%s references unknown group %d", rec.Op, rec.GroupID)
-		}
-		tp, err := packageFromJSON(*rec.Package, ap.city)
-		if err != nil {
-			return err
-		}
-		if err := ap.takeID(rec.ID); err != nil {
-			return err
-		}
-		ap.st.Packages = append(ap.st.Packages, PackageRecord{
-			ID: rec.ID, GroupID: rec.GroupID, Method: rec.Method, Package: tp,
-		})
-		ap.pkgs[rec.ID] = len(ap.st.Packages) - 1
-		return nil
-
-	case walOpCustomOp:
-		if rec.Change == nil || rec.After == nil {
-			return fmt.Errorf("customOp without change/after")
-		}
-		pi, ok := ap.pkgs[rec.PackageID]
-		if !ok {
-			return fmt.Errorf("customOp references unknown package %d", rec.PackageID)
-		}
-		pr := &ap.st.Packages[pi]
-		gi, ok := ap.groups[pr.GroupID]
-		if !ok {
-			return fmt.Errorf("customOp package %d has unknown group %d", rec.PackageID, pr.GroupID)
-		}
-		ops, err := opsFromJSON([]opJSON{*rec.Change}, ap.city, ap.st.Groups[gi].Group.Size())
-		if err != nil {
-			return err
-		}
-		op := ops[0]
-		after, err := ciFromJSON(*rec.After, ap.city)
-		if err != nil {
-			return err
-		}
-		tp := pr.Package
-		if op.Kind == interact.OpGenerate {
-			// GENERATE appends; its CIIndex is the new CI's slot.
-			if op.CIIndex != len(tp.CIs) {
-				return fmt.Errorf("generate CI index %d, package has %d CIs", op.CIIndex, len(tp.CIs))
-			}
-			tp.CIs = append(tp.CIs, after)
-		} else {
-			if op.CIIndex < 0 || op.CIIndex >= len(tp.CIs) {
-				return fmt.Errorf("op CI index %d out of range [0,%d)", op.CIIndex, len(tp.CIs))
-			}
-			tp.CIs[op.CIIndex] = after
-		}
-		pr.Ops = append(pr.Ops, op)
-		return nil
-
-	default:
-		return fmt.Errorf("unknown record kind %q", rec.Op)
-	}
-}
-
-// finish restores the sorted-by-id invariant LoadServerState guarantees
-// (concurrent mutations can commit records slightly out of id order).
-// The id → index maps are rebuilt to match: a follower's applier keeps
-// applying after every batch's finish, and a lookup through a stale
-// index would resolve an id to a different record's slot.
-func (ap *walApplier) finish() {
-	sort.Slice(ap.st.Groups, func(i, j int) bool { return ap.st.Groups[i].ID < ap.st.Groups[j].ID })
-	sort.Slice(ap.st.Packages, func(i, j int) bool { return ap.st.Packages[i].ID < ap.st.Packages[j].ID })
-	for i := range ap.st.Groups {
-		ap.groups[ap.st.Groups[i].ID] = i
-	}
-	for i := range ap.st.Packages {
-		ap.pkgs[ap.st.Packages[i].ID] = i
-	}
 }

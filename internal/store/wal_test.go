@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,20 +119,73 @@ func writeWAL(t testing.TB, dir, key string, recs []WALRecord) {
 // means equal state.
 func stateJSON(t testing.TB, st *ServerState) string {
 	t.Helper()
-	// Memoized profiles are a derivable cache and WALSeq is compaction
-	// metadata, not logged state; drop both so snapshot-origin and
-	// log-origin states compare on substance.
-	cp := *st
-	cp.WALSeq = 0
-	cp.Groups = append([]GroupRecord(nil), st.Groups...)
-	for i := range cp.Groups {
-		cp.Groups[i].Profiles = nil
-	}
 	var buf bytes.Buffer
-	if err := SaveServerState(&buf, &cp); err != nil {
+	if err := SaveServerState(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// streamJSON renders a decoded record stream back through the store's own
+// encoders, so it compares byte-for-byte against the records written.
+func streamJSON(t testing.TB, recs []Record) string {
+	t.Helper()
+	views := make([]walRecordJSON, 0, len(recs))
+	for _, r := range recs {
+		v := walRecordJSON{Op: r.Kind, Seq: r.Seq, ID: r.ID, GroupID: r.GroupID, Method: r.Method, PackageID: r.PackageID}
+		switch r.Kind {
+		case RecordGroupCreate:
+			gj := groupToJSON(r.Group)
+			v.Group = &gj
+		case RecordPackageBuild, RecordRefine:
+			pj := packageToJSON(r.Package)
+			v.Package = &pj
+		case RecordCustomOp:
+			oj := opsToJSON([]interact.Op{r.Op})[0]
+			cj := ciToJSON(r.After)
+			v.Change, v.After = &oj, &cj
+		}
+		views = append(views, v)
+	}
+	out, err := json.Marshal(views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// writtenJSON renders written records in streamJSON's form, stamped with
+// consecutive sequences from first, the way Append stamps them.
+func writtenJSON(t testing.TB, first int64, recs []WALRecord) string {
+	t.Helper()
+	views := make([]walRecordJSON, 0, len(recs))
+	for i, r := range recs {
+		v := r.rec
+		v.Seq = first + int64(i)
+		v.Source, v.Strategy = 0, "" // provenance only; not part of a Record
+		views = append(views, v)
+	}
+	out, err := json.Marshal(views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// replay runs ReplayWAL with a callback that records every record it is
+// handed — the store's whole output, now that applying a record is the
+// caller's job.
+func replay(t testing.TB, dir, key string, city *dataset.City, after int64) ([]Record, *WALReplayInfo) {
+	t.Helper()
+	var recs []Record
+	info, err := ReplayWAL(dir, key, city, after, func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, info
 }
 
 func TestWALReplayRoundTrip(t *testing.T) {
@@ -136,64 +193,66 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	writeWAL(t, dir, "wal", fx.records)
 
-	st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Records != len(fx.records) || info.Truncated != "" {
+	recs, info := replay(t, dir, "wal", fx.city, 0)
+	if info.Records != len(fx.records) || info.Truncated != "" || info.LastSeq != int64(len(fx.records)) {
 		t.Fatalf("replay info = %+v, want %d clean records", info, len(fx.records))
 	}
-	if got, want := stateJSON(t, st), stateJSON(t, fx.want); got != want {
-		t.Fatalf("replayed state differs:\n%s\nwant:\n%s", got, want)
+	if got, want := streamJSON(t, recs), writtenJSON(t, 1, fx.records); got != want {
+		t.Fatalf("decoded stream differs:\n%s\nwant:\n%s", got, want)
 	}
-	// The op log survived — REMOVE, REPLACE, GENERATE in order.
-	ops := st.Packages[0].Ops
-	if len(ops) != 3 || ops[0].Kind != interact.OpRemove || ops[1].Kind != interact.OpReplace || ops[2].Kind != interact.OpGenerate {
-		t.Fatalf("replayed op log = %+v", ops)
+	// The ops decode in log order — REMOVE, REPLACE, GENERATE — with
+	// their POIs resolved against the city.
+	var kinds []interact.OpKind
+	for _, r := range recs {
+		if r.Kind == RecordCustomOp {
+			kinds = append(kinds, r.Op.Kind)
+			if r.After == nil || r.PackageID != 2 {
+				t.Fatalf("customOp decoded as %+v", r)
+			}
+		}
+	}
+	if len(kinds) != 3 || kinds[0] != interact.OpRemove || kinds[1] != interact.OpReplace || kinds[2] != interact.OpGenerate {
+		t.Fatalf("decoded op kinds = %v", kinds)
+	}
+	if recs[0].Group == nil || recs[1].Package == nil || recs[1].Method != "pairwise" {
+		t.Fatalf("group/package not resolved: %+v %+v", recs[0], recs[1])
 	}
 }
 
-// TestWALReplayOverSnapshot: replay applies the log as a suffix over the
-// compaction snapshot, continuing id allocation past the snapshot's.
+// TestWALReplayOverSnapshot: the log is a suffix over a snapshot whose
+// watermark is after. Replay passes exactly the records above the
+// watermark, in order, and LastSeq never falls below the watermark — even
+// over an empty log, so the appender continues past the snapshot.
 func TestWALReplayOverSnapshot(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
+	writeWAL(t, dir, "wal", fx.records)
 
-	// Snapshot holds the first record's worth of state (the group);
-	// the log holds everything after.
-	base := &ServerState{City: fx.city.Name, NextID: 2, Groups: fx.want.Groups}
-	if _, err := WriteSnapshot(dir, "wal", base); err != nil {
-		t.Fatal(err)
+	recs, info := replay(t, dir, "wal", fx.city, 1)
+	if info.Records != len(fx.records)-1 || info.Skipped != 1 || info.LastSeq != int64(len(fx.records)) {
+		t.Fatalf("replay over watermark 1: info %+v", info)
 	}
-	writeWAL(t, dir, "wal", fx.records[1:])
+	if got, want := streamJSON(t, recs), writtenJSON(t, 2, fx.records[1:]); got != want {
+		t.Fatalf("records above the watermark differ:\n%s\nwant:\n%s", got, want)
+	}
 
-	snap, err := ReadSnapshot(dir, "wal", fx.city)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, info, err := ReplayWAL(dir, "wal", fx.city, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Records != len(fx.records)-1 {
-		t.Fatalf("replayed %d records, want %d", info.Records, len(fx.records)-1)
-	}
-	if got, want := stateJSON(t, st), stateJSON(t, fx.want); got != want {
-		t.Fatalf("snapshot+log state differs:\n%s\nwant:\n%s", got, want)
+	_, info = replay(t, t.TempDir(), "empty", fx.city, 9)
+	if info.Records != 0 || info.LastSeq != 9 {
+		t.Fatalf("empty log over watermark 9: info %+v", info)
 	}
 }
 
 // replayPrefix replays a log holding only the first n fixture records —
 // the ground truth that torn-tail recovery must land on.
-func replayPrefix(t *testing.T, fx *walFixture, n int) *ServerState {
+func replayPrefix(t *testing.T, fx *walFixture, n int) string {
 	t.Helper()
 	dir := t.TempDir()
 	writeWAL(t, dir, "prefix", fx.records[:n])
-	st, info, err := ReplayWAL(dir, "prefix", fx.city, nil)
-	if err != nil || info.Records != n || info.Truncated != "" {
-		t.Fatalf("prefix replay: info %+v, err %v", info, err)
+	recs, info := replay(t, dir, "prefix", fx.city, 0)
+	if info.Records != n || info.Truncated != "" {
+		t.Fatalf("prefix replay: info %+v", info)
 	}
-	return st
+	return streamJSON(t, recs)
 }
 
 // frameOffsets scans a log file and returns each record's start offset —
@@ -214,10 +273,10 @@ func frameOffsets(t testing.TB, path string) []int64 {
 	return offs
 }
 
-// TestWALTornTailTruncated: cutting the log mid-record must replay to
-// exactly the state of the surviving prefix, truncate the file at the
-// last valid record, and report the cut — and the repaired log must then
-// replay cleanly to the same state.
+// TestWALTornTailTruncated: cutting the log mid-record must pass exactly
+// the surviving prefix, truncate the file at the last valid record, and
+// report the cut — and the repaired log must then replay cleanly to the
+// same records.
 func TestWALTornTailTruncated(t *testing.T) {
 	fx := makeWALFixture(t)
 	for cut := 1; cut < len(fx.records); cut++ {
@@ -232,26 +291,23 @@ func TestWALTornTailTruncated(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			recs, info := replay(t, dir, "wal", fx.city, 0)
 			if info.Records != cut || info.Truncated == "" || info.DroppedBytes == 0 {
 				t.Fatalf("tear at record %d: info %+v", cut, info)
 			}
-			if got, want := stateJSON(t, st), stateJSON(t, replayPrefix(t, fx, cut)); got != want {
+			if got, want := streamJSON(t, recs), replayPrefix(t, fx, cut); got != want {
 				t.Fatalf("torn replay != surviving prefix:\n%s\nwant:\n%s", got, want)
 			}
 			// The repair truncated the file to the last valid record.
 			if fi, err := os.Stat(path); err != nil || fi.Size() != offs[cut] {
 				t.Fatalf("file not truncated to %d: %v %v", offs[cut], fi.Size(), err)
 			}
-			st2, info2, err := ReplayWAL(dir, "wal", fx.city, nil)
-			if err != nil || info2.Truncated != "" || info2.Records != cut {
-				t.Fatalf("repaired log not clean: info %+v, err %v", info2, err)
+			recs2, info2 := replay(t, dir, "wal", fx.city, 0)
+			if info2.Truncated != "" || info2.Records != cut {
+				t.Fatalf("repaired log not clean: info %+v", info2)
 			}
-			if stateJSON(t, st2) != stateJSON(t, st) {
-				t.Fatal("repaired log replays to a different state")
+			if streamJSON(t, recs2) != streamJSON(t, recs) {
+				t.Fatal("repaired log replays to different records")
 			}
 		})
 	}
@@ -276,38 +332,67 @@ func TestWALBitFlipTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, info := replay(t, dir, "wal", fx.city, 0)
 	if info.Records != victim || info.Truncated == "" {
 		t.Fatalf("bit flip in record %d: info %+v", victim, info)
 	}
-	if got, want := stateJSON(t, st), stateJSON(t, replayPrefix(t, fx, victim)); got != want {
+	if streamJSON(t, recs) != replayPrefix(t, fx, victim) {
 		t.Fatal("bit-flip replay != surviving prefix")
 	}
 }
 
-// TestWALInapplicableRecordTruncated: a structurally valid record the
-// state cannot apply (here: a package for an unknown group) also cuts the
-// log — the prefix stays served, nothing panics, nothing is fatal.
+// TestWALInapplicableRecordTruncated: a record that cannot apply also
+// cuts the log — the prefix stays, nothing panics, nothing is fatal. The
+// cut comes from either side: apply rejecting a record against its state
+// (here: a package for a group that never existed), or DecodeRecord
+// rejecting one no state could apply (an unknown POI, an unknown kind, a
+// missing field). Records at or below the cut never reach apply twice.
 func TestWALInapplicableRecordTruncated(t *testing.T) {
 	fx := makeWALFixture(t)
-	dir := t.TempDir()
-	bad := fx.records[1] // packageBuild...
-	bad.rec.GroupID = 99 // ...for a group that never existed
-	recs := []WALRecord{fx.records[0], bad, fx.records[1]}
-	writeWAL(t, dir, "wal", recs)
+	badGroup := fx.records[1] // packageBuild...
+	badGroup.rec.GroupID = 99 // ...for a group that never existed
+	unknownPOI := fx.records[2]
+	after := *unknownPOI.rec.After
+	after.ItemIDs = append([]int{1 << 30}, after.ItemIDs...)
+	unknownPOI.rec.After = &after
+	unknownKind := fx.records[0]
+	unknownKind.rec.Op = "groupDelete"
+	noGroup := fx.records[0]
+	noGroup.rec.Group = nil
 
-	st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Records != 1 || info.Truncated == "" {
-		t.Fatalf("info %+v", info)
-	}
-	if len(st.Groups) != 1 || len(st.Packages) != 0 {
-		t.Fatalf("state after inapplicable record: %d groups, %d packages", len(st.Groups), len(st.Packages))
+	for _, tc := range []struct {
+		name string
+		bad  WALRecord
+	}{
+		{"unknownGroup", badGroup},
+		{"unknownPOI", unknownPOI},
+		{"unknownKind", unknownKind},
+		{"missingField", noGroup},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeWAL(t, dir, "wal", []WALRecord{fx.records[0], tc.bad, fx.records[1]})
+			var seen []Record
+			info, err := ReplayWAL(dir, "wal", fx.city, 0, func(r Record) error {
+				if r.GroupID == 99 {
+					return errors.New("unknown group 99")
+				}
+				seen = append(seen, r)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Records != 1 || info.Truncated == "" || info.LastSeq != 1 {
+				t.Fatalf("info %+v", info)
+			}
+			if len(seen) != 1 || seen[0].Kind != RecordGroupCreate {
+				t.Fatalf("apply saw %d records past the cut", len(seen)-1)
+			}
+			if _, info2 := replay(t, dir, "wal", fx.city, 0); info2.Truncated != "" || info2.Records != 1 {
+				t.Fatalf("repaired log not clean: %+v", info2)
+			}
+		})
 	}
 }
 
@@ -320,12 +405,9 @@ func TestWALBadHeaderQuarantined(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a wal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Truncated == "" || len(st.Groups) != 0 {
-		t.Fatalf("info %+v, state %+v", info, st)
+	recs, info := replay(t, dir, "wal", fx.city, 0)
+	if info.Truncated == "" || len(recs) != 0 {
+		t.Fatalf("info %+v, %d records", info, len(recs))
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("bad log not quarantined: %v", err)
@@ -366,9 +448,8 @@ func TestWALResetAfterCompaction(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil || info.Records != 1 || info.Truncated != "" {
-		t.Fatalf("post-reset replay info %+v, err %v", info, err)
+	if _, info := replay(t, dir, "wal", fx.city, 0); info.Records != 1 || info.Truncated != "" {
+		t.Fatalf("post-reset replay info %+v", info)
 	}
 }
 
@@ -402,12 +483,23 @@ func TestWALConcurrentAppends(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil || info.Records != n || info.Truncated != "" {
-		t.Fatalf("replay info %+v, err %v", info, err)
+	recs, info := replay(t, dir, "wal", fx.city, 0)
+	if info.Records != n || info.Truncated != "" {
+		t.Fatalf("replay info %+v", info)
 	}
-	if len(st.Groups) != n || st.NextID != 10+n {
-		t.Fatalf("replayed %d groups, nextID %d", len(st.Groups), st.NextID)
+	// Sequences follow the append order; every id arrives exactly once.
+	ids := make([]int, 0, n)
+	for i, r := range recs {
+		if r.Seq != int64(i+1) {
+			t.Fatalf("record %d has seq %d", i, r.Seq)
+		}
+		ids = append(ids, r.ID)
+	}
+	sort.Ints(ids)
+	for i, id := range ids {
+		if id != 10+i {
+			t.Fatalf("replayed ids %v, want 10..%d", ids, 10+n-1)
+		}
 	}
 }
 
@@ -470,34 +562,18 @@ func TestWALCompactionCrashIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	writeWAL(t, dir, "wal", fx.records)
 
-	// The compaction's snapshot: everything the log holds, watermark at
-	// the last record's sequence.
-	st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil || info.Records != len(fx.records) {
-		t.Fatalf("info %+v err %v", info, err)
-	}
-	st.WALSeq = info.LastSeq
-	if _, err := WriteSnapshot(dir, "wal", st); err != nil {
-		t.Fatal(err)
+	// The compaction's snapshot covers everything the log holds: its
+	// watermark is the last record's sequence.
+	_, info := replay(t, dir, "wal", fx.city, 0)
+	if info.Records != len(fx.records) {
+		t.Fatalf("info %+v", info)
 	}
 	// "Crash": the log was never truncated. Recovery = snapshot + full
-	// log; every record must be skipped, none double-applied.
-	snap, err := ReadSnapshot(dir, "wal", fx.city)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, info2, err := ReplayWAL(dir, "wal", fx.city, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.Records != 0 || info2.Skipped != len(fx.records) || info2.Truncated != "" {
-		t.Fatalf("post-crash replay info %+v, want all %d records skipped", info2, len(fx.records))
-	}
-	if len(got.Packages[0].Ops) != 3 {
-		t.Fatalf("op log has %d ops, want 3 (double-applied?)", len(got.Packages[0].Ops))
-	}
-	if stateJSON(t, got) != stateJSON(t, st) {
-		t.Fatal("post-crash state differs from the snapshot")
+	// log; every record must be skipped, none passed on again.
+	recs, info2 := replay(t, dir, "wal", fx.city, info.LastSeq)
+	if info2.Records != 0 || info2.Skipped != len(fx.records) || info2.Truncated != "" || len(recs) != 0 {
+		t.Fatalf("post-crash replay info %+v (%d records passed), want all %d records skipped",
+			info2, len(recs), len(fx.records))
 	}
 	// New appends must continue above the watermark, or they would be
 	// invisible to the next replay.
@@ -550,46 +626,36 @@ func TestWALRotateChain(t *testing.T) {
 	}
 
 	// Crash before the snapshot landed: replay chains pending + current.
-	st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil || info.Records != 3 || info.Truncated != "" {
-		t.Fatalf("chain replay info %+v err %v", info, err)
+	recs, info := replay(t, dir, "wal", fx.city, 0)
+	if info.Records != 3 || info.Truncated != "" {
+		t.Fatalf("chain replay info %+v", info)
 	}
-	if got, want := stateJSON(t, st), stateJSON(t, replayPrefix(t, fx, 3)); got != want {
+	if streamJSON(t, recs) != replayPrefix(t, fx, 3) {
 		t.Fatal("chained replay != first three records")
 	}
 	// Crash after the snapshot landed: pending records are skipped, the
 	// current segment still applies.
-	base := replayPrefix(t, fx, 2)
-	base.WALSeq = watermark
-	if _, err := WriteSnapshot(dir, "wal", base); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadSnapshot(dir, "wal", fx.city)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, info2, err := ReplayWAL(dir, "wal", fx.city, snap)
-	if err != nil || info2.Records != 1 || info2.Skipped != 2 {
-		t.Fatalf("post-snapshot chain info %+v err %v", info2, err)
+	recs2, info2 := replay(t, dir, "wal", fx.city, watermark)
+	if info2.Records != 1 || info2.Skipped != 2 {
+		t.Fatalf("post-snapshot chain info %+v", info2)
 	}
 	if info2.CurrentRecords != 1 {
 		t.Fatalf("current segment records = %d, want 1", info2.CurrentRecords)
 	}
-	if stateJSON(t, st2) != stateJSON(t, st) {
-		t.Fatal("skip-based replay diverged from full replay")
+	if got, want := streamJSON(t, recs2), writtenJSON(t, 3, fx.records[2:3]); got != want {
+		t.Fatalf("skip-based replay passed %s, want %s", got, want)
 	}
 	// Compaction's final step removes the pending segment; the chain
 	// then replays identically from snapshot + current alone.
 	if err := RemovePendingWAL(dir, "wal"); err != nil {
 		t.Fatal(err)
 	}
-	snap2, _ := ReadSnapshot(dir, "wal", fx.city)
-	st3, info3, err := ReplayWAL(dir, "wal", fx.city, snap2)
-	if err != nil || info3.Records != 1 || info3.Skipped != 0 {
-		t.Fatalf("post-removal info %+v err %v", info3, err)
+	recs3, info3 := replay(t, dir, "wal", fx.city, watermark)
+	if info3.Records != 1 || info3.Skipped != 0 {
+		t.Fatalf("post-removal info %+v", info3)
 	}
-	if stateJSON(t, st3) != stateJSON(t, st2) {
-		t.Fatal("state changed after pending removal")
+	if streamJSON(t, recs3) != streamJSON(t, recs2) {
+		t.Fatal("records changed after pending removal")
 	}
 }
 
@@ -659,12 +725,63 @@ func TestWALAppendFramesBatch(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil || info.Records != len(fx.records) || info.Truncated != "" {
-		t.Fatalf("replay info %+v err %v", info, err)
+	recs, info := replay(t, dir, "wal", fx.city, 0)
+	if info.Records != len(fx.records) || info.Truncated != "" {
+		t.Fatalf("replay info %+v", info)
 	}
-	if got, want := stateJSON(t, st2), stateJSON(t, replayPrefix(t, fx, len(fx.records))); got != want {
+	if streamJSON(t, recs) != replayPrefix(t, fx, len(fx.records)) {
 		t.Fatal("batch-appended log replays differently from the source records")
+	}
+}
+
+// TestWALAppendFramesRefusesGap: a run that does not continue the log —
+// its first new frame is past LastSeq()+1, or it skips a sequence inside
+// — is refused whole, naming both sequences, and leaves the log as it
+// was. Appending it would report a head whose records a restart cannot
+// replay. Frames at or below the head are still skipped.
+func TestWALAppendFramesRefusesGap(t *testing.T) {
+	fx := makeWALFixture(t)
+	srcDir := t.TempDir()
+	writeWAL(t, srcDir, "wal", fx.records)
+	frames, err := CollectWALFrames(srcDir, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendFrames(frames[:2]); err != nil { // seqs 1-2
+		t.Fatal(err)
+	}
+	before := w.Stats()
+	for _, run := range [][]WALFrame{
+		frames[4:6],                       // 5-6: starts past the head
+		{frames[2], frames[4]},            // 3, 5: a hole inside the run
+		{frames[0], frames[1], frames[3]}, // re-sent 1-2, then 4
+	} {
+		err := w.AppendFrames(run)
+		if err == nil {
+			t.Fatalf("run starting at seq %d appended over a hole", run[0].Seq)
+		}
+		if !strings.Contains(err.Error(), "seq 2") && !strings.Contains(err.Error(), "seq 3") {
+			t.Fatalf("error does not name the log head: %v", err)
+		}
+		if got := w.Stats(); got != before || w.LastSeq() != 2 {
+			t.Fatalf("refused run changed the log: %+v -> %+v, head %d", before, got, w.LastSeq())
+		}
+	}
+	// The log continues from its head once the missing frames arrive.
+	if err := w.AppendFrames(frames[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, info := replay(t, dir, "wal", fx.city, 0)
+	if info.Truncated != "" || streamJSON(t, recs) != replayPrefix(t, fx, len(fx.records)) {
+		t.Fatalf("log after refused gaps replays differently: %+v", info)
 	}
 }
 
@@ -704,28 +821,22 @@ func TestWALGapDropsCurrentSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, info, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, info := replay(t, dir, "wal", fx.city, 0)
 	if info.Records != 2 || info.Truncated == "" {
 		t.Fatalf("info %+v, want 2 records and a reported cut", info)
 	}
 	// Neither the torn seq-3 op nor the seq-4 op that depended on it
-	// applied: the op log is the 2-record prefix, not records 1,2,4.
-	if len(st.Packages) != 1 || len(st.Packages[0].Ops) != 0 {
-		t.Fatalf("state after gap: %d packages, ops %v", len(st.Packages), st.Packages[0].Ops)
-	}
-	if got, want := stateJSON(t, st), stateJSON(t, replayPrefix(t, fx, 2)); got != want {
+	// passed: the stream is the 2-record prefix, not records 1,2,4.
+	if streamJSON(t, recs) != replayPrefix(t, fx, 2) {
 		t.Fatal("gap replay != surviving prefix")
 	}
 	// The repair is a fixpoint and the current log was emptied, not left
 	// holding unreachable records.
-	st2, info2, err := ReplayWAL(dir, "wal", fx.city, nil)
-	if err != nil || info2.Truncated != "" || info2.Records != 2 {
-		t.Fatalf("repaired replay info %+v err %v", info2, err)
+	recs2, info2 := replay(t, dir, "wal", fx.city, 0)
+	if info2.Truncated != "" || info2.Records != 2 {
+		t.Fatalf("repaired replay info %+v", info2)
 	}
-	if stateJSON(t, st2) != stateJSON(t, st) {
+	if streamJSON(t, recs2) != streamJSON(t, recs) {
 		t.Fatal("repaired gap replay diverged")
 	}
 }
