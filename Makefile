@@ -33,16 +33,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fuzz the recovery path, 10 s per target: the WAL replayer (framing,
-# sequence order, in-place repair), the snapshot loader, and a city's full
-# restart recovery, which applies every log record through the function
-# replication applies shipped frames through. `go test -fuzz` takes one
-# target per run. -fuzzminimizetime keeps each run's budget on exploring:
-# minimizing a new input would otherwise take up to the default 60 s.
+# Fuzz the recovery path and the engine's distance kernel, 10 s per
+# target: the WAL replayer (framing, sequence order, in-place repair), the
+# snapshot loader, a city's full restart recovery, which applies every log
+# record through the function replication applies shipped frames through,
+# and the site distance kernel against geo.Equirectangular. `go test
+# -fuzz` takes one target per run. -fuzzminimizetime keeps each run's
+# budget on exploring: minimizing a new input would otherwise take up to
+# the default 60 s.
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzLoadServerState$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzCityRecovery$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/geo -run '^$$' -fuzz '^FuzzSiteDistance$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # Static analysis beyond vet. gofmt ships with the Go toolchain, so any
 # file it would reformat fails the target. staticcheck and govulncheck run

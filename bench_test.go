@@ -420,14 +420,73 @@ func benchBuildParallel(b *testing.B, goroutines int) {
 	}
 }
 
-// --- Warm package builds at paper scale ---
+// --- The plan mix at paper scale ---
 //
 // The benches above run on a TestSpec city (~140 POIs) and, at make
-// bench's 3 iterations, mostly time cold clusterings. This one times what
-// a server build costs once its clustering is memoized: a DefaultSpec city
-// (1,000 POIs, 100–450 per category) and the macro benchmark's plan mix,
-// eight category subsets × k 2–14, all 104 clusterings warmed outside the
-// timer.
+// bench's 3 iterations, mostly time cold clusterings. These two run the
+// macro benchmark's plan mix on a DefaultSpec city (1,000 POIs, 100–450
+// per category): eight category subsets × k 2–14, 104 clusterings.
+// BenchmarkClusterPlanMix times the clusterings cold;
+// BenchmarkBuildPackageWarm times what a server build costs once its
+// clustering is memoized.
+
+var (
+	planCityOnce sync.Once
+	planCity     *dataset.City
+)
+
+// planSubsets are the plan mix's category subsets (acco, trans, rest,
+// attr).
+var planSubsets = [][4]int{
+	{1, 1, 1, 3}, {1, 0, 1, 3}, {0, 1, 1, 3}, {1, 1, 0, 3},
+	{0, 0, 1, 3}, {1, 0, 0, 3}, {0, 0, 2, 0}, {1, 1, 2, 0},
+}
+
+func planSetup(b *testing.B) *dataset.City {
+	b.Helper()
+	planCityOnce.Do(func() {
+		var err error
+		if planCity, err = dataset.Generate(dataset.DefaultSpec("BenchWarm", dataset.BuiltinCenters["Paris"], 11)); err != nil {
+			panic(err)
+		}
+	})
+	return planCity
+}
+
+// BenchmarkClusterPlanMix: one op is the plan mix's 104 cold clusterings,
+// each through fuzzy.Cluster with the engine's configuration and one
+// worker. BenchmarkFuzzyCluster's 140 points at k = 5 hide the cost that
+// grows with k.
+func BenchmarkClusterPlanMix(b *testing.B) {
+	city := planSetup(b)
+	norm := city.POIs.Normalizer()
+	type job struct {
+		pts []geo.Point
+		cfg fuzzy.Config
+	}
+	var jobs []job
+	for _, c := range planSubsets {
+		var pts []geo.Point
+		for _, p := range city.POIs.All() {
+			if c[p.Cat] > 0 {
+				pts = append(pts, p.Coord)
+			}
+		}
+		for k := 2; k <= 14; k++ {
+			params := core.DefaultParams(k)
+			cfg := fuzzy.Config{K: k, M: params.M, MaxIters: params.ClusterIters, Tol: 1e-4, Seed: params.Seed, Workers: 1}
+			jobs = append(jobs, job{pts, cfg})
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			if _, err := fuzzy.Cluster(j.pts, norm, j.cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
 
 var (
 	warmOnce   sync.Once
@@ -443,11 +502,9 @@ type warmBuild struct {
 
 func warmSetup(b *testing.B) {
 	b.Helper()
+	city := planSetup(b)
 	warmOnce.Do(func() {
-		city, err := dataset.Generate(dataset.DefaultSpec("BenchWarm", dataset.BuiltinCenters["Paris"], 11))
-		if err != nil {
-			panic(err)
-		}
+		var err error
 		if warmEngine, err = core.NewEngine(city); err != nil {
 			panic(err)
 		}
@@ -461,11 +518,7 @@ func warmSetup(b *testing.B) {
 		if warmGP, err = consensus.GroupProfile(group, consensus.PairwiseDis); err != nil {
 			panic(err)
 		}
-		subsets := [][4]int{
-			{1, 1, 1, 3}, {1, 0, 1, 3}, {0, 1, 1, 3}, {1, 1, 0, 3},
-			{0, 0, 1, 3}, {1, 0, 0, 3}, {0, 0, 2, 0}, {1, 1, 2, 0},
-		}
-		for _, c := range subsets {
+		for _, c := range planSubsets {
 			q := query.MustNew(c[0], c[1], c[2], c[3], query.Default().Budget)
 			for k := 2; k <= 14; k++ {
 				w := warmBuild{q, core.DefaultParams(k)}

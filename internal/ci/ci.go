@@ -121,9 +121,10 @@ func (b *Builder) Validate() error {
 }
 
 // Score returns the per-item objective contribution for an item relative
-// to centroid mu: β(1−d(i,μ)) + γ·cos(®i, ®g_cat).
+// to centroid mu: β(1−d(i,μ)) + γ·cos(®i, ®g_cat). Its distance is the
+// site kernel Build ranks with, so Score agrees with Build's ranking.
 func (b *Builder) Score(it *poi.POI, mu geo.Point) float64 {
-	s := b.Beta * (1 - b.Norm.Distance(it.Coord, mu))
+	s := b.Beta * (1 - b.Norm.SiteDistance(geo.NewSite(it.Coord), geo.NewSite(mu)))
 	if b.Group != nil && b.Gamma > 0 {
 		s += b.Gamma * vec.Cosine(it.Vector, b.Group.Vector(it.Cat))
 	}
@@ -242,8 +243,10 @@ func compareScored(a, b scored) int {
 // scores in perCat, and appends the category's #c_j best to selected, best
 // first.
 //
-// The scoring loop is the hottest code in a build: it hoists the group
-// vector and its norm out of the per-candidate loop (vec.CosineNormB).
+// The scoring loop is the hottest code in a build: it reads each
+// candidate's site from the collection, prepares mu's site once, and
+// hoists the group vector and its norm out of the per-candidate loop
+// (vec.CosineNormB).
 // Only the #c_j best of a ranking are ever read, so rank selects instead of
 // sorting: the first #c_j candidates fill selected unordered, a further
 // candidate turns that segment into a heap with its worst member at the
@@ -254,6 +257,7 @@ func compareScored(a, b scored) int {
 func (st *buildState) rank(mu geo.Point, exclude map[int]bool) error {
 	b := st.b
 	personalize := b.Group != nil && b.Gamma > 0
+	muSite := geo.NewSite(mu)
 	if need := b.Query.Size(); cap(st.selected) < need {
 		st.selected = make([]scored, 0, need)
 	}
@@ -263,6 +267,7 @@ func (st *buildState) rank(mu geo.Point, exclude map[int]bool) error {
 			continue
 		}
 		cands := b.Coll.ByCategory(cat)
+		sites := b.Coll.CategorySites(cat)[:len(cands)]
 		list := st.perCat[cat][:0]
 		if cap(list) < len(cands) {
 			list = make([]scored, 0, len(cands))
@@ -275,13 +280,13 @@ func (st *buildState) rank(mu geo.Point, exclude map[int]bool) error {
 		}
 		base := len(st.selected)
 		heaped := false
-		for _, it := range cands {
+		for i, it := range cands {
 			if exclude != nil && exclude[it.ID] {
 				continue
 			}
-			// Same arithmetic as Builder.Score, with the group-vector
-			// norm computed once per category instead of once per item.
-			s := b.Beta * (1 - b.Norm.Distance(it.Coord, mu))
+			// Same arithmetic as Builder.Score, with the sites and the
+			// group-vector norm prepared once instead of once per item.
+			s := b.Beta * (1 - b.Norm.SiteDistance(sites[i], muSite))
 			if personalize {
 				s += b.Gamma * vec.CosineNormB(it.Vector, gv, gn)
 			}

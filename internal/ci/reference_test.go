@@ -72,7 +72,7 @@ func (st *refState) rank(mu geo.Point, exclude map[int]bool) error {
 			if exclude != nil && exclude[it.ID] {
 				continue
 			}
-			s := b.Beta * (1 - b.Norm.Distance(it.Coord, mu))
+			s := b.Beta * (1 - b.Norm.SiteDistance(geo.NewSite(it.Coord), geo.NewSite(mu)))
 			if personalize {
 				s += b.Gamma * vec.CosineNormB(it.Vector, gv, gn)
 			}

@@ -26,19 +26,34 @@
 // The Eq. 1 quantity Σ w^f (1−d) is still provided (Eq1Value) for
 // reporting the objective the paper states.
 //
-// # Concurrency
+// # Cost
+//
+// Each membership row is evaluated in O(k), not O(k²), as
+// w_ij = t_ij / Σ_l t_il with t_il = (d_min/d_il)^(2/(m−1)) (see
+// membershipRow), and every distance goes through geo's site kernel:
+// points are prepared once per call and centroids once per move, so no
+// distance needs trigonometry. Seeding keeps each point's squared
+// distance to its nearest chosen centroid, which makes it O(n·k).
+//
+// # Numeric contract
 //
 // Cluster is a pure function: it never mutates its inputs and shares no
 // state between calls, so any number of clusterings may run concurrently.
 // Within one call the alternating updates are parallelized over a worker
 // pool (Config.Workers) with results bit-identical to the sequential path
 // for a fixed seed — see updateMemberships and updateCentroids for why.
+// Within one version the output is exact and deterministic. Across
+// versions it is pinned by tolerance, not bit identity: reference_test.go
+// keeps the textbook seeding and O(k²) membership arithmetic and requires
+// centroids within 1e-6 km of it, Eq1Value within 1e-9 relative and the
+// same iteration count.
 package fuzzy
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"grouptravel/internal/geo"
@@ -95,7 +110,8 @@ func Cluster(points []geo.Point, norm geo.Normalizer, cfg Config) (*Result, erro
 		return nil, fmt.Errorf("fuzzy: Tol = %v", cfg.Tol)
 	}
 
-	centroids := seedCentroids(points, cfg)
+	sites := newSites(points)
+	centroids := seedCentroids(points, sites, cfg)
 	// One flat backing array for the whole membership matrix: n+1 small
 	// allocations become 2, and the rows sit contiguously in cache order.
 	weights := make([][]float64, n)
@@ -108,19 +124,31 @@ func Cluster(points []geo.Point, norm geo.Normalizer, cfg Config) (*Result, erro
 	// The centroid update's weight rows, one per worker, allocated once
 	// and overwritten by every iteration.
 	scratch := make([]float64, min(workers, cfg.K)*n)
+	// cents[j] is the site of centroids[j]; the centroid update keeps it
+	// current.
+	cents := newSites(centroids)
 
 	res := &Result{Centroids: centroids, Weights: weights}
 	for it := 0; it < cfg.MaxIters; it++ {
 		res.Iterations = it + 1
-		updateMemberships(points, centroids, weights, norm, power, workers)
-		moved := updateCentroids(points, centroids, weights, cfg.M, workers, scratch)
+		updateMemberships(sites, cents, weights, norm, power, workers)
+		moved := updateCentroids(points, centroids, cents, weights, cfg.M, workers, scratch)
 		if moved < cfg.Tol {
 			break
 		}
 	}
 	// Final membership pass against the converged centroids.
-	updateMemberships(points, centroids, weights, norm, power, workers)
+	updateMemberships(sites, cents, weights, norm, power, workers)
 	return res, nil
+}
+
+// newSites prepares every point for the site distance kernel.
+func newSites(points []geo.Point) []geo.Site {
+	sites := make([]geo.Site, len(points))
+	for i, p := range points {
+		sites[i] = geo.NewSite(p)
+	}
+	return sites
 }
 
 // minPointsPerWorker gates automatic parallelism: below this many points
@@ -153,40 +181,42 @@ func (cfg Config) effectiveWorkers(n int) int {
 // point heuristic: the first centroid is a random point, each next one is
 // drawn proportionally to squared distance from the closest chosen
 // centroid. Good spread at initialization is what lets the final TP cover
-// the city (representativity).
-func seedCentroids(points []geo.Point, cfg Config) []geo.Point {
+// the city (representativity). Each point's squared distance to its
+// closest chosen centroid is kept across draws and compared with the
+// newest centroid only, so seeding costs O(n·k). Squaring is monotone, so
+// the minimum of the squares is the square of the minimum.
+func seedCentroids(points []geo.Point, sites []geo.Site, cfg Config) []geo.Point {
 	src := rng.New(cfg.Seed)
-	n := len(points)
 	centroids := make([]geo.Point, 0, cfg.K)
-	centroids = append(centroids, points[src.Intn(n)])
-	dist2 := make([]float64, n)
+	newest := src.Intn(len(points))
+	centroids = append(centroids, points[newest])
+	dist2 := make([]float64, len(points))
+	for i := range dist2 {
+		dist2[i] = math.Inf(1)
+	}
 	for len(centroids) < cfg.K {
-		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := geo.Equirectangular(p, c); d < best {
-					best = d
-				}
-			}
-			dist2[i] = best * best
+		c := sites[newest]
+		for i, s := range sites {
+			d := s.Distance(c)
+			dist2[i] = min(dist2[i], d*d)
 		}
-		centroids = append(centroids, points[src.WeightedIndex(dist2)])
+		newest = src.WeightedIndex(dist2)
+		centroids = append(centroids, points[newest])
 	}
 	return centroids
 }
 
-// updateMemberships recomputes the FCM memberships
-// w_ij = 1 / Σ_l (d_ij/d_il)^(2/(m−1)). A point coinciding with one or
-// more centroids splits its membership crisply among those centroids.
+// updateMemberships recomputes the FCM memberships of every point against
+// the centroids' sites (see membershipRow).
 //
 // The update is row-independent, so with workers > 1 the rows of Weights
 // are partitioned into contiguous chunks, one goroutine each. Every row is
 // computed by exactly the same arithmetic in the same order as the
 // sequential path, so results are bit-identical at any worker count.
-func updateMemberships(points []geo.Point, centroids []geo.Point, weights [][]float64, norm geo.Normalizer, power float64, workers int) {
-	n := len(points)
+func updateMemberships(sites, cents []geo.Site, weights [][]float64, norm geo.Normalizer, power float64, workers int) {
+	n := len(sites)
 	if workers <= 1 {
-		membershipRows(points, centroids, weights, norm, power, 0, n)
+		membershipRows(sites, cents, weights, norm, power, 0, n)
 		return
 	}
 	chunk := (n + workers - 1) / workers
@@ -199,60 +229,73 @@ func updateMemberships(points []geo.Point, centroids []geo.Point, weights [][]fl
 		wg.Add(1)
 		go func(start, end int) {
 			defer wg.Done()
-			membershipRows(points, centroids, weights, norm, power, start, end)
+			membershipRows(sites, cents, weights, norm, power, start, end)
 		}(start, end)
 	}
 	wg.Wait()
 }
 
 // membershipRows updates Weights rows [start, end).
-func membershipRows(points []geo.Point, centroids []geo.Point, weights [][]float64, norm geo.Normalizer, power float64, start, end int) {
-	k := len(centroids)
-	d := make([]float64, k)
+func membershipRows(sites, cents []geo.Site, weights [][]float64, norm geo.Normalizer, power float64, start, end int) {
+	d := make([]float64, len(cents))
 	for i := start; i < end; i++ {
-		p := points[i]
-		row := weights[i]
-		// Batched distance kernel: one deg2rad of p per row instead of one
-		// per (row, centroid) pair; bit-identical to the scalar calls.
-		norm.DistancesTo(d, p, centroids)
+		s := sites[i]
+		for j, c := range cents {
+			d[j] = norm.SiteDistance(s, c)
+		}
+		membershipRow(weights[i], d, power)
+	}
+}
+
+// membershipRow sets row to the FCM memberships of a point whose distances
+// to the centroids are d, with power = 2/(m−1):
+//
+//	w_j = t_j / Σ_l t_l,   t_l = (d_min / d_l)^power,
+//
+// where d_min is the row's smallest distance. In real arithmetic this is
+// the textbook 1 / Σ_l (d_j/d_l)^power, at O(k) per row instead of O(k²).
+// Scaling by d_min keeps every t_l in [0, 1] with t = 1 at the nearest
+// centroid, so the sum lies in [1, k] and cannot overflow, even when a
+// squared distance is subnormal. A point coinciding with one or more
+// centroids splits its membership crisply among them.
+func membershipRow(row, d []float64, power float64) {
+	dmin := slices.Min(d)
+	if dmin == 0 {
 		zeros := 0
 		for _, v := range d {
 			if v == 0 {
 				zeros++
 			}
 		}
-		if zeros > 0 {
-			// Crisp split among coincident centroids.
-			u := 1 / float64(zeros)
-			for j := range row {
-				if d[j] == 0 {
-					row[j] = u
-				} else {
-					row[j] = 0
-				}
-			}
-			continue
-		}
-		for j := range row {
-			sum := 0.0
-			if power == 2 { // the classic m = 2: avoid math.Pow in the hot loop
-				for l := 0; l < k; l++ {
-					r := d[j] / d[l]
-					sum += r * r
-				}
+		u := 1 / float64(zeros)
+		for j, v := range d {
+			if v == 0 {
+				row[j] = u
 			} else {
-				for l := 0; l < k; l++ {
-					sum += math.Pow(d[j]/d[l], power)
-				}
+				row[j] = 0
 			}
-			row[j] = 1 / sum
 		}
+		return
+	}
+	sum := 0.0
+	for j, v := range d {
+		r := dmin / v
+		if power == 2 { // the classic m = 2: avoid math.Pow in the hot loop
+			r *= r
+		} else {
+			r = math.Pow(r, power)
+		}
+		row[j] = r
+		sum += r
+	}
+	for j := range row {
+		row[j] /= sum
 	}
 }
 
 // updateCentroids moves each centroid to the w^m-weighted mean of the
-// points (the exact FCM update for squared distances), returning the
-// largest movement in km.
+// points (the exact FCM update for squared distances), keeps cents the
+// centroids' sites, and returns the largest movement in km.
 //
 // scratch holds min(workers, k) rows of n floats. With workers > 1 the
 // clusters are striped across goroutines, each with its own row. Every
@@ -260,7 +303,7 @@ func membershipRows(points []geo.Point, centroids []geo.Point, weights [][]float
 // (parallelism is across clusters, never within one accumulation), so
 // centroids are bit-identical at any worker count; the move reduction is
 // a max, which is order-independent.
-func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]float64, m float64, workers int, scratch []float64) float64 {
+func updateCentroids(points, centroids []geo.Point, cents []geo.Site, weights [][]float64, m float64, workers int, scratch []float64) float64 {
 	k := len(centroids)
 	n := len(points)
 	moves := make([]float64, k)
@@ -270,7 +313,7 @@ func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]floa
 	if workers <= 1 {
 		w := scratch[:n]
 		for j := 0; j < k; j++ {
-			moves[j] = centroidStep(points, centroids, weights, m, w, j)
+			moves[j] = centroidStep(points, centroids, cents, weights, m, w, j)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -280,7 +323,7 @@ func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]floa
 				defer wg.Done()
 				w := scratch[wk*n : (wk+1)*n]
 				for j := wk; j < k; j += workers {
-					moves[j] = centroidStep(points, centroids, weights, m, w, j)
+					moves[j] = centroidStep(points, centroids, cents, weights, m, w, j)
 				}
 			}(wk)
 		}
@@ -295,9 +338,9 @@ func updateCentroids(points []geo.Point, centroids []geo.Point, weights [][]floa
 	return maxMove
 }
 
-// centroidStep recomputes centroid j, returning how far it moved in km
-// (0 for a dead cluster, whose centroid stays put).
-func centroidStep(points []geo.Point, centroids []geo.Point, weights [][]float64, m float64, w []float64, j int) float64 {
+// centroidStep recomputes centroid j and its site, returning how far it
+// moved in km (0 for a dead cluster, whose centroid stays put).
+func centroidStep(points, centroids []geo.Point, cents []geo.Site, weights [][]float64, m float64, w []float64, j int) float64 {
 	n := len(points)
 	total := 0.0
 	if m == 2 {
@@ -316,18 +359,21 @@ func centroidStep(points []geo.Point, centroids []geo.Point, weights [][]float64
 		return 0 // dead cluster: leave the centroid where it is
 	}
 	next := geo.Centroid(points, w)
-	d := geo.Equirectangular(centroids[j], next)
-	centroids[j] = next
+	site := geo.NewSite(next)
+	d := cents[j].Distance(site)
+	centroids[j], cents[j] = next, site
 	return d
 }
 
 // Objective evaluates the FCM program being minimized:
 // J = Σ_j Σ_i w_ij^m d(i,μ_j)² over normalized distances. Lower is better.
 func Objective(points []geo.Point, res *Result, norm geo.Normalizer, m float64) float64 {
+	cents := newSites(res.Centroids)
 	total := 0.0
 	for i, p := range points {
-		for j, c := range res.Centroids {
-			d := norm.Distance(p, c)
+		s := geo.NewSite(p)
+		for j, c := range cents {
+			d := norm.SiteDistance(s, c)
 			total += math.Pow(res.Weights[i][j], m) * d * d
 		}
 	}
@@ -336,13 +382,14 @@ func Objective(points []geo.Point, res *Result, norm geo.Normalizer, m float64) 
 
 // Eq1Value evaluates the clustering term exactly as the paper's Eq. 1
 // states it — Σ_j Σ_i w_ij^f (1 − d(i,μ_j)) — at the fitted solution, for
-// reporting. Higher is better.
+// reporting. Higher is better. Its distances are Cluster's.
 func Eq1Value(points []geo.Point, res *Result, norm geo.Normalizer, f float64) float64 {
+	cents := newSites(res.Centroids)
 	total := 0.0
 	for i, p := range points {
-		for j, c := range res.Centroids {
-			s := 1 - norm.Distance(p, c)
-			total += math.Pow(res.Weights[i][j], f) * s
+		s := geo.NewSite(p)
+		for j, c := range cents {
+			total += math.Pow(res.Weights[i][j], f) * (1 - norm.SiteDistance(s, c))
 		}
 	}
 	return total

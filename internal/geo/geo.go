@@ -7,6 +7,14 @@
 // speedup at 0.1% precision loss for intra-city distances. Both functions
 // are implemented here so the claim can be benchmarked
 // (BenchmarkHaversine / BenchmarkEquirectangular in the repository root).
+//
+// The engine takes the same argument one step further. Equirectangular
+// still calls math.Cos once per pair, and clustering and CI scoring
+// measure each point against many centroids. A Site carries a point's
+// radians and its half-latitude sine and cosine, computed once, so
+// Site.Distance needs no trigonometry at all. It agrees with
+// Equirectangular to rounding, and Equirectangular stays the reference
+// that metrics, experiments and WeberPoint use.
 package geo
 
 import (
@@ -255,32 +263,44 @@ func (n Normalizer) Distance(a, b Point) float64 {
 // Max returns the normalization constant in km.
 func (n Normalizer) Max() float64 { return n.max }
 
-// DistancesTo fills dst[j] with Distance(p, centroids[j]) for every
-// centroid. It is the batched form of Distance for the FCM membership
-// loop: p's degree→radian conversion is hoisted out of the loop and the
-// slices are pre-clipped so the inner loop runs without bounds checks or
-// function-call overhead. Each dst[j] is bit-identical to the scalar
-// Distance call — the arithmetic is the same, merely hoisted.
-func (n Normalizer) DistancesTo(dst []float64, p Point, centroids []Point) {
-	if len(dst) != len(centroids) {
-		panic(fmt.Sprintf("geo: DistancesTo length mismatch %d vs %d", len(dst), len(centroids)))
-	}
+// Site is a point prepared for repeated distance computations: its
+// coordinates in radians plus the sine and cosine of its half-latitude.
+// By cos((φ1+φ2)/2) = cos(φ1/2)·cos(φ2/2) − sin(φ1/2)·sin(φ2/2), the
+// equirectangular distance between two sites takes a few multiplies and
+// one square root, with no trigonometry per pair. The engine prepares a
+// point once and measures it against many others, so this is where the
+// §3.2 speed argument pays off.
+type Site struct {
+	lat, lon   float64 // radians
+	sinH, cosH float64 // sin(lat/2), cos(lat/2)
+}
+
+// NewSite prepares p for Site.Distance and Normalizer.SiteDistance.
+func NewSite(p Point) Site {
+	la, lo := deg2rad(p.Lat), deg2rad(p.Lon)
+	sinH, cosH := math.Sincos(la / 2)
+	return Site{lat: la, lon: lo, sinH: sinH, cosH: cosH}
+}
+
+// Distance returns the equirectangular distance to b in km. It equals
+// Equirectangular on the sites' points up to rounding: within
+// max(1e-9 km, 1e-11 × distance) (FuzzSiteDistance). It is exactly
+// symmetric.
+func (a Site) Distance(b Site) float64 {
+	x := (b.lon - a.lon) * (a.cosH*b.cosH - a.sinH*b.sinH)
+	y := b.lat - a.lat
+	return EarthRadiusKm * math.Sqrt(x*x+y*y)
+}
+
+// SiteDistance is Distance on prepared sites: the normalized
+// equirectangular distance in [0,1], clamped to 1 beyond the maximum.
+func (n Normalizer) SiteDistance(a, b Site) float64 {
 	if n.max <= 0 {
-		for j := range dst {
-			dst[j] = 0
-		}
-		return
+		return 0
 	}
-	dst = dst[:len(centroids)]
-	la1, lo1 := deg2rad(p.Lat), deg2rad(p.Lon)
-	for j, c := range centroids {
-		la2, lo2 := deg2rad(c.Lat), deg2rad(c.Lon)
-		x := (lo2 - lo1) * math.Cos((la1+la2)/2)
-		y := la2 - la1
-		d := EarthRadiusKm * math.Sqrt(x*x+y*y) / n.max
-		if d > 1 {
-			d = 1
-		}
-		dst[j] = d
+	d := a.Distance(b) / n.max
+	if d > 1 {
+		return 1
 	}
+	return d
 }

@@ -257,3 +257,62 @@ func TestMidpoint(t *testing.T) {
 		t.Fatalf("midpoint = %v", m)
 	}
 }
+
+// siteTolKm is the site kernel's stated agreement with Equirectangular:
+// max(1e-9 km, 1e-11 × the distance).
+func siteTolKm(d float64) float64 { return math.Max(1e-9, 1e-11*d) }
+
+// FuzzSiteDistance checks the trigonometry-free site kernel against
+// Equirectangular, its reference, on any pair of valid coordinates, and
+// that it is exactly symmetric.
+func FuzzSiteDistance(f *testing.F) {
+	for _, pair := range [][4]float64{
+		{90, 0, 90, 180},        // north pole, opposite meridians
+		{-90, -180, -90, 180},   // south pole across the antimeridian
+		{90, 0, -90, 0},         // pole to pole
+		{0, 180, 0, -180},       // the antimeridian, both sides
+		{10, 179.9, 10, -179.9}, // near it, the long way round
+		{0, 0, 0, 0},            // (0, 0) to itself
+		{0, 0, 6e-159, 0},       // (0, 0) to a subnormal-square neighbour
+		{louvre.Lat, louvre.Lon, eiffel.Lat, eiffel.Lon},
+		{montmart.Lat, montmart.Lon, notreDame.Lat, notreDame.Lon},
+		{41.8902, 12.4922, 41.9029, 12.4534}, // Rome, in-city
+	} {
+		f.Add(pair[0], pair[1], pair[2], pair[3])
+	}
+	f.Fuzz(func(t *testing.T, lat1, lon1, lat2, lon2 float64) {
+		a, b := Point{Lat: lat1, Lon: lon1}, Point{Lat: lat2, Lon: lon2}
+		if !a.Valid() || !b.Valid() {
+			t.Skip()
+		}
+		sa, sb := NewSite(a), NewSite(b)
+		got, want := sa.Distance(sb), Equirectangular(a, b)
+		if math.Abs(got-want) > siteTolKm(want) {
+			t.Fatalf("site distance %v to %v = %.17g km, Equirectangular %.17g (error %.3g)", a, b, got, want, got-want)
+		}
+		if back := sb.Distance(sa); back != got {
+			t.Fatalf("site distance not symmetric: %.17g vs %.17g", got, back)
+		}
+	})
+}
+
+// TestSiteDistanceNormalized: SiteDistance is Distance on sites — the
+// same value within the kernel's tolerance, the same clamp to 1, and 0
+// under a degenerate normalizer.
+func TestSiteDistanceNormalized(t *testing.T) {
+	src := rng.New(12)
+	for _, max := range []float64{0.5, 3, 15} { // km; 0.5 clamps most pairs
+		n := NewNormalizer(max)
+		for i := 0; i < 500; i++ {
+			a := Point{Lat: src.Range(48.8, 48.92), Lon: src.Range(2.25, 2.42)}
+			b := Point{Lat: src.Range(48.8, 48.92), Lon: src.Range(2.25, 2.42)}
+			got, want := n.SiteDistance(NewSite(a), NewSite(b)), n.Distance(a, b)
+			if got < 0 || got > 1 || math.Abs(got-want) > siteTolKm(Equirectangular(a, b))/max {
+				t.Fatalf("max %v: SiteDistance %v to %v = %v, Distance %v", max, a, b, got, want)
+			}
+		}
+	}
+	if d := NewNormalizer(0).SiteDistance(NewSite(louvre), NewSite(eiffel)); d != 0 {
+		t.Fatalf("degenerate normalizer returned %v, want 0", d)
+	}
+}

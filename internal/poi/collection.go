@@ -15,8 +15,11 @@ type Collection struct {
 	pois   []*POI
 	byID   map[int]*POI
 	byCat  [NumCategories][]*POI
-	grid   *geo.GridIndex
-	norm   geo.Normalizer
+	// siteByCat[c][i] is the distance-kernel site of byCat[c][i],
+	// computed once here for every CI build's scoring loop.
+	siteByCat [NumCategories][]geo.Site
+	grid      *geo.GridIndex
+	norm      geo.Normalizer
 }
 
 // NewCollection indexes the POIs under the schema. Every POI is validated;
@@ -41,6 +44,7 @@ func NewCollection(schema *Schema, pois []*POI) (*Collection, error) {
 		c.byID[p.ID] = p
 		c.pois = append(c.pois, p)
 		c.byCat[p.Cat] = append(c.byCat[p.Cat], p)
+		c.siteByCat[p.Cat] = append(c.siteByCat[p.Cat], geo.NewSite(p.Coord))
 		points = append(points, p.Coord)
 	}
 	if len(points) > 0 {
@@ -65,6 +69,10 @@ func (c *Collection) ByID(id int) *POI { return c.byID[id] }
 // ByCategory returns all POIs of category cat (shared slice; do not
 // mutate).
 func (c *Collection) ByCategory(cat Category) []*POI { return c.byCat[cat] }
+
+// CategorySites returns the site of each POI of ByCategory(cat), index
+// for index (shared slice; do not mutate).
+func (c *Collection) CategorySites(cat Category) []geo.Site { return c.siteByCat[cat] }
 
 // Normalizer returns the distance normalizer derived from the city's POI
 // cloud (the "largest observed distance value" of §3.2).

@@ -219,12 +219,21 @@ func (s *Server) isReadOnly() bool {
 // embedders drive Sync/CatchUp and read lag through it.
 func (s *Server) Follower() *replicate.Follower { return s.follower }
 
-// Close stops background replication tailers and waits for in-flight
-// syncs. Primaries have nothing to stop. City logs stay open — the
-// process may keep serving.
+// Close stops background replication tailers, waiting out in-flight
+// applies, and then closes every loaded city's log, fsyncing what it
+// holds. A city that was never loaded has no open log and is not loaded
+// now. Close is for shutdown: every later append fails ("wal closed"),
+// as on a broken log. Idempotent.
 func (s *Server) Close() {
 	if s.follower != nil {
 		s.follower.Stop()
+	}
+	for _, key := range s.reg.Keys() {
+		if c, ok := s.reg.Resident(key); ok && c.State.wal != nil {
+			if err := c.State.wal.Close(); err != nil {
+				c.State.persistErr.Store(err.Error())
+			}
+		}
 	}
 }
 

@@ -64,6 +64,7 @@ func FuzzCityRecovery(f *testing.F) {
 		f.Fatal(err)
 	}
 	ts.Close()
+	s.Close()
 	good, err := os.ReadFile(store.WALPath(seedDir, key))
 	if err != nil {
 		f.Fatal(err)
@@ -92,7 +93,7 @@ func FuzzCityRecovery(f *testing.F) {
 			if err != nil {
 				t.Fatalf("a damaged log failed the load: %v", err)
 			}
-			defer c.State.wal.Close()
+			defer s.Close()
 			return captureState(t, s, key), c.State.health().WAL
 		}
 		st1, h1 := load()

@@ -17,6 +17,8 @@ import (
 
 	"grouptravel/internal/dataset"
 	"grouptravel/internal/poi"
+	"grouptravel/internal/profile"
+	"grouptravel/internal/rng"
 	"grouptravel/internal/store"
 )
 
@@ -518,6 +520,38 @@ func TestTornWALTailSurfacesOnHealth(t *testing.T) {
 		if err := tryJSON(ts3, "GET", fmt.Sprintf("%s/cities/alpha/groups/%d", ts3.URL, id), nil, 200, nil); err != nil {
 			t.Fatalf("group %d lost after repair+restart: %v", id, err)
 		}
+	}
+}
+
+// TestCloseClosesLoadedCityLogs: Close releases the log of every loaded
+// city, so a later append fails with "wal closed", and it loads no city
+// that was not loaded. A second Close is a no-op.
+func TestCloseClosesLoadedCityLogs(t *testing.T) {
+	s, ts := multiCityServer(t, t.TempDir())
+	loaded := mcKeys[:2]
+	for i, key := range loaded {
+		if _, err := mcCreateGroup(ts, mcCities[i], key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	s.Close()
+	for i, key := range loaded {
+		c, ok := s.Registry().Resident(key)
+		if !ok {
+			t.Fatalf("%s: no longer resident after Close", key)
+		}
+		g, err := profile.GenerateUniformGroup(mcCities[i].Schema, 2, rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.State.wal.Append(store.GroupCreateRecord(99, g))
+		if err == nil || !strings.Contains(err.Error(), "wal closed") {
+			t.Fatalf("%s: append after Close = %v, want wal closed", key, err)
+		}
+	}
+	if _, ok := s.Registry().Resident(mcKeys[2]); ok {
+		t.Fatalf("Close loaded %s", mcKeys[2])
 	}
 }
 
