@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -779,6 +780,69 @@ func BenchmarkMutationPersistence(b *testing.B) {
 	})
 }
 
+// --- Compaction: snapshot write ---
+
+// countingWriter discards what it is given, keeping the byte total and
+// the largest single Write.
+type countingWriter struct{ n, largest int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	w.largest = max(w.largest, len(p))
+	return len(p), nil
+}
+
+// BenchmarkSnapshotWrite prices the encode half of a compaction:
+// store.SaveServerState over a DefaultSpec city holding 1,600 groups of
+// 2–12 members, each with one package built for the default query at
+// k 3–7 — as many groups and packages as browse seeds across its four
+// cities. Beside ns/op and B/op it reports the snapshot's size and the
+// largest single Write the writer issued, which streaming keeps at its
+// buffer's size however large the city.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	city := planSetup(b)
+	e, err := core.NewEngine(city)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := &store.ServerState{City: city.Name, WALSeq: 1}
+	var built []*core.TravelPackage
+	for i := 0; i < 1600; i++ {
+		g, err := profile.GenerateUniformGroup(city.Schema, 2+i%11, rng.New(int64(i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		gid := 2*i + 1
+		st.Groups = append(st.Groups, store.GroupRecord{ID: gid, Group: g})
+		if len(built) < 5 {
+			gp, err := consensus.GroupProfile(g, consensus.PairwiseDis)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tp, err := e.Build(gp, query.Default(), core.DefaultParams(3+len(built)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			built = append(built, tp)
+		}
+		st.Packages = append(st.Packages, store.PackageRecord{
+			ID: gid + 1, GroupID: gid, Method: "pairwise", Package: built[i%len(built)],
+		})
+	}
+	st.NextID = 2*len(st.Groups) + 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	var w countingWriter
+	for i := 0; i < b.N; i++ {
+		w = countingWriter{}
+		if err := store.SaveServerState(&w, st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(w.n), "snapshot-B")
+	b.ReportMetric(float64(w.largest), "largest-write-B")
+}
+
 // --- Weighted consensus ---
 
 func BenchmarkConsensusWeighted(b *testing.B) {
@@ -1116,10 +1180,12 @@ func BenchmarkHotRead(b *testing.B) {
 //     router-side cost of a cached routed read. Against
 //     BenchmarkRouterProxy/routed (the uncached routed path, ns/op) the
 //     gap is the proxy hop the cache removes — well past 3×.
-//   - miss: the same recorder harness with the route guard forcing the
-//     cache aside, so every iteration pays the real upstream HTTP hop and
-//     the shard's render — the same-harness uncached baseline, exactly
-//     like BenchmarkRouterProxy/routed.
+//   - miss: the same recorder harness with a query string no earlier
+//     request used, so every iteration misses and fills: the real
+//     upstream HTTP hop, the shard's render, and the capture into a new
+//     entry (which evicts the LRU tail once the cache is full) — the
+//     same-harness uncached baseline, like BenchmarkRouterProxy/routed
+//     plus the capture.
 //   - hit-http: the cached read through a real client socket, end-to-end
 //     comparable with the BenchmarkRouterProxy rows.
 func BenchmarkRouterEdgeCache(b *testing.B) {
@@ -1189,14 +1255,25 @@ func BenchmarkRouterEdgeCache(b *testing.B) {
 			}
 		}
 	})
-	// The stream param trips the streamed-response guard, so the router
-	// proxies every iteration; the shard ignores it and renders the POI
-	// listing — the routed-uncached baseline.
+	// Each miss request carries a query parameter no earlier request
+	// carried — the shard ignores it and renders the POI listing — so no
+	// iteration, in any of the runs the harness makes, finds an entry.
+	// The counter outlives each run for that reason.
+	misses := 0
+	missReq := func() *http.Request {
+		misses++
+		return httptest.NewRequest(http.MethodGet, path+"&miss="+strconv.Itoa(misses), nil)
+	}
 	b.Run("miss", func(b *testing.B) {
-		req := httptest.NewRequest(http.MethodGet, path+"&stream=0", nil)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, missReq())
+		if w.Code != http.StatusOK || w.Header().Get("X-GT-Edge") == "hit" {
+			b.Fatalf("miss row's first response: status %d, X-GT-Edge %q", w.Code, w.Header().Get("X-GT-Edge"))
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			w := httptest.NewRecorder()
-			h.ServeHTTP(w, req)
+			h.ServeHTTP(w, missReq())
 			if w.Code != http.StatusOK {
 				b.Fatalf("status %d", w.Code)
 			}

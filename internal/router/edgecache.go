@@ -26,13 +26,17 @@ package router
 //     proxied through this router the moment it is acknowledged — the
 //     city's cached entries are invalidated *immediately*, not at the
 //     next poll; a reader arriving after a mutation's response can
-//     never hit bytes rendered before it.
+//     never hit bytes rendered before it. The entries the new floor
+//     retires leave the cache at once: nothing below a commit floor can
+//     ever serve again, so it holds no memory either.
 //   - The health-feed bound caps staleness for writes this router never
 //     saw (another router's mutations, direct writes at the primary):
 //     once any node of the shard reports a newer applied sequence, all
 //     older entries stop serving. Staleness is therefore bounded by the
 //     same poll-interval window token-less reads already accept from a
-//     -shed-lag follower — the cache weakens nothing.
+//     -shed-lag follower — the cache weakens nothing. Entries this bound
+//     alone retires stay resident until LRU pressure recycles them:
+//     the bound is a per-request view of the health feed, not a floor.
 //
 // Entries without a seq stamp are never cached: no sequence space means
 // no way to validate freshness, so persistence-less backends simply
@@ -69,13 +73,19 @@ const (
 // ("hit") — the observability hook tests and curl read.
 const HeaderEdge = "X-GT-Edge"
 
-// edgeEntry is one cached rendered response.
+// edgeEntry is one cached rendered response. key, city, seq, ctype and
+// body never change once the entry is built, so a reader may use them
+// after the cache lock is released; lru and byCity are the entry's
+// positions in the cache's lists and are touched only under the lock.
 type edgeEntry struct {
 	key   string
 	city  string
 	seq   int64 // applied sequence the shard stamped at render
 	ctype string
 	body  []byte
+
+	lru    *list.Element // in edgeCache.lru
+	byCity *list.Element // in edgeCache.cities[city]
 }
 
 // edgeFill is one in-flight singleflight fill. done closes when the
@@ -89,13 +99,23 @@ type edgeFill struct {
 // edgeCache is the bounded LRU plus the per-city commit floors and the
 // singleflight fill table. One instance per router, shared by every
 // city; the LRU bound is the memory bound.
+//
+// Every resident entry sits in three places: the key map, the LRU, and
+// its city's index, a list in ascending seq order. The index is what
+// lets invalidate drop exactly the entries a new floor retires — a
+// prefix of the city's list — without walking anything else. A fill is
+// stamped with its node's applied sequence, and a node's stamps only
+// rise, so fills reach an index nearly in seq order: placing one walks
+// back from the tail only past entries a fresher node stamped since.
 type edgeCache struct {
 	mu     sync.Mutex
 	cap    int
-	m      map[string]*list.Element // key -> *edgeEntry element
-	lru    *list.List               // front = most recently served
-	floors map[string]int64         // city -> min servable entry seq
+	m      map[string]*edgeEntry
+	lru    *list.List            // front = most recently served
+	cities map[string]*list.List // city -> its entries, ascending seq
+	floors map[string]int64      // city -> min servable entry seq
 	fills  map[string]*edgeFill
+	bytes  int // sum of resident body lengths
 
 	hits          *telemetry.Counter
 	misses        *telemetry.Counter
@@ -109,8 +129,9 @@ func newEdgeCache(cap int, ctr counters) *edgeCache {
 	}
 	return &edgeCache{
 		cap:           cap,
-		m:             make(map[string]*list.Element),
+		m:             make(map[string]*edgeEntry),
 		lru:           list.New(),
+		cities:        make(map[string]*list.List),
 		floors:        make(map[string]int64),
 		fills:         make(map[string]*edgeFill),
 		hits:          ctr.edgeHits,
@@ -157,12 +178,11 @@ func (ec *edgeCache) floor(city string) int64 {
 func (ec *edgeCache) get(key string, floor int64) *edgeEntry {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	el, ok := ec.m[key]
+	e, ok := ec.m[key]
 	if !ok {
 		ec.misses.Inc()
 		return nil
 	}
-	e := el.Value.(*edgeEntry)
 	if f := ec.floors[e.city]; f > floor {
 		floor = f
 	}
@@ -170,7 +190,7 @@ func (ec *edgeCache) get(key string, floor int64) *edgeEntry {
 		ec.misses.Inc()
 		return nil
 	}
-	ec.lru.MoveToFront(el)
+	ec.lru.MoveToFront(e.lru)
 	ec.hits.Inc()
 	return e
 }
@@ -183,33 +203,67 @@ func (ec *edgeCache) put(e *edgeEntry) {
 	if e.seq < ec.floors[e.city] {
 		return
 	}
-	if el, ok := ec.m[e.key]; ok {
+	if old, ok := ec.m[e.key]; ok {
 		// Keep the freshest render: a racing slower fill from a lagging
 		// follower must not replace a newer entry.
-		if el.Value.(*edgeEntry).seq <= e.seq {
-			el.Value = e
-			ec.lru.MoveToFront(el)
+		if old.seq > e.seq {
+			return
 		}
-		return
+		ec.removeLocked(old)
 	}
-	ec.m[e.key] = ec.lru.PushFront(e)
+	ec.m[e.key] = e
+	e.lru = ec.lru.PushFront(e)
+	ec.bytes += len(e.body)
+	idx := ec.cities[e.city]
+	if idx == nil {
+		idx = list.New()
+		ec.cities[e.city] = idx
+	}
+	at := idx.Back()
+	for at != nil && at.Value.(*edgeEntry).seq > e.seq {
+		at = at.Prev()
+	}
+	if at == nil {
+		e.byCity = idx.PushFront(e)
+	} else {
+		e.byCity = idx.InsertAfter(e, at)
+	}
 	for ec.lru.Len() > ec.cap {
-		oldest := ec.lru.Back()
-		ec.lru.Remove(oldest)
-		delete(ec.m, oldest.Value.(*edgeEntry).key)
+		ec.removeLocked(ec.lru.Back().Value.(*edgeEntry))
+	}
+}
+
+// removeLocked drops one resident entry from the key map, the LRU and its
+// city's index. ec.mu is held.
+func (ec *edgeCache) removeLocked(e *edgeEntry) {
+	delete(ec.m, e.key)
+	ec.lru.Remove(e.lru)
+	ec.bytes -= len(e.body)
+	idx := ec.cities[e.city]
+	idx.Remove(e.byCity)
+	if idx.Len() == 0 {
+		delete(ec.cities, e.city)
 	}
 }
 
 // invalidate raises the city's commit floor to seq: every entry rendered
-// before the mutation that committed at seq stops serving immediately.
-// Entries are left in place — get's floor check makes them unservable —
-// and recycled by LRU pressure or overwritten by the next fill.
+// before the mutation that committed at seq stops serving immediately,
+// and leaves the cache — the city's index is in seq order, so the
+// retired entries are its prefix, and the cost is O(entries dropped). A
+// fill that raced past the write carries a seq at or above the floor
+// and stays.
 func (ec *edgeCache) invalidate(city string, seq int64) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	if seq > ec.floors[city] {
-		ec.floors[city] = seq
-		ec.invalidations.Inc()
+	if seq <= ec.floors[city] {
+		return
+	}
+	ec.floors[city] = seq
+	ec.invalidations.Inc()
+	if idx := ec.cities[city]; idx != nil {
+		for el := idx.Front(); el != nil && el.Value.(*edgeEntry).seq < seq; el = idx.Front() {
+			ec.removeLocked(el.Value.(*edgeEntry))
+		}
 	}
 }
 
@@ -218,19 +272,14 @@ func (ec *edgeCache) invalidate(city string, seq int64) {
 func (ec *edgeCache) purgeCity(city string) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	var next *list.Element
-	purged := false
-	for el := ec.lru.Front(); el != nil; el = next {
-		next = el.Next()
-		if e := el.Value.(*edgeEntry); e.city == city {
-			ec.lru.Remove(el)
-			delete(ec.m, e.key)
-			purged = true
-		}
+	idx := ec.cities[city]
+	if idx == nil {
+		return
 	}
-	if purged {
-		ec.invalidations.Inc()
+	for idx.Len() > 0 {
+		ec.removeLocked(idx.Front().Value.(*edgeEntry))
 	}
+	ec.invalidations.Inc()
 }
 
 // join returns the in-flight fill for key, or registers a new one with
@@ -257,11 +306,19 @@ func (ec *edgeCache) finish(key string, fill *edgeFill, entry *edgeEntry) {
 	close(fill.done)
 }
 
-// len returns the current entry count (healthz).
+// len returns the resident entry count (/metrics).
 func (ec *edgeCache) len() int {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
 	return ec.lru.Len()
+}
+
+// size returns the resident body bytes (/metrics): what the cache holds
+// beyond its bookkeeping.
+func (ec *edgeCache) size() int {
+	ec.mu.Lock()
+	defer ec.mu.Unlock()
+	return ec.bytes
 }
 
 // writeEdge serves one cached entry: the stored bytes, the applied-seq

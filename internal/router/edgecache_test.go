@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +180,75 @@ func TestEdgeCacheHitInvalidateRefill(t *testing.T) {
 	if hdr.Get(HeaderEdge) != "hit" || hdr.Get(HeaderAppliedSeq) != "2" {
 		t.Fatalf("refilled entry not hit: edge=%q seq=%q", hdr.Get(HeaderEdge), hdr.Get(HeaderAppliedSeq))
 	}
+}
+
+// TestEdgeCacheWriteDropsRetiredEntries: a proxied write's commit floor
+// retires every older entry of its city, and they leave the cache at
+// once — the entry count and both size gauges on /metrics fall — while
+// other cities' entries, and a fill that raced past the write, stay.
+func TestEdgeCacheWriteDropsRetiredEntries(t *testing.T) {
+	_, pts := newPrimary(t)
+	cities := rtTestCities(t)
+	keyA, keyB := cityKeyOf(cities[0]), cityKeyOf(cities[1])
+	rt, rts := newRouter(t, Options{Topology: singleShard(pts.URL), EdgeCache: true})
+
+	var ga, gb createdGroup
+	doJSON(t, "POST", rts.URL+"/cities/"+keyA+"/groups", groupBody(cities[0]), nil, http.StatusCreated, &ga)
+	doJSON(t, "POST", rts.URL+"/cities/"+keyB+"/groups", groupBody(cities[1]), nil, http.StatusCreated, &gb)
+	rt.Poll()
+	for _, path := range []string{
+		fmt.Sprintf("/cities/%s/groups/%d", keyA, ga.ID),
+		"/cities/" + keyA + "/pois?k=3",
+		fmt.Sprintf("/cities/%s/groups/%d", keyB, gb.ID),
+	} {
+		doJSON(t, "GET", rts.URL+path, nil, nil, http.StatusOK, nil)
+	}
+	// A fill that raced past the write: stamped above any floor the
+	// write below can set.
+	raced := &edgeEntry{key: edgeKey(keyA, "/cities/"+keyA+"/raced", ""), city: keyA, seq: 1 << 40, body: []byte("raced")}
+	rt.edge.put(raced)
+
+	gauges := func() (entries, bytes float64) {
+		text := fetchText(t, rts.URL+"/metrics")
+		return metricValue(t, text, "gt_router_edgecache_entries"), metricValue(t, text, "gt_router_edgecache_bytes")
+	}
+	entries, bytes := gauges()
+	if entries != 4 || rt.edge.len() != 4 {
+		t.Fatalf("warm cache: gauge %v, len %d entries, want 4", entries, rt.edge.len())
+	}
+
+	doJSON(t, "POST", rts.URL+"/cities/"+keyA+"/groups", groupBody(cities[0]), nil, http.StatusCreated, nil)
+	entriesAfter, bytesAfter := gauges()
+	if entriesAfter != 2 || rt.edge.len() != 2 {
+		t.Fatalf("after the write: gauge %v, len %d entries, want 2 (city %s's older entries dropped)",
+			entriesAfter, rt.edge.len(), keyA)
+	}
+	if bytesAfter >= bytes || bytesAfter <= float64(len(raced.body)) {
+		t.Fatalf("byte gauge %v -> %v: want a fall that keeps %s's entry and the raced fill", bytes, bytesAfter, keyB)
+	}
+	if rt.edge.get(raced.key, 0) != raced {
+		t.Fatal("entry at or above the new floor was dropped")
+	}
+	hdr := doJSON(t, "GET", fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, keyB, gb.ID), nil, nil, http.StatusOK, nil)
+	if hdr.Get(HeaderEdge) != "hit" {
+		t.Fatalf("another city's entry did not survive the write")
+	}
+}
+
+// metricValue reads one unlabelled sample from a /metrics page.
+func metricValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
 }
 
 // TestEdgeCacheNeverServesPreWrite is the freshness-contract proof the

@@ -270,6 +270,8 @@ func New(opts Options) (*Router, error) {
 		rt.edge = newEdgeCache(opts.EdgeCacheMax, rt.ctr)
 		reg.GaugeFunc("gt_router_edgecache_entries", "Edge-cache entries resident.",
 			func() float64 { return float64(rt.edge.len()) })
+		reg.GaugeFunc("gt_router_edgecache_bytes", "Edge-cache response body bytes resident.",
+			func() float64 { return float64(rt.edge.size()) })
 	}
 	rt.health.start()
 	return rt, nil
@@ -512,7 +514,7 @@ func (rt *Router) edgeRead(sh *Shard, city, rest string, w http.ResponseWriter, 
 // the buffered prefix. Returns the stored entry, nil when uncacheable.
 func (rt *Router) captureAndRelay(w http.ResponseWriter, resp *http.Response, sh *Shard, city, key, node string) *edgeEntry {
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxEdgeBody+1))
+	body, err := readCapture(resp)
 	if err != nil {
 		writeErr(w, http.StatusBadGateway, "read %s response: %v", node, err)
 		return nil
@@ -544,6 +546,23 @@ func (rt *Router) captureAndRelay(w http.ResponseWriter, resp *http.Response, sh
 	e := &edgeEntry{key: key, city: city, seq: seq, ctype: resp.Header.Get("Content-Type"), body: body}
 	rt.edge.put(e)
 	return e
+}
+
+// readCapture reads up to maxEdgeBody+1 bytes of a response body for
+// captureAndRelay. A body whose Content-Length is known and within the
+// cap is read into one slice of exactly that size — the slice a cached
+// entry then keeps, with no growth slack for the cache to pin. Chunked
+// and oversized bodies take io.ReadAll's growing buffer; the extra byte
+// tells captureAndRelay an oversized body from one at the cap.
+func readCapture(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxEdgeBody {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxEdgeBody+1))
 }
 
 // readFloor resolves the minimum acceptable sequence for this read: the

@@ -127,9 +127,11 @@ func (gs *groupState) profileFor(name string, method consensus.Method, weights [
 
 // packageState is one built package; mu serializes access to the
 // customization session (interact.Session is not concurrency-safe).
+// groupID, method and weights never change after creation.
 type packageState struct {
 	groupID int
 	method  string
+	weights []float64 // per-member consensus weights; nil when unweighted
 
 	mu      sync.Mutex
 	session *interact.Session
@@ -198,11 +200,9 @@ func materializeState(city *dataset.City, st *store.ServerState) (map[int]*group
 	groups := make(map[int]*groupState, len(st.Groups))
 	packages := make(map[int]*packageState, len(st.Packages))
 	for _, gr := range st.Groups {
-		profiles := gr.Profiles
-		if profiles == nil {
-			profiles = map[string]*profile.Profile{}
-		}
-		groups[gr.ID] = &groupState{group: gr.Group, profiles: profiles}
+		// The memo starts empty: snapshots carry no profiles, and
+		// profileFor recomputes each one on first use.
+		groups[gr.ID] = &groupState{group: gr.Group, profiles: map[string]*profile.Profile{}}
 	}
 	for _, pr := range st.Packages {
 		if _, _, err := methodByName(pr.Method); err != nil {
@@ -215,7 +215,7 @@ func materializeState(city *dataset.City, st *store.ServerState) (map[int]*group
 		// The persisted ops are already reflected in the package items;
 		// reinstating the log keeps /refine seeing them after a restart.
 		sess.SetLog(pr.Ops)
-		packages[pr.ID] = &packageState{groupID: pr.GroupID, method: pr.Method, session: sess}
+		packages[pr.ID] = &packageState{groupID: pr.GroupID, method: pr.Method, weights: pr.Weights, session: sess}
 	}
 	return groups, packages, nil
 }
@@ -282,13 +282,17 @@ func (cs *cityState) applyRecord(rec store.Record) error {
 		}
 		cs.mu.Lock()
 		defer cs.mu.Unlock()
-		if cs.groups[rec.GroupID] == nil {
+		gs := cs.groups[rec.GroupID]
+		if gs == nil {
 			return fmt.Errorf("%s references unknown group %d", rec.Kind, rec.GroupID)
+		}
+		if n := len(rec.Weights); n > 0 && n != gs.group.Size() {
+			return fmt.Errorf("%s has %d weights for a group of %d", rec.Kind, n, gs.group.Size())
 		}
 		if err := cs.claimIDLocked(rec.ID); err != nil {
 			return err
 		}
-		cs.packages[rec.ID] = &packageState{groupID: rec.GroupID, method: rec.Method, session: sess}
+		cs.packages[rec.ID] = &packageState{groupID: rec.GroupID, method: rec.Method, weights: rec.Weights, session: sess}
 
 	case store.RecordCustomOp:
 		cs.mu.RLock()
@@ -587,14 +591,7 @@ func (cs *cityState) collectState() *store.ServerState {
 	sort.Ints(pkgIDs)
 
 	for _, id := range groupIDs {
-		gs := groups[id]
-		gs.mu.Lock()
-		profiles := make(map[string]*profile.Profile, len(gs.profiles))
-		for name, p := range gs.profiles {
-			profiles[name] = p // profiles are immutable once memoized
-		}
-		gs.mu.Unlock()
-		st.Groups = append(st.Groups, store.GroupRecord{ID: id, Group: gs.group, Profiles: profiles})
+		st.Groups = append(st.Groups, store.GroupRecord{ID: id, Group: groups[id].group})
 	}
 	for _, id := range pkgIDs {
 		ps := pkgs[id]
@@ -603,7 +600,7 @@ func (cs *cityState) collectState() *store.ServerState {
 		ops := append([]interact.Op(nil), ps.session.Log()...)
 		ps.mu.Unlock()
 		st.Packages = append(st.Packages, store.PackageRecord{
-			ID: id, GroupID: ps.groupID, Method: ps.method, Package: tp, Ops: ops,
+			ID: id, GroupID: ps.groupID, Method: ps.method, Weights: ps.weights, Package: tp, Ops: ops,
 		})
 	}
 	return st

@@ -13,20 +13,15 @@ import (
 )
 
 // captureState collects a city's full in-memory serving state through the
-// same collector compaction uses, normalized for comparison: memoized
-// consensus profiles are a derivable cache (rebuilt on demand, not logged
-// per mutation), so they are cleared on both sides.
+// same collector compaction uses. Memoized consensus profiles are not part
+// of it: they are a derivable cache, rebuilt on demand.
 func captureState(t *testing.T, s *Server, key string) *store.ServerState {
 	t.Helper()
 	c, err := s.Registry().Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := c.State.collectState()
-	for i := range st.Groups {
-		st.Groups[i].Profiles = nil
-	}
-	return st
+	return c.State.collectState()
 }
 
 // TestCrashEquivalence is the WAL acceptance test: run every mutation

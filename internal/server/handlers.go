@@ -347,7 +347,11 @@ func (cs *cityState) handleCreatePackage(w http.ResponseWriter, r *http.Request)
 		return
 	}
 
-	gp, err := gs.profileFor(canon, method, req.Weights)
+	weights := req.Weights
+	if len(weights) == 0 {
+		weights = nil // "weights": [] is an unweighted build
+	}
+	gp, err := gs.profileFor(canon, method, weights)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -366,11 +370,11 @@ func (cs *cityState) handleCreatePackage(w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	ps := &packageState{groupID: req.GroupID, method: canon, session: sess}
+	ps := &packageState{groupID: req.GroupID, method: canon, weights: weights, session: sess}
 	var id int
 	seq := cs.commit(func(logRec func(store.WALRecord)) {
 		id = cs.register(ps)
-		logRec(store.PackageBuildRecord(id, req.GroupID, canon, tp))
+		logRec(store.PackageBuildRecord(id, req.GroupID, canon, weights, tp))
 	})
 	ps.mu.Lock()
 	resp := cs.renderPackage(id, ps, false)
@@ -598,7 +602,13 @@ func (cs *cityState) handleRefine(w http.ResponseWriter, r *http.Request) {
 		refined, err = interact.RefineBatch(base, ops)
 		req.Strategy = "batch"
 	case "individual":
-		_, refined, err = interact.RefineIndividual(gs.group, method, ops)
+		var members *profile.Group
+		members, refined, err = interact.RefineIndividual(gs.group, method, ops)
+		if err == nil && len(ps.weights) > 0 {
+			// RefineIndividual aggregates without weights; a weighted
+			// package's refined members aggregate with its own.
+			refined, err = consensus.GroupProfileWeighted(members, method, ps.weights)
+		}
 	default:
 		ps.mu.Unlock()
 		writeErr(w, http.StatusBadRequest, "unknown strategy %q", req.Strategy)
@@ -634,11 +644,11 @@ func (cs *cityState) handleRefine(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		nps := &packageState{groupID: ps.groupID, method: ps.method, session: sess}
+		nps := &packageState{groupID: ps.groupID, method: ps.method, weights: ps.weights, session: sess}
 		var id int
 		resp.Seq = cs.commit(func(logRec func(store.WALRecord)) {
 			id = cs.register(nps)
-			logRec(store.RefineRecord(id, ps.groupID, ps.method, newTP, pid, resp.Strategy))
+			logRec(store.RefineRecord(id, ps.groupID, ps.method, ps.weights, newTP, pid, resp.Strategy))
 		})
 		nps.mu.Lock()
 		pr := cs.renderPackage(id, nps, false)

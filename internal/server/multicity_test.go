@@ -171,9 +171,9 @@ func TestMultiCityConcurrentBuilds(t *testing.T) {
 }
 
 // TestMultiCityRestartPersistence is the durability half of the acceptance
-// scenario: groups, memoized profiles and packages — including one mutated
-// by a customization op — survive a server restart byte-for-byte, in every
-// city, because each mutation snapshotted through the store.
+// scenario: groups and packages — including one mutated by a
+// customization op — survive a server restart byte-for-byte, in every
+// city, because each mutation was logged through the store.
 func TestMultiCityRestartPersistence(t *testing.T) {
 	snapDir := t.TempDir()
 	_, ts := multiCityServer(t, snapDir)
@@ -301,13 +301,14 @@ func TestCorruptSnapshotSurfacesOnHealth(t *testing.T) {
 	// Compact deterministically (threshold compaction is asynchronous) so
 	// the snapshot file — the tamper target — exists.
 	compactCity(t, s, "alpha")
-	// Tamper: an unknown consensus method in the persisted package.
+	// Tamper: an unknown consensus method in the persisted package (the
+	// snapshot is written compact, without indentation).
 	path := filepath.Join(snapDir, "alpha.state.json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(string(raw), `"method": "pairwise"`, `"method": "bogus"`, 1)
+	tampered := strings.Replace(string(raw), `"method":"pairwise"`, `"method":"bogus"`, 1)
 	if tampered == string(raw) {
 		t.Fatal("tamper target not found in snapshot")
 	}

@@ -62,8 +62,9 @@ func followerFor(t *testing.T, primaryURL string, opts Options) (*Server, *httpt
 }
 
 // mutator drives one city's randomized workload over HTTP: group
-// creations, package builds, all four customization ops, and refine
-// rebuilds, with the ids it has created so far as the op targets.
+// creations, package builds (half of them weighted), all four
+// customization ops, and refine rebuilds, with the ids it has created so
+// far as the op targets.
 type mutator struct {
 	ts   *httptest.Server
 	city *dataset.City
@@ -85,11 +86,12 @@ func (m *mutator) step(t testing.TB) {
 			return
 		}
 		m.groups = append(m.groups, gid)
-	case k < 5 || len(m.packages) == 0: // build a package
+	case k < 5 || len(m.packages) == 0: // build a package, weighted or not
 		gid := m.groups[m.rng.Intn(len(m.groups))]
 		var pkg packageResponse
 		if err := tryJSON(m.ts, "POST", m.base()+"/packages", createPackageRequest{
 			GroupID: gid, Consensus: []string{"pairwise", "avg", "leastmisery"}[m.rng.Intn(3)], K: 2 + m.rng.Intn(2),
+			Weights: [][]float64{nil, {2, 0, 1}}[m.rng.Intn(2)],
 		}, 201, &pkg); err != nil {
 			t.Error(err)
 			return

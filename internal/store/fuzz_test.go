@@ -46,44 +46,51 @@ func FuzzLoadProfile(f *testing.F) {
 // loader. Snapshots live on disk across restarts, the prime target for
 // corruption — the loader must fail cleanly (error, never panic) and
 // anything it does accept must satisfy the registry invariants a restarted
-// server relies on.
+// server relies on. The seeds include a full snapshot from each writer the
+// loader must read: the compact streamed one SaveServerState writes, and
+// the indented one with memoized profiles earlier versions wrote.
 func FuzzLoadServerState(f *testing.F) {
-	city, err := dataset.Generate(dataset.TestSpec("FuzzCity", 83))
-	if err != nil {
-		f.Fatal(err)
-	}
+	city := city(f)
 	seeds := []string{
-		`{"version":1,"city":"FuzzCity","nextId":1,"groups":[],"packages":[]}`,
-		`{"version":1,"city":"FuzzCity","nextId":0,"groups":[{"id":1}]}`,
+		`{"version":1,"city":"StoreCity","nextId":1,"groups":[],"packages":[]}`,
+		`{"version":1,"city":"StoreCity","nextId":0,"groups":[{"id":1}]}`,
 		`{"version":1,"city":"Atlantis","nextId":1}`,
 		`{"version":99}`,
-		`{"version":1,"city":"FuzzCity","nextId":3,"groups":[{"id":1},{"id":1}]}`,
-		`{"version":1,"city":"FuzzCity","nextId":3,"packages":[{"id":1,"groupId":9,
-		  "package":{"version":1,"city":"FuzzCity","query":{"Acco":1,"Trans":0,"Rest":0,"Attr":0,"Budget":0},"cis":[]}}]}`,
-		`{"version":1,"city":"FuzzCity","nextId":2,"groups":[{"id":-1}]}`,
+		`{"version":1,"city":"StoreCity","nextId":3,"groups":[{"id":1},{"id":1}]}`,
+		`{"version":1,"city":"StoreCity","nextId":3,"packages":[{"id":1,"groupId":9,
+		  "package":{"version":1,"city":"StoreCity","query":{"Acco":1,"Trans":0,"Rest":0,"Attr":0,"Budget":0},"cis":[]}}]}`,
+		`{"version":1,"city":"StoreCity","nextId":2,"groups":[{"id":-1}]}`,
 		`{]`,
 		``,
 		`null`,
+		stateJSON(f, buildState(f)),
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	indented, err := os.ReadFile("testdata/snapshot_indented_profiles.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(indented))
 	f.Fuzz(func(t *testing.T, s string) {
 		st, err := LoadServerState(strings.NewReader(s), city)
 		if err != nil {
 			return // clean failure is the contract
 		}
 		seen := map[int]bool{}
-		groups := map[int]bool{}
+		sizes := map[int]int{}
 		for _, gr := range st.Groups {
 			if gr.ID < 1 || gr.ID >= st.NextID || seen[gr.ID] || gr.Group == nil {
 				t.Fatalf("loader accepted invalid group record %+v from %q", gr, s)
 			}
 			seen[gr.ID] = true
-			groups[gr.ID] = true
+			sizes[gr.ID] = gr.Group.Size()
 		}
 		for _, pr := range st.Packages {
-			if pr.ID < 1 || pr.ID >= st.NextID || seen[pr.ID] || pr.Package == nil || !groups[pr.GroupID] {
+			size, ok := sizes[pr.GroupID]
+			if pr.ID < 1 || pr.ID >= st.NextID || seen[pr.ID] || pr.Package == nil || !ok ||
+				len(pr.Weights) > 0 && len(pr.Weights) != size {
 				t.Fatalf("loader accepted invalid package record from %q", s)
 			}
 			seen[pr.ID] = true

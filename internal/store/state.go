@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -18,20 +19,19 @@ import (
 )
 
 // This file persists the full serving state of one city — every registered
-// group (with its memoized consensus profiles) and every built package —
-// so a server restart reconstructs its registries instead of dropping
-// them. Packages reference POIs by id and re-resolve against the city on
-// load, exactly like LoadPackage.
+// group and every built package — so a server restart reconstructs its
+// registries instead of dropping them. Packages reference POIs by id and
+// re-resolve against the city on load, exactly like LoadPackage. A
+// group's memoized consensus profiles are not persisted: they are
+// derivable from its members (consensus.GroupProfile is deterministic),
+// and a restarted server recomputes them on first use. A snapshot that
+// still carries them (the "profiles" key of older writers) loads; the key
+// is ignored.
 
 // GroupRecord is one registered group as the server holds it.
 type GroupRecord struct {
 	ID    int
 	Group *profile.Group
-	// Profiles are the memoized consensus aggregations (consensus name →
-	// aggregated profile). They are derivable from Group, but persisting
-	// them keeps a restarted server's memo warm and round-trips the exact
-	// state the handlers observed.
-	Profiles map[string]*profile.Profile
 }
 
 // PackageRecord is one built package with its serving metadata.
@@ -39,6 +39,10 @@ type PackageRecord struct {
 	ID      int
 	GroupID int
 	Method  string // consensus name the package was built with
+	// Weights are the per-member consensus weights the package was built
+	// with; nil for an unweighted build. Individual refinement
+	// re-aggregates the refined members with them.
+	Weights []float64
 	Package *core.TravelPackage
 	// Ops is the customization log of the package's session. The ops were
 	// already applied to Package when it was saved; persisting the log
@@ -60,15 +64,15 @@ type ServerState struct {
 }
 
 type groupRecordJSON struct {
-	ID       int                    `json:"id"`
-	Group    groupJSON              `json:"group"`
-	Profiles map[string]profileJSON `json:"profiles,omitempty"`
+	ID    int       `json:"id"`
+	Group groupJSON `json:"group"`
 }
 
 type packageRecordJSON struct {
 	ID      int         `json:"id"`
 	GroupID int         `json:"groupId"`
 	Method  string      `json:"method"`
+	Weights []float64   `json:"weights,omitempty"`
 	Package packageJSON `json:"package"`
 	Ops     []opJSON    `json:"ops,omitempty"`
 }
@@ -146,55 +150,91 @@ func opFromJSON(oj opJSON, city *dataset.City) (interact.Op, error) {
 	return op, nil
 }
 
+// stateHeadJSON is a snapshot's header: everything but the two record
+// arrays, which SaveServerState streams after it.
+type stateHeadJSON struct {
+	Version int    `json:"version"`
+	City    string `json:"city"`
+	NextID  int    `json:"nextId"`
+	WALSeq  int64  `json:"walSeq,omitempty"`
+}
+
 type serverStateJSON struct {
-	Version  int                 `json:"version"`
-	City     string              `json:"city"`
-	NextID   int                 `json:"nextId"`
-	WALSeq   int64               `json:"walSeq,omitempty"`
+	stateHeadJSON
 	Groups   []groupRecordJSON   `json:"groups"`
 	Packages []packageRecordJSON `json:"packages"`
 }
 
+// snapshotBufSize is SaveServerState's write buffer: however large the
+// city, no write it issues is larger, unless one record's encoding is.
+const snapshotBufSize = 64 << 10
+
 // SaveServerState writes a city's full serving state as versioned JSON.
+// The document is streamed — the header, then one group or package record
+// at a time, each on its own line, through a buffered writer — so the
+// memory it takes is one record's encoding plus the buffer, not a copy of
+// the city. Records are not indented.
 func SaveServerState(w io.Writer, st *ServerState) error {
 	if st == nil {
 		return fmt.Errorf("store: nil server state")
 	}
-	out := serverStateJSON{Version: Version, City: st.City, NextID: st.NextID, WALSeq: st.WALSeq}
+	// Reject a nil entity before the first byte is written.
 	for _, gr := range st.Groups {
 		if gr.Group == nil {
 			return fmt.Errorf("store: group %d is nil", gr.ID)
 		}
-		gj := groupRecordJSON{ID: gr.ID, Group: groupToJSON(gr.Group)}
-		if len(gr.Profiles) > 0 {
-			gj.Profiles = make(map[string]profileJSON, len(gr.Profiles))
-			for name, p := range gr.Profiles {
-				gj.Profiles[name] = profileToJSON(p)
-			}
-		}
-		out.Groups = append(out.Groups, gj)
 	}
 	for _, pr := range st.Packages {
 		if pr.Package == nil {
 			return fmt.Errorf("store: package %d is nil", pr.ID)
 		}
-		out.Packages = append(out.Packages, packageRecordJSON{
-			ID: pr.ID, GroupID: pr.GroupID, Method: pr.Method,
+	}
+	head, err := json.Marshal(stateHeadJSON{Version: Version, City: st.City, NextID: st.NextID, WALSeq: st.WALSeq})
+	if err != nil {
+		return err
+	}
+	// A bufio.Writer keeps its first write error and returns it from
+	// every later call, so the writes below report through Encode or
+	// Flush.
+	bw := bufio.NewWriterSize(w, snapshotBufSize)
+	enc := json.NewEncoder(bw)
+	// The header object stays open: its closing brace follows the arrays.
+	bw.Write(head[:len(head)-1])
+	bw.WriteString(`,"groups":[`)
+	for i, gr := range st.Groups {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		if err := enc.Encode(groupRecordJSON{ID: gr.ID, Group: groupToJSON(gr.Group)}); err != nil {
+			return err
+		}
+	}
+	bw.WriteString(`],"packages":[`)
+	for i, pr := range st.Packages {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		if err := enc.Encode(packageRecordJSON{
+			ID: pr.ID, GroupID: pr.GroupID, Method: pr.Method, Weights: pr.Weights,
 			Package: packageToJSON(pr.Package),
 			Ops:     opsToJSON(pr.Ops),
-		})
+		}); err != nil {
+			return err
+		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	bw.WriteString("]}\n")
+	return bw.Flush()
 }
 
 // LoadServerState reads a state snapshot and re-resolves it against the
 // city. Snapshots may be hand-edited or corrupted, so everything is
 // validated: the version and city name must match, ids must be positive
 // and unique, NextID must clear every id (or id allocation would collide
-// after restart), every package must reference a loaded group, and all
-// profiles and POI ids are checked against the city's schema and dataset.
+// after restart), every package must reference a loaded group and carry
+// one weight per member of it when weighted, and all profiles and POI ids
+// are checked against the city's schema and dataset. The whole document
+// is decoded at once: loading runs at recovery and handoff, not on the
+// serving path.
 func LoadServerState(r io.Reader, city *dataset.City) (*ServerState, error) {
 	if city == nil || city.POIs == nil {
 		return nil, fmt.Errorf("store: nil city")
@@ -241,19 +281,8 @@ func LoadServerState(r io.Reader, city *dataset.City) (*ServerState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: group %d: %w", gj.ID, err)
 		}
-		gr := GroupRecord{ID: gj.ID, Group: g}
-		if len(gj.Profiles) > 0 {
-			gr.Profiles = make(map[string]*profile.Profile, len(gj.Profiles))
-			for name, pj := range gj.Profiles {
-				p, err := profileFromJSON(pj, city.Schema)
-				if err != nil {
-					return nil, fmt.Errorf("store: group %d profile %q: %w", gj.ID, name, err)
-				}
-				gr.Profiles[name] = p
-			}
-		}
 		groupSizes[gj.ID] = g.Size()
-		st.Groups = append(st.Groups, gr)
+		st.Groups = append(st.Groups, GroupRecord{ID: gj.ID, Group: g})
 	}
 	for _, pj := range in.Packages {
 		if err := takeID(pj.ID, "package"); err != nil {
@@ -262,6 +291,9 @@ func LoadServerState(r io.Reader, city *dataset.City) (*ServerState, error) {
 		size, ok := groupSizes[pj.GroupID]
 		if !ok {
 			return nil, fmt.Errorf("store: package %d references unknown group %d", pj.ID, pj.GroupID)
+		}
+		if len(pj.Weights) > 0 && len(pj.Weights) != size {
+			return nil, fmt.Errorf("store: package %d has %d weights for a group of %d", pj.ID, len(pj.Weights), size)
 		}
 		tp, err := packageFromJSON(pj.Package, city)
 		if err != nil {
@@ -272,7 +304,7 @@ func LoadServerState(r io.Reader, city *dataset.City) (*ServerState, error) {
 			return nil, fmt.Errorf("store: package %d: %w", pj.ID, err)
 		}
 		st.Packages = append(st.Packages, PackageRecord{
-			ID: pj.ID, GroupID: pj.GroupID, Method: pj.Method, Package: tp, Ops: ops,
+			ID: pj.ID, GroupID: pj.GroupID, Method: pj.Method, Weights: pj.Weights, Package: tp, Ops: ops,
 		})
 	}
 	sort.Slice(st.Groups, func(i, j int) bool { return st.Groups[i].ID < st.Groups[j].ID })

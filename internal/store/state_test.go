@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,9 +19,9 @@ import (
 )
 
 // buildState assembles a realistic full server state over the shared test
-// city: two groups (one with a memoized consensus profile) and two built
-// packages.
-func buildState(t *testing.T) *ServerState {
+// city: two groups and two built packages, one of them weighted and
+// customized.
+func buildState(t testing.TB) *ServerState {
 	t.Helper()
 	c := city(t)
 	e, err := core.NewEngine(c)
@@ -55,16 +58,20 @@ func buildState(t *testing.T) *ServerState {
 		City:   c.Name,
 		NextID: 5,
 		Groups: []GroupRecord{
-			{ID: 1, Group: g1, Profiles: map[string]*profile.Profile{"pairwise": gp}},
+			{ID: 1, Group: g1},
 			{ID: 2, Group: g2},
 		},
 		Packages: []PackageRecord{
-			{ID: 3, GroupID: 1, Method: "pairwise", Package: tp1, Ops: ops},
+			{ID: 3, GroupID: 1, Method: "pairwise", Weights: []float64{1, 0, 2}, Package: tp1, Ops: ops},
 			{ID: 4, GroupID: 2, Method: "avg", Package: tp2},
 		},
 	}
 }
 
+// TestServerStateRoundTrip: everything a snapshot carries loads back —
+// ids, group members, packages with their weights and op logs — and the
+// memoized consensus profiles are not written. A snapshot that still
+// carries them, as older writers' do, loads with the key ignored.
 func TestServerStateRoundTrip(t *testing.T) {
 	c := city(t)
 	st := buildState(t)
@@ -72,9 +79,28 @@ func TestServerStateRoundTrip(t *testing.T) {
 	if err := SaveServerState(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadServerState(&buf, c)
+	doc := buf.String()
+	if strings.Contains(doc, `"profiles"`) {
+		t.Fatal("snapshot persists memoized consensus profiles")
+	}
+	got, err := LoadServerState(strings.NewReader(doc), c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	gp, err := consensus.GroupProfile(st.Groups[0].Group, consensus.PairwiseDis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo, err := json.Marshal(map[string]profileJSON{"pairwise": profileToJSON(gp)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withMemo := strings.Replace(doc, `{"id":1,"group":`, `{"id":1,"profiles":`+string(memo)+`,"group":`, 1)
+	if withMemo == doc {
+		t.Fatal("no group record to add profiles to")
+	}
+	if _, err := LoadServerState(strings.NewReader(withMemo), c); err != nil {
+		t.Fatalf("snapshot carrying profiles rejected: %v", err)
 	}
 	if got.City != st.City || got.NextID != st.NextID {
 		t.Fatalf("identity lost: %+v", got)
@@ -92,24 +118,10 @@ func TestServerStateRoundTrip(t *testing.T) {
 				t.Fatalf("group %d member %d changed", gr.ID, m)
 			}
 		}
-		if len(gr.Profiles) != len(want.Profiles) {
-			t.Fatalf("group %d memoized profiles: %d -> %d", gr.ID, len(want.Profiles), len(gr.Profiles))
-		}
-		for name, p := range want.Profiles {
-			q, ok := gr.Profiles[name]
-			if !ok {
-				t.Fatalf("group %d lost consensus profile %q", gr.ID, name)
-			}
-			for _, cat := range poi.Categories {
-				if !vec.Equal(p.Vector(cat), q.Vector(cat), 1e-12) {
-					t.Fatalf("group %d profile %q %s changed", gr.ID, name, cat)
-				}
-			}
-		}
 	}
 	for i, pr := range got.Packages {
 		want := st.Packages[i]
-		if pr.ID != want.ID || pr.GroupID != want.GroupID || pr.Method != want.Method {
+		if pr.ID != want.ID || pr.GroupID != want.GroupID || pr.Method != want.Method || !slices.Equal(pr.Weights, want.Weights) {
 			t.Fatalf("package record %d: %+v", i, pr)
 		}
 		if len(pr.Package.CIs) != len(want.Package.CIs) || !pr.Package.Valid() {
@@ -157,20 +169,22 @@ func TestServerStateRejectsCorruption(t *testing.T) {
 	}
 	good := buf.String()
 
+	// Targets are in the compact form SaveServerState writes.
 	cases := map[string]string{
 		"truncated":       good[:len(good)/2],
 		"garbage":         "{]",
-		"future version":  strings.Replace(good, `"version": 1`, `"version": 99`, 1),
-		"wrong city":      strings.Replace(good, `"city": "StoreCity"`, `"city": "Atlantis"`, 1),
-		"duplicate id":    strings.Replace(good, `"id": 2`, `"id": 1`, 1),
-		"id above nextId": strings.Replace(good, `"id": 4`, `"id": 99`, 1),
-		"dangling group":  strings.Replace(good, `"groupId": 2`, `"groupId": 77`, 1),
-		"unknown poi":     strings.Replace(good, `"items": [`, `"items": [999999, `, 1),
-		"negative id":     strings.Replace(good, `"id": 3`, `"id": -3`, 1),
-		"zero nextId":     strings.Replace(good, `"nextId": 5`, `"nextId": 0`, 1),
-		"unknown op kind": strings.Replace(good, `"kind": "REMOVE"`, `"kind": "EXPLODE"`, 1),
-		"op unknown poi":  strings.Replace(good, `"removed": [`, `"removed": [999999, `, 1),
-		"op bad member":   strings.Replace(good, `"member": 2`, `"member": 7`, 1),
+		"future version":  strings.Replace(good, `"version":1`, `"version":99`, 1),
+		"wrong city":      strings.Replace(good, `"city":"StoreCity"`, `"city":"Atlantis"`, 1),
+		"duplicate id":    strings.Replace(good, `"id":2`, `"id":1`, 1),
+		"id above nextId": strings.Replace(good, `"id":4`, `"id":99`, 1),
+		"dangling group":  strings.Replace(good, `"groupId":2`, `"groupId":77`, 1),
+		"unknown poi":     strings.Replace(good, `"items":[`, `"items":[999999,`, 1),
+		"negative id":     strings.Replace(good, `"id":3`, `"id":-3`, 1),
+		"zero nextId":     strings.Replace(good, `"nextId":5`, `"nextId":0`, 1),
+		"unknown op kind": strings.Replace(good, `"kind":"REMOVE"`, `"kind":"EXPLODE"`, 1),
+		"op unknown poi":  strings.Replace(good, `"removed":[`, `"removed":[999999,`, 1),
+		"op bad member":   strings.Replace(good, `"member":2`, `"member":7`, 1),
+		"weight count":    strings.Replace(good, `"weights":[1,0,2]`, `"weights":[1,0]`, 1),
 	}
 	for name, doc := range cases {
 		if doc == good {
@@ -213,4 +227,114 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if got.NextID != 9 {
 		t.Fatalf("overwritten snapshot NextID = %d", got.NextID)
 	}
+}
+
+// TestLoadIndentedSnapshotWithProfiles: a snapshot written by the earlier
+// writer — indented, carrying each group's memoized consensus profiles —
+// still loads. testdata/snapshot_indented_profiles.json is such a
+// snapshot of two groups (one with a memoized profile) and two packages
+// (one customized by a REMOVE and an ADD), taken at WAL sequence 7. The
+// loaded state must carry every id, member, CI item and logged op the
+// file names, and written again in the compact form it reloads to the
+// same state.
+func TestLoadIndentedSnapshotWithProfiles(t *testing.T) {
+	c := city(t)
+	raw, err := os.ReadFile("testdata/snapshot_indented_profiles.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"profiles": {`)) || !bytes.Contains(raw, []byte("\n  \"groups\": [")) {
+		t.Fatal("fixture is not an indented snapshot carrying profiles")
+	}
+	got, err := LoadServerState(bytes.NewReader(raw), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The file's content, read independently of the store's own types.
+	var doc struct {
+		Groups []struct {
+			Group struct {
+				Members []struct {
+					Acco []float64 `json:"acco"`
+				} `json:"members"`
+			} `json:"group"`
+		} `json:"groups"`
+		Packages []struct {
+			Package struct {
+				CIs []struct {
+					Items []int `json:"items"`
+				} `json:"cis"`
+			} `json:"package"`
+			Ops []struct {
+				Kind           string
+				Member, CI     int
+				Added, Removed []int
+			} `json:"ops"`
+		} `json:"packages"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got.City != "StoreCity" || got.NextID != 5 || got.WALSeq != 7 {
+		t.Fatalf("header: city %q nextId %d walSeq %d", got.City, got.NextID, got.WALSeq)
+	}
+	if len(got.Groups) != 2 || len(got.Packages) != 2 {
+		t.Fatalf("%d groups, %d packages; want 2 and 2", len(got.Groups), len(got.Packages))
+	}
+	for i, want := range []struct{ id, size int }{{1, 3}, {2, 5}} {
+		gr := got.Groups[i]
+		if gr.ID != want.id || gr.Group.Size() != want.size {
+			t.Fatalf("group %d: id %d size %d, want %d and %d", i, gr.ID, gr.Group.Size(), want.id, want.size)
+		}
+		for m, member := range gr.Group.Members {
+			if !slices.Equal(member.Vector(poi.Acco), doc.Groups[i].Group.Members[m].Acco) {
+				t.Fatalf("group %d member %d changed on load", gr.ID, m)
+			}
+		}
+	}
+	for i, want := range []struct {
+		id, group int
+		method    string
+		ops       int
+	}{{3, 1, "pairwise", 2}, {4, 2, "avg", 0}} {
+		pr := got.Packages[i]
+		if pr.ID != want.id || pr.GroupID != want.group || pr.Method != want.method || pr.Weights != nil || len(pr.Ops) != want.ops {
+			t.Fatalf("package %d: %+v", i, pr)
+		}
+		for j, cj := range doc.Packages[i].Package.CIs {
+			var ids []int
+			for _, it := range pr.Package.CIs[j].Items {
+				ids = append(ids, it.ID)
+			}
+			if !slices.Equal(ids, cj.Items) {
+				t.Fatalf("package %d CI %d items %v, file says %v", pr.ID, j, ids, cj.Items)
+			}
+		}
+		for j, oj := range doc.Packages[i].Ops {
+			op := pr.Ops[j]
+			if op.Kind.String() != oj.Kind || op.Member != oj.Member || op.CIIndex != oj.CI ||
+				!slices.Equal(poiIDs(op.Added), oj.Added) || !slices.Equal(poiIDs(op.Removed), oj.Removed) {
+				t.Fatalf("package %d op %d: %+v, file says %+v", pr.ID, j, op, oj)
+			}
+		}
+	}
+	compact := stateJSON(t, got)
+	if strings.Contains(compact, `"profiles"`) {
+		t.Fatal("rewritten snapshot still carries profiles")
+	}
+	again, err := LoadServerState(strings.NewReader(compact), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stateJSON(t, again) != compact {
+		t.Fatal("the compact rewrite does not reload to the same state")
+	}
+}
+
+func poiIDs(pois []*poi.POI) []int {
+	var ids []int
+	for _, p := range pois {
+		ids = append(ids, p.ID)
+	}
+	return ids
 }

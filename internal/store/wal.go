@@ -88,9 +88,12 @@ type walRecordJSON struct {
 	// groupCreate.
 	Group *groupJSON `json:"group,omitempty"`
 
-	// packageBuild / refine.
+	// packageBuild / refine. Weights are the per-member consensus
+	// weights of a weighted build; a refined package inherits its
+	// source's.
 	GroupID int          `json:"groupId,omitempty"`
 	Method  string       `json:"method,omitempty"`
+	Weights []float64    `json:"weights,omitempty"`
 	Package *packageJSON `json:"package,omitempty"`
 
 	// refine provenance (informational; replay treats refine as a build).
@@ -121,19 +124,22 @@ func GroupCreateRecord(id int, g *profile.Group) WALRecord {
 	return WALRecord{rec: walRecordJSON{Op: RecordGroupCreate, ID: id, Group: &gj}}
 }
 
-// PackageBuildRecord logs a built package under the allocated id.
-func PackageBuildRecord(id, groupID int, method string, tp *core.TravelPackage) WALRecord {
+// PackageBuildRecord logs a built package under the allocated id, with
+// the consensus weights it was built with (nil: unweighted).
+func PackageBuildRecord(id, groupID int, method string, weights []float64, tp *core.TravelPackage) WALRecord {
 	pj := packageToJSON(tp)
-	return WALRecord{rec: walRecordJSON{Op: RecordPackageBuild, ID: id, GroupID: groupID, Method: method, Package: &pj}}
+	return WALRecord{rec: walRecordJSON{
+		Op: RecordPackageBuild, ID: id, GroupID: groupID, Method: method, Weights: weights, Package: &pj,
+	}}
 }
 
 // RefineRecord logs a package rebuilt from a refined profile. Replay
 // applies it exactly like a build; source and strategy record provenance
 // for operators tailing the log.
-func RefineRecord(id, groupID int, method string, tp *core.TravelPackage, source int, strategy string) WALRecord {
+func RefineRecord(id, groupID int, method string, weights []float64, tp *core.TravelPackage, source int, strategy string) WALRecord {
 	pj := packageToJSON(tp)
 	return WALRecord{rec: walRecordJSON{
-		Op: RecordRefine, ID: id, GroupID: groupID, Method: method, Package: &pj,
+		Op: RecordRefine, ID: id, GroupID: groupID, Method: method, Weights: weights, Package: &pj,
 		Source: source, Strategy: strategy,
 	}}
 }
@@ -164,6 +170,7 @@ type Record struct {
 	// packageBuild / refine.
 	GroupID int
 	Method  string
+	Weights []float64 // nil: unweighted
 	Package *core.TravelPackage
 
 	// customOp: the logged op and the affected CI's post-op state.
@@ -194,7 +201,7 @@ func parseRecord(payload []byte) (walRecordJSON, error) {
 func resolveRecord(rec walRecordJSON, city *dataset.City) (Record, error) {
 	out := Record{
 		Kind: rec.Op, Seq: rec.Seq, ID: rec.ID,
-		GroupID: rec.GroupID, Method: rec.Method, PackageID: rec.PackageID,
+		GroupID: rec.GroupID, Method: rec.Method, Weights: rec.Weights, PackageID: rec.PackageID,
 	}
 	var err error
 	switch rec.Op {

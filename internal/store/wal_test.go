@@ -21,9 +21,10 @@ import (
 	"grouptravel/internal/rng"
 )
 
-// walFixture is a realistic mutation history: a group, a built package, a
-// customization session applying one of every §3.3 operator, and a
-// refined rebuild — one WAL record each, exactly as the server logs them.
+// walFixture is a realistic mutation history: a group, a weighted package
+// build, a customization session applying one of every §3.3 operator, and
+// a refined rebuild that inherits the weights — one WAL record each,
+// exactly as the server logs them.
 type walFixture struct {
 	city    *dataset.City
 	records []WALRecord
@@ -43,7 +44,8 @@ func makeWALFixture(t testing.TB) *walFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := consensus.GroupProfile(g, consensus.PairwiseDis)
+	weights := []float64{2, 0, 1}
+	gp, err := consensus.GroupProfileWeighted(g, consensus.PairwiseDis, weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func makeWALFixture(t testing.TB) *walFixture {
 	}
 	fx := &walFixture{city: c}
 	fx.records = append(fx.records, GroupCreateRecord(1, g))
-	fx.records = append(fx.records, PackageBuildRecord(2, 1, "pairwise", tp))
+	fx.records = append(fx.records, PackageBuildRecord(2, 1, "pairwise", weights, tp))
 
 	// Apply one of each operator through a real session, logging each op
 	// with its post-op CI the way handleOps does.
@@ -83,15 +85,15 @@ func makeWALFixture(t testing.TB) *walFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.records = append(fx.records, RefineRecord(3, 1, "pairwise", tp2, 2, "batch"))
+	fx.records = append(fx.records, RefineRecord(3, 1, "pairwise", weights, tp2, 2, "batch"))
 
 	fx.want = &ServerState{
 		City:   c.Name,
 		NextID: 4,
 		Groups: []GroupRecord{{ID: 1, Group: g}},
 		Packages: []PackageRecord{
-			{ID: 2, GroupID: 1, Method: "pairwise", Package: sess.Package(), Ops: sess.Log()},
-			{ID: 3, GroupID: 1, Method: "pairwise", Package: tp2},
+			{ID: 2, GroupID: 1, Method: "pairwise", Weights: weights, Package: sess.Package(), Ops: sess.Log()},
+			{ID: 3, GroupID: 1, Method: "pairwise", Weights: weights, Package: tp2},
 		},
 	}
 	return fx
@@ -132,7 +134,9 @@ func streamJSON(t testing.TB, recs []Record) string {
 	t.Helper()
 	views := make([]walRecordJSON, 0, len(recs))
 	for _, r := range recs {
-		v := walRecordJSON{Op: r.Kind, Seq: r.Seq, ID: r.ID, GroupID: r.GroupID, Method: r.Method, PackageID: r.PackageID}
+		v := walRecordJSON{
+			Op: r.Kind, Seq: r.Seq, ID: r.ID, GroupID: r.GroupID, Method: r.Method, Weights: r.Weights, PackageID: r.PackageID,
+		}
 		switch r.Kind {
 		case RecordGroupCreate:
 			gj := groupToJSON(r.Group)
