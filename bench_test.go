@@ -558,6 +558,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	base := ts.URL + "/cities/" + strings.ToLower(benchCity.Name)
 
 	// One group for all requests.
 	ratings := []map[string][]float64{}
@@ -573,13 +574,13 @@ func BenchmarkServerThroughput(b *testing.B) {
 		}
 		ratings = append(ratings, member)
 	}
-	gid := postJSON(b, ts.URL+"/api/groups", map[string]any{"members": ratings}, http.StatusCreated)
+	gid := postJSON(b, base+"/groups", map[string]any{"members": ratings}, http.StatusCreated)
 
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			body := map[string]any{"group": gid, "consensus": "pairwise", "k": 3}
-			postJSON(b, ts.URL+"/api/packages", body, http.StatusCreated)
+			postJSON(b, base+"/packages", body, http.StatusCreated)
 		}
 	})
 }
@@ -587,7 +588,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 // --- Multi-city throughput: the registry layer under concurrent load ---
 //
 // N cities × concurrent package builds through the /cities tree. Compared
-// with BenchmarkServerThroughput (one city, legacy routes) this measures
+// with BenchmarkServerThroughput (one city) this measures
 // the registry overhead: city resolution, pinning and per-city state
 // lookup on every request.
 
@@ -764,7 +765,7 @@ func BenchmarkMutationPersistence(b *testing.B) {
 		Removed: []*poi.POI{tp.CIs[0].Items[0]},
 	}
 	b.Run("walAppend", func(b *testing.B) {
-		w, err := store.OpenWAL(b.TempDir(), "bench", store.WALSyncPolicy{Mode: store.WALSyncAlways})
+		w, err := store.OpenWAL(b.TempDir(), "bench")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -891,12 +892,14 @@ func BenchmarkLogShipping(b *testing.B) {
 		}
 		ratings = append(ratings, member)
 	}
-	gid := postJSON(b, ts.URL+"/api/groups", map[string]any{"members": ratings}, http.StatusCreated)
-	pid := postJSON(b, ts.URL+"/api/packages", map[string]any{"group": gid, "consensus": "pairwise", "k": 3}, http.StatusCreated)
+	key := strings.ToLower(benchCity.Name)
+	base := ts.URL + "/cities/" + key
+	gid := postJSON(b, base+"/groups", map[string]any{"members": ratings}, http.StatusCreated)
+	pid := postJSON(b, base+"/packages", map[string]any{"group": gid, "consensus": "pairwise", "k": 3}, http.StatusCreated)
 
 	// A long run of cheap customization records: alternately remove and
 	// re-add one POI, one WAL record each.
-	resp, err := http.Get(fmt.Sprintf("%s/api/packages/%d", ts.URL, pid))
+	resp, err := http.Get(fmt.Sprintf("%s/packages/%d", base, pid))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -916,11 +919,10 @@ func BenchmarkLogShipping(b *testing.B) {
 		if i%2 == 1 {
 			op = "add"
 		}
-		postJSON(b, fmt.Sprintf("%s/api/packages/%d/ops", ts.URL, pid),
+		postJSON(b, fmt.Sprintf("%s/packages/%d/ops", base, pid),
 			map[string]any{"member": 0, "op": op, "ci": 0, "poi": victim}, http.StatusOK)
 	}
 	const total = 2 + opRecords // group + package + ops
-	key := strings.ToLower(benchCity.Name)
 
 	b.ResetTimer()
 	var applied int64
@@ -975,15 +977,8 @@ func BenchmarkPushReplicationEpochFenced(b *testing.B) {
 
 func pushReplicationBench(b *testing.B, withEpoch bool) {
 	benchSetup(b)
-	intervalSync, err := store.ParseWALSync("interval")
-	if err != nil {
-		b.Fatal(err)
-	}
 	primaryDir := b.TempDir()
-	opts := server.Options{
-		Cities: []*dataset.City{benchCity}, SnapshotDir: primaryDir,
-		WALSync: intervalSync,
-	}
+	opts := server.Options{Cities: []*dataset.City{benchCity}, SnapshotDir: primaryDir}
 	if withEpoch {
 		opts.Advertise = "http://bench-primary:8080"
 		if err := store.WriteEpoch(primaryDir, strings.ToLower(benchCity.Name),
@@ -1011,15 +1006,17 @@ func pushReplicationBench(b *testing.B, withEpoch bool) {
 		}
 		ratings = append(ratings, member)
 	}
-	gid := postJSON(b, ts.URL+"/api/groups", map[string]any{"members": ratings}, http.StatusCreated)
+	key := strings.ToLower(benchCity.Name)
+	base := ts.URL + "/cities/" + key
+	gid := postJSON(b, base+"/groups", map[string]any{"members": ratings}, http.StatusCreated)
 
 	// A wider history than LogShipping's: several packages, each with its
 	// own run of alternating remove/add customization records.
 	const packages = 8
 	const opsPerPackage = 96
 	for p := 0; p < packages; p++ {
-		pid := postJSON(b, ts.URL+"/api/packages", map[string]any{"group": gid, "consensus": "pairwise", "k": 3}, http.StatusCreated)
-		resp, err := http.Get(fmt.Sprintf("%s/api/packages/%d", ts.URL, pid))
+		pid := postJSON(b, base+"/packages", map[string]any{"group": gid, "consensus": "pairwise", "k": 3}, http.StatusCreated)
+		resp, err := http.Get(fmt.Sprintf("%s/packages/%d", base, pid))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1038,12 +1035,11 @@ func pushReplicationBench(b *testing.B, withEpoch bool) {
 			if i%2 == 1 {
 				op = "add"
 			}
-			postJSON(b, fmt.Sprintf("%s/api/packages/%d/ops", ts.URL, pid),
+			postJSON(b, fmt.Sprintf("%s/packages/%d/ops", base, pid),
 				map[string]any{"member": 0, "op": op, "ci": 0, "poi": victim}, http.StatusOK)
 		}
 	}
 	const total = 1 + packages + packages*opsPerPackage
-	key := strings.ToLower(benchCity.Name)
 
 	b.ResetTimer()
 	var applied int64

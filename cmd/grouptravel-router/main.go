@@ -20,7 +20,9 @@
 // Node roles are discovered from each node's /healthz, not configured:
 // a failover (POST /promote on a follower) reroutes mutations without a
 // topology edit. Backends should run with -advertise set to the URL the
-// topology lists so X-GT-Primary hints resolve.
+// topology lists so X-GT-Primary hints resolve. A shard membership edit
+// takes effect on SIGHUP (kill -HUP <pid>), which reloads the topology
+// file without a restart.
 //
 // Client protocol:
 //
@@ -40,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -54,13 +57,11 @@ import (
 
 func main() {
 	topoPath := flag.String("topology", "", "JSON topology file: shards and their node URLs (required)")
-	addr := flag.String("addr", ":7080", "listen address")
+	addr := flag.String("addr", ":7080", "listen address (port 0: a free port, printed at startup)")
 	poll := flag.Duration("poll", 0, "node health poll interval (0: default 500ms)")
 	shedLag := flag.Int64("shed-lag", 0, "shed a follower from token-less reads when it lags the primary by more than this many records (0: default 1024, <0: never)")
 	failover := flag.Duration("failover", 0, "auto-promote a shard's freshest follower after its primary has been unreachable this long (0: manual failover only)")
-	topoReload := flag.Duration("topology-reload", 0, "also re-stat -topology on this interval and reload it when its mtime changes (0: SIGHUP only)")
-	edgeCache := flag.Bool("edge-cache", false, "serve hot city-scoped GETs from a seq-validated edge cache (zero proxy hops on a hit)")
-	edgeCacheMax := flag.Int("edge-cache-max", 0, "edge-cache entry bound (0: default 4096)")
+	edgeCache := flag.Bool("edge-cache", false, "serve hot city-scoped GETs from a seq-validated edge cache of 4096 entries (zero proxy hops on a hit)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6061; empty: off)")
 	logFormat := flag.String("log-format", "off", `structured request log: "json", "text", or "off"`)
 	logLevel := flag.String("log-level", "info", "minimum request-log level (debug, info, warn, error)")
@@ -84,7 +85,6 @@ func main() {
 		AccessLog:    accessLog,
 		Failover:     *failover,
 		EdgeCache:    *edgeCache,
-		EdgeCacheMax: *edgeCacheMax,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -94,56 +94,40 @@ func main() {
 	// already know each shard's primary.
 	rt.Poll()
 
-	// Online topology reload: SIGHUP always, plus an optional mtime watch
-	// on the file — a promoted node's new role or a shard membership edit
+	// Online topology reload on SIGHUP: a shard membership edit
 	// propagates without a router restart (a failed load keeps serving
 	// the old topology).
-	reload := func(why string) {
-		t, err := router.LoadTopology(*topoPath)
-		if err != nil {
-			log.Printf("grouptravel-router: reload (%s) skipped: %v", why, err)
-			return
-		}
-		if err := rt.Reload(t); err != nil {
-			log.Printf("grouptravel-router: reload (%s) rejected: %v", why, err)
-			return
-		}
-		rt.Poll()
-		log.Printf("grouptravel-router: topology reloaded (%s): %d shards", why, len(t.Shards))
-	}
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
-			reload("SIGHUP")
+			t, err := router.LoadTopology(*topoPath)
+			if err != nil {
+				log.Printf("grouptravel-router: reload skipped: %v", err)
+				continue
+			}
+			if err := rt.Reload(t); err != nil {
+				log.Printf("grouptravel-router: reload rejected: %v", err)
+				continue
+			}
+			rt.Poll()
+			log.Printf("grouptravel-router: topology reloaded: %d shards", len(t.Shards))
 		}
 	}()
-	if *topoReload > 0 {
-		go func() {
-			var lastMod time.Time
-			if fi, err := os.Stat(*topoPath); err == nil {
-				lastMod = fi.ModTime()
-			}
-			for range time.Tick(*topoReload) {
-				fi, err := os.Stat(*topoPath)
-				if err != nil || !fi.ModTime().After(lastMod) {
-					continue
-				}
-				lastMod = fi.ModTime()
-				reload("mtime")
-			}
-		}()
-	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var names []string
 	for _, sh := range topo.Shards {
 		names = append(names, fmt.Sprintf("%s(%d nodes)", sh.Name, len(sh.Nodes)))
 	}
-	fmt.Printf("grouptravel-router: %d shards [%s] on %s\n", len(topo.Shards), strings.Join(names, " "), *addr)
+	fmt.Printf("grouptravel-router: %d shards [%s] on %s\n", len(topo.Shards), strings.Join(names, " "), ln.Addr())
 	if *pprofAddr != "" {
 		fmt.Printf("grouptravel-router: pprof on %s\n", *pprofAddr)
 		pprofserve.Start(*pprofAddr, func(err error) { log.Print(err) })
 	}
-	srv := &http.Server{Addr: *addr, Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	log.Fatal(srv.ListenAndServe())
+	srv := &http.Server{Handler: rt.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	log.Fatal(srv.Serve(ln))
 }

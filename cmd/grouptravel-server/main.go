@@ -6,18 +6,23 @@
 // restart reconstructs the full state.
 //
 // Persistence is a per-city write-ahead log plus periodic compaction:
-// every mutation appends one record to <key>.wal (fsynced per -wal-sync),
-// and the full <key>.state.json snapshot is rewritten only when the log
-// crosses -compact-every records (or the byte threshold). A restart
-// replays snapshot + log; torn log tails are truncated and reported on
-// /healthz.
+// every mutation appends one record to <key>.wal, fsynced (group-committed)
+// before the mutation is acknowledged, and the full <key>.state.json
+// snapshot is rewritten only when the log crosses -compact-every records
+// (or 4 MiB). A restart replays snapshot + log; torn log tails are
+// truncated and reported on /healthz.
 //
 // Usage:
 //
 //	grouptravel-server -city builtin:Paris -addr :8080
 //	grouptravel-server -city paris.json -snapshot-dir ./state
 //	grouptravel-server -data-dir ./cities -snapshot-dir ./state \
-//	    -wal-sync 100ms -compact-every 4096 -preload-cities paris,rome
+//	    -compact-every 4096 -preload-cities paris,rome
+//	grouptravel-server -data-dir ./cities -snapshot-dir ./replica \
+//	    -follow http://primary:8080 -advertise http://replica:8080
+//
+// A follower names itself on its primary's replication slots by its
+// -advertise URL; failover is POST /promote on the follower.
 //
 // Endpoints (JSON):
 //
@@ -34,15 +39,15 @@
 //	POST /cities/{city}/packages/{id}/ops  {"member":0,"op":"remove|add|replace|generate",
 //	                                        "ci":0,"poi":42,"rect":{...}}
 //	POST /cities/{city}/packages/{id}/refine  {"strategy":"batch|individual","rebuild":true}
-//
-// The legacy single-city routes (/api/city, /api/pois, /api/groups...,
-// /api/packages...) remain as aliases for the default city.
+//	GET  /cities/{city}/wal                replication stream
+//	POST /promote                          promote a follower
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -50,7 +55,6 @@ import (
 	"grouptravel/internal/dataset"
 	"grouptravel/internal/pprofserve"
 	"grouptravel/internal/server"
-	"grouptravel/internal/store"
 	"grouptravel/internal/telemetry"
 )
 
@@ -58,47 +62,29 @@ func main() {
 	citySpec := flag.String("city", "", `extra city: "builtin:<Name>" or a JSON path (default builtin:Paris when -data-dir is unset)`)
 	dataDir := flag.String("data-dir", "", "directory of <key>.json city datasets to serve")
 	snapshotDir := flag.String("snapshot-dir", "", "persist per-city groups/packages here (empty: in-memory only; required with -follow)")
-	walSync := flag.String("wal-sync", "always", `write-ahead-log fsync policy: "always", "off", "interval", or a duration like 100ms`)
-	compactEvery := flag.Int("compact-every", 0, "compact a city's log into its snapshot after this many records (0: default 1024, <0: off)")
-	compactBytes := flag.Int64("compact-bytes", 0, "byte-size compaction trigger (0: default 4MiB, <0: off)")
+	compactEvery := flag.Int("compact-every", 0, "compact a city's log into its snapshot after this many records (0: default 1024, <0: off; 4MiB of log always compacts)")
 	preload := flag.String("preload-cities", "", "comma-separated city keys to load at boot (warm-up)")
-	defaultCity := flag.String("default-city", "", "city key served by the legacy /api routes (default: first key)")
-	cacheCap := flag.Int("cluster-cache-cap", 0, "per-engine cluster cache bound (0: default, <0: unbounded)")
 	follow := flag.String("follow", "", "run as a read-only follower replicating from the primary at this base URL (requires -snapshot-dir)")
-	advertise := flag.String("advertise", "", "base URL peers and routers reach this node at (self-described on /healthz)")
+	advertise := flag.String("advertise", "", "base URL peers and routers reach this node at (self-described on /healthz; a follower's replication-slot id)")
 	followPoll := flag.Duration("follow-poll", 0, "replication stream reconnect pacing: the failure backoff base (0: default 250ms)")
-	followerID := flag.String("follower-id", "", "stable id this follower identifies itself as on the primary's replication slots (default: -advertise)")
-	promote := flag.Bool("promote", false, "with -follow: start promoted — serve read-write from the follower's local state (failover boot)")
-	addr := flag.String("addr", ":8080", "listen address")
+	addr := flag.String("addr", ":8080", "listen address (port 0: a free port, printed at startup)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty: off)")
 	logFormat := flag.String("log-format", "off", `structured request log: "json", "text", or "off"`)
 	logLevel := flag.String("log-level", "info", "minimum request-log level (debug, info, warn, error)")
 	flag.Parse()
 
-	syncPolicy, err := store.ParseWALSync(*walSync)
-	if err != nil {
-		log.Fatal(err)
-	}
 	accessLog, err := telemetry.NewAccessLogger(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *promote && *follow == "" {
-		log.Fatal("-promote requires -follow (it promotes a follower's local state)")
-	}
 	opts := server.Options{
-		DataDir:        *dataDir,
-		SnapshotDir:    *snapshotDir,
-		WALSync:        syncPolicy,
-		CompactEvery:   *compactEvery,
-		CompactBytes:   *compactBytes,
-		DefaultCity:    *defaultCity,
-		EngineCacheCap: *cacheCap,
-		Follow:         *follow,
-		FollowPoll:     *followPoll,
-		FollowerID:     *followerID,
-		Advertise:      *advertise,
-		AccessLog:      accessLog,
+		DataDir:      *dataDir,
+		SnapshotDir:  *snapshotDir,
+		CompactEvery: *compactEvery,
+		Follow:       *follow,
+		FollowPoll:   *followPoll,
+		Advertise:    *advertise,
+		AccessLog:    accessLog,
 	}
 	if *preload != "" {
 		for _, key := range strings.Split(*preload, ",") {
@@ -121,18 +107,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *promote {
-		// Failover boot: serve read-write from the follower's local state
-		// without contacting the (presumably dead) primary.
-		if err := srv.Promote(); err != nil {
-			log.Fatal(err)
-		}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
 	}
 	keys := srv.Registry().Keys()
-	fmt.Printf("grouptravel-server: %d cities %v (default %s) on %s\n",
-		len(keys), keys, srv.DefaultCity(), *addr)
+	fmt.Printf("grouptravel-server: %d cities %v on %s\n", len(keys), keys, ln.Addr())
 	if *snapshotDir != "" {
-		fmt.Printf("grouptravel-server: WAL + snapshots under %s (fsync %s)\n", *snapshotDir, syncPolicy)
+		fmt.Printf("grouptravel-server: WAL + snapshots under %s\n", *snapshotDir)
 	}
 	if role := srv.Role(); role != "primary" {
 		fmt.Printf("grouptravel-server: role %s (primary %s)\n", role, *follow)
@@ -141,7 +123,7 @@ func main() {
 		fmt.Printf("grouptravel-server: pprof on %s\n", *pprofAddr)
 		pprofserve.Start(*pprofAddr, func(err error) { log.Print(err) })
 	}
-	log.Fatal(http.ListenAndServe(*addr, srv.Handler()))
+	log.Fatal(http.Serve(ln, srv.Handler()))
 }
 
 func loadCity(spec string) (*dataset.City, error) {

@@ -32,14 +32,14 @@ func main() {
 		log.Fatal(err)
 	}
 	go func() { _ = http.Serve(ln, srv.Handler()) }()
-	base := "http://" + ln.Addr().String()
-	fmt.Println("server on", base)
+	base := "http://" + ln.Addr().String() + "/cities/paris"
+	fmt.Println("city paris on", base)
 
 	// 1. Inspect the city schema to know what to rate.
 	var cityInfo struct {
 		Schema map[string][]string `json:"schema"`
 	}
-	get(base+"/api/city", &cityInfo)
+	get(base, &cityInfo)
 	fmt.Printf("schema: %d acco types, %d attraction topics\n",
 		len(cityInfo.Schema["acco"]), len(cityInfo.Schema["attr"]))
 
@@ -59,7 +59,7 @@ func main() {
 		ID         int     `json:"id"`
 		Uniformity float64 `json:"uniformity"`
 	}
-	post(base+"/api/groups", map[string]any{
+	post(base+"/groups", map[string]any{
 		"members": []any{ratings(0), ratings(2)},
 	}, &group)
 	fmt.Printf("group %d registered (uniformity %.2f)\n", group.ID, group.Uniformity)
@@ -74,7 +74,7 @@ func main() {
 			} `json:"items"`
 		} `json:"days"`
 	}
-	post(base+"/api/packages", map[string]any{
+	post(base+"/packages", map[string]any{
 		"group": group.ID, "consensus": "pairwise", "k": 3,
 	}, &pkg)
 	fmt.Printf("package %d built with %d days\n", pkg.ID, len(pkg.Days))
@@ -84,7 +84,7 @@ func main() {
 	var op struct {
 		Applied bool `json:"applied"`
 	}
-	post(fmt.Sprintf("%s/api/packages/%d/ops", base, pkg.ID), map[string]any{
+	post(fmt.Sprintf("%s/packages/%d/ops", base, pkg.ID), map[string]any{
 		"member": 1, "op": "remove", "ci": 0, "poi": target.ID,
 	}, &op)
 	fmt.Printf("removed %q: applied=%v\n", target.Name, op.Applied)
@@ -96,7 +96,7 @@ func main() {
 			ID int `json:"id"`
 		} `json:"newPackage"`
 	}
-	post(fmt.Sprintf("%s/api/packages/%d/refine", base, pkg.ID), map[string]any{
+	post(fmt.Sprintf("%s/packages/%d/refine", base, pkg.ID), map[string]any{
 		"strategy": "batch", "rebuild": true,
 	}, &refined)
 	fmt.Printf("refined from %d operation(s); rebuilt package %d\n",
@@ -108,7 +108,7 @@ func main() {
 			WalkKm float64 `json:"walkKm"`
 		} `json:"days"`
 	}
-	get(fmt.Sprintf("%s/api/packages/%d?routes=1", base, refined.NewPackage.ID), &routed)
+	get(fmt.Sprintf("%s/packages/%d?routes=1", base, refined.NewPackage.ID), &routed)
 	for i, d := range routed.Days {
 		fmt.Printf("day %d: %.1f km walk\n", i+1, d.WalkKm)
 	}

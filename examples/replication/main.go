@@ -10,11 +10,14 @@
 //
 // The same flow with two real processes:
 //
-//	grouptravel-server -data-dir ./cities -snapshot-dir ./state-a -addr :8080
+//	grouptravel-server -data-dir ./cities -snapshot-dir ./state-a -addr :8080 \
+//	    -advertise http://localhost:8080
 //	grouptravel-server -data-dir ./cities -snapshot-dir ./state-b -addr :8081 \
-//	    -follow http://localhost:8080
-//	curl -X POST http://localhost:8081/promote   # failover
-//	grouptravel-server ... -follow http://localhost:8080 -promote  # failover at boot
+//	    -follow http://localhost:8080 -advertise http://localhost:8081
+//	curl -X POST http://localhost:8081/promote   # failover, the one trigger
+//
+// The follower's -advertise URL is also its replication-slot id on the
+// primary.
 package main
 
 import (
@@ -65,7 +68,8 @@ func main() {
 	var cityInfo struct {
 		Schema map[string][]string `json:"schema"`
 	}
-	getJSON(primaryURL+"/api/city", &cityInfo)
+	primaryCity := primaryURL + "/cities/paris"
+	getJSON(primaryCity, &cityInfo)
 	members := []map[string][]float64{}
 	for m := 0; m < 3; m++ {
 		member := map[string][]float64{}
@@ -78,18 +82,18 @@ func main() {
 		}
 		members = append(members, member)
 	}
-	gid := post(primaryURL+"/api/groups", map[string]any{"members": members})
-	pid := post(primaryURL+"/api/packages", map[string]any{"group": gid, "consensus": "pairwise", "k": 3})
+	gid := post(primaryCity+"/groups", map[string]any{"members": members})
+	pid := post(primaryCity+"/packages", map[string]any{"group": gid, "consensus": "pairwise", "k": 3})
 	var pkg struct {
 		Days []struct {
 			Items []struct{ ID int }
 		}
 	}
-	getJSON(fmt.Sprintf("%s/api/packages/%d", primaryURL, pid), &pkg)
+	getJSON(fmt.Sprintf("%s/packages/%d", primaryCity, pid), &pkg)
 	victim := pkg.Days[0].Items[0].ID
-	post(fmt.Sprintf("%s/api/packages/%d/ops", primaryURL, pid),
+	post(fmt.Sprintf("%s/packages/%d/ops", primaryCity, pid),
 		map[string]any{"member": 0, "op": "remove", "ci": 0, "poi": victim})
-	post(fmt.Sprintf("%s/api/packages/%d/ops", primaryURL, pid),
+	post(fmt.Sprintf("%s/packages/%d/ops", primaryCity, pid),
 		map[string]any{"member": 1, "op": "add", "ci": 0, "poi": victim})
 	fmt.Printf("primary: group %d, package %d, 2 customization ops (4 WAL records)\n", gid, pid)
 	waitForCompaction(primaryURL)
@@ -106,6 +110,7 @@ func main() {
 		log.Fatal(err)
 	}
 	followerURL, stopFollower := serve(follower)
+	followerCity := followerURL + "/cities/paris"
 	defer stopFollower()
 	defer follower.Close()
 	fmt.Println("follower on", followerURL, "replicating from the primary")
@@ -117,22 +122,22 @@ func main() {
 		lag.AppliedSeq, lag.SnapshotHandoffs)
 
 	// 4. Post-handoff mutations arrive as ordinary log frames.
-	getJSON(fmt.Sprintf("%s/api/packages/%d", primaryURL, pid), &pkg)
-	post(fmt.Sprintf("%s/api/packages/%d/ops", primaryURL, pid),
+	getJSON(fmt.Sprintf("%s/packages/%d", primaryCity, pid), &pkg)
+	post(fmt.Sprintf("%s/packages/%d/ops", primaryCity, pid),
 		map[string]any{"member": 2, "op": "remove", "ci": 1, "poi": pkg.Days[1].Items[0].ID})
 	if err := follower.Follower().CatchUp(10 * time.Second); err != nil {
 		log.Fatal(err)
 	}
-	getJSON(fmt.Sprintf("%s/cities/paris/packages/%d", followerURL, pid), &pkg)
+	getJSON(fmt.Sprintf("%s/packages/%d", followerCity, pid), &pkg)
 	fmt.Printf("follower: serves package %d with the replicated ops applied\n", pid)
 
 	// 5. Writes are refused on the replica, with a pointer at the primary.
-	resp, err := http.Post(followerURL+"/api/groups", "application/json", bytes.NewReader([]byte("{}")))
+	resp, err := http.Post(followerCity+"/groups", "application/json", bytes.NewReader([]byte("{}")))
 	if err != nil {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
-	fmt.Printf("follower: POST /api/groups -> %d (primary at %s)\n", resp.StatusCode, resp.Header.Get("X-GT-Primary"))
+	fmt.Printf("follower: POST /cities/paris/groups -> %d (primary at %s)\n", resp.StatusCode, resp.Header.Get("X-GT-Primary"))
 
 	// 6. Failover: the primary dies; promote the follower. It seals its
 	// log and serves writes from the replicated state.
@@ -141,7 +146,7 @@ func main() {
 	if err := follower.Promote(); err != nil {
 		log.Fatal(err)
 	}
-	newPkg := post(followerURL+"/api/packages", map[string]any{"group": gid, "consensus": "avg", "k": 2})
+	newPkg := post(followerCity+"/packages", map[string]any{"group": gid, "consensus": "avg", "k": 2})
 	fmt.Printf("promoted follower: built package %d read-write (role %s)\n", newPkg, follower.Role())
 }
 

@@ -52,10 +52,6 @@ type Options[S any] struct {
 	// engine exist — the place to reload persisted groups/packages.
 	// Optional; the zero S is used when nil.
 	NewState func(c *City[S]) (S, error)
-
-	// EngineCacheCap overrides the per-engine cluster-cache bound
-	// (core.DefaultCacheCap when 0, unbounded when < 0).
-	EngineCacheCap int
 }
 
 // entry is one slot in the key map. ready is closed when loading finished;
@@ -175,9 +171,6 @@ func (r *Registry[S]) load(key string) (*City[S], error) {
 	engine, err := core.NewEngine(ds)
 	if err != nil {
 		return nil, fmt.Errorf("registry: engine for %q: %w", key, err)
-	}
-	if cap := r.opts.EngineCacheCap; cap != 0 {
-		engine.SetCacheCap(cap)
 	}
 	c := &City[S]{Key: key, City: ds, Engine: engine}
 	if r.opts.NewState != nil {

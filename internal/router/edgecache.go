@@ -124,9 +124,6 @@ type edgeCache struct {
 }
 
 func newEdgeCache(cap int, ctr counters) *edgeCache {
-	if cap <= 0 {
-		cap = DefaultEdgeCacheMax
-	}
 	return &edgeCache{
 		cap:           cap,
 		m:             make(map[string]*edgeEntry),

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"grouptravel/internal/server"
+	"grouptravel/internal/telemetry"
 )
 
 // --- unit: guard, cookie codec, LRU/floor mechanics ---
@@ -71,8 +72,7 @@ func TestSessionCookieCodec(t *testing.T) {
 }
 
 func TestEdgeCacheLRUAndFloors(t *testing.T) {
-	rt, _ := newRouter(t, Options{Topology: singleShard("http://127.0.0.1:9"), EdgeCache: true, EdgeCacheMax: 2})
-	ec := rt.edge
+	ec := newEdgeCache(2, newCounters(telemetry.NewRegistry()))
 	put := func(key string, seq int64) {
 		ec.put(&edgeEntry{key: key, city: "v", seq: seq, body: []byte(key)})
 	}

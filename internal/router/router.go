@@ -123,9 +123,6 @@ type Options struct {
 	// health feed's poll window. Off by default — the cache only works
 	// against backends that stamp X-GT-Applied-Seq (persistence on).
 	EdgeCache bool
-	// EdgeCacheMax bounds the edge cache's entry count
-	// (0: DefaultEdgeCacheMax).
-	EdgeCacheMax int
 }
 
 // counters are the router's routing telemetry, surfaced on /metrics
@@ -267,7 +264,7 @@ func New(opts Options) (*Router, error) {
 	rt.health.epochFor = rt.epochForNode
 	rt.health.afterPoll = rt.supervise
 	if opts.EdgeCache {
-		rt.edge = newEdgeCache(opts.EdgeCacheMax, rt.ctr)
+		rt.edge = newEdgeCache(DefaultEdgeCacheMax, rt.ctr)
 		reg.GaugeFunc("gt_router_edgecache_entries", "Edge-cache entries resident.",
 			func() float64 { return float64(rt.edge.len()) })
 		reg.GaugeFunc("gt_router_edgecache_bytes", "Edge-cache response body bytes resident.",

@@ -40,8 +40,8 @@ func groupRequest(t *testing.T) map[string]any {
 // cache in particular) can therefore validate what state a cached body
 // reflects without a second round trip.
 func TestAppliedSeqStampedOnCityGETs(t *testing.T) {
-	srv, ts := newPersistentServer(t)
-	key := srv.DefaultCity()
+	_, ts := newPersistentServer(t)
+	key := srvKey
 
 	getHdr := func(path string, wantStatus int) http.Header {
 		t.Helper()
@@ -96,7 +96,7 @@ func TestAppliedSeqStampedOnCityGETs(t *testing.T) {
 
 	// A persistence-less server has no sequence space to stamp.
 	bare := testServer(t)
-	resp, err := http.Get(bare.URL + "/api/city")
+	resp, err := http.Get(cityBase(bare))
 	if err != nil {
 		t.Fatal(err)
 	}

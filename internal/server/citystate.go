@@ -55,7 +55,6 @@ type cityState struct {
 	wal          *store.WAL
 	persistMu    sync.RWMutex
 	compactEvery int64
-	compactBytes int64
 	compacting   atomic.Bool
 	snapTime     atomic.Int64 // unix nanos of the last successful compaction
 	persistErr   atomic.Value // last persistence error string; "" once healthy
@@ -154,7 +153,6 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 		nextID:       1,
 		snapDir:      s.snapshotDir,
 		compactEvery: s.compactEvery,
-		compactBytes: s.compactBytes,
 		met:          s.metrics.city(c.Key),
 		compactDur:   s.metrics.compaction,
 		notify:       newCommitNotify(),
@@ -173,7 +171,7 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 	if err := cs.recoverState(); err != nil {
 		return nil, err
 	}
-	wal, err := store.OpenWAL(cs.snapDir, cs.key, s.walSync)
+	wal, err := store.OpenWAL(cs.snapDir, cs.key)
 	if err != nil {
 		return nil, fmt.Errorf("server: wal for %q: %w", cs.key, err)
 	}
@@ -447,7 +445,7 @@ func (cs *cityState) maybeCompact() {
 	}
 	st := cs.wal.Stats()
 	overRecords := cs.compactEvery > 0 && st.Records >= cs.compactEvery
-	overBytes := cs.compactBytes > 0 && st.Bytes >= cs.compactBytes
+	overBytes := st.Bytes >= DefaultCompactBytes
 	if !overRecords && !overBytes {
 		return
 	}

@@ -43,7 +43,7 @@ func TestConcurrentPackageBuildsMatchSequential(t *testing.T) {
 	want := make([]string, len(workloads))
 	for i, wl := range workloads {
 		var resp packageResponse
-		doJSON(t, "POST", seqTS.URL+"/api/packages", createPackageRequest{
+		doJSON(t, "POST", cityBase(seqTS)+"/packages", createPackageRequest{
 			GroupID: seqGID, Consensus: wl.consensus, K: wl.k, Weights: wl.weights,
 		}, 201, &resp)
 		want[i] = pkgFingerprint(t, resp)
@@ -65,7 +65,7 @@ func TestConcurrentPackageBuildsMatchSequential(t *testing.T) {
 					i := (g + off) % len(workloads)
 					wl := workloads[i]
 					var resp packageResponse
-					if err := tryJSON(ts, "POST", ts.URL+"/api/packages", createPackageRequest{
+					if err := tryJSON(ts, "POST", cityBase(ts)+"/packages", createPackageRequest{
 						GroupID: gid, Consensus: wl.consensus, K: wl.k, Weights: wl.weights,
 					}, 201, &resp); err != nil {
 						errs <- err
@@ -77,7 +77,7 @@ func TestConcurrentPackageBuildsMatchSequential(t *testing.T) {
 					}
 					// Re-read the package concurrently with other builds.
 					var read packageResponse
-					if err := tryJSON(ts, "GET", fmt.Sprintf("%s/api/packages/%d", ts.URL, resp.ID), nil, 200, &read); err != nil {
+					if err := tryJSON(ts, "GET", fmt.Sprintf("%s/packages/%d", cityBase(ts), resp.ID), nil, 200, &read); err != nil {
 						errs <- err
 						return
 					}
@@ -116,12 +116,12 @@ func TestConcurrentOpsAndRefine(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			opsURL := fmt.Sprintf("%s/api/packages/%d/ops", ts.URL, ids[g])
+			opsURL := fmt.Sprintf("%s/packages/%d/ops", cityBase(ts), ids[g])
 			if err := tryJSON(ts, "POST", opsURL, opRequest{Member: 0, Op: "remove", CI: 0, POI: firstItems[g]}, 200, nil); err != nil {
 				errs <- fmt.Errorf("package %d remove: %w", ids[g], err)
 				return
 			}
-			refineURL := fmt.Sprintf("%s/api/packages/%d/refine", ts.URL, ids[g])
+			refineURL := fmt.Sprintf("%s/packages/%d/refine", cityBase(ts), ids[g])
 			var ref refineResponse
 			if err := tryJSON(ts, "POST", refineURL, refineRequest{Strategy: "batch", Rebuild: true}, 200, &ref); err != nil {
 				errs <- fmt.Errorf("package %d refine: %w", ids[g], err)

@@ -50,7 +50,7 @@ func (cs *cityState) replicaResume() (int64, error) {
 // Persistence is batched: each frame applies immediately, but the
 // verbatim re-append to the follower's own log happens once for the whole
 // batch through WAL.AppendFrames — one write, one group-commit fsync —
-// instead of one write and (under WALSyncAlways) one fsync per frame. The
+// instead of one write and one fsync per frame. The
 // read lock spans the batch so the [apply + append] pair stays atomic
 // against compaction, and the append still runs strictly after the
 // apply, preserving the invariant that the local log head never leads the

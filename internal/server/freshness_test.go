@@ -56,7 +56,7 @@ func TestReadAfterWriteNeverStale(t *testing.T) {
 	ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	pkg := createPackage(t, ts, gid)
-	pkgURL := fmt.Sprintf("%s/api/packages/%d", ts.URL, pkg.ID)
+	pkgURL := fmt.Sprintf("%s/packages/%d", cityBase(ts), pkg.ID)
 	opsURL := pkgURL + "/ops"
 	victim := pkg.Days[0].Items[0].ID
 	base := itemCount(pkg)

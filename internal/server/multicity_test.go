@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -278,6 +279,87 @@ func TestEmptyDataDirWithPreloadedCity(t *testing.T) {
 		Cities: []*dataset.City{mcCities[0]}, Follow: "http://primary.invalid", FollowPoll: -1,
 	}); err == nil || !strings.Contains(err.Error(), "SnapshotDir") {
 		t.Fatalf("follower without a snapshot dir: err = %v", err)
+	}
+}
+
+// copyDataset writes the shared data directory's dataset for key into dir.
+func copyDataset(t *testing.T, dir, key string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(multiCityDataDir(t), key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key+".json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSharedDataAndSnapshotDirServesOnlyDatasets: a data directory that
+// doubles as the snapshot directory holds the store's files beside the
+// datasets — an epoch, a log, a snapshot — and none of them is a city,
+// before or after a restart.
+func TestSharedDataAndSnapshotDirServesOnlyDatasets(t *testing.T) {
+	dir := t.TempDir()
+	copyDataset(t, dir, "alpha")
+	const self = "http://alpha-node:8080"
+	if err := store.WriteEpoch(dir, "alpha", store.Epoch{Epoch: 1, Primary: self}); err != nil {
+		t.Fatal(err)
+	}
+	boot := func() *Server {
+		t.Helper()
+		s, err := NewMultiCity(Options{DataDir: dir, SnapshotDir: dir, Advertise: self})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys := s.Registry().Keys(); !slices.Equal(keys, []string{"alpha"}) {
+			t.Fatalf("keys = %v, want [alpha]", keys)
+		}
+		return s
+	}
+	s := boot()
+	ts := httptest.NewServer(s.Handler())
+	if _, err := mcCreateGroup(ts, mcCities[0], "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	compactCity(t, s, "alpha")
+	if _, err := mcCreateGroup(ts, mcCities[0], "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	s.Close()
+	for _, name := range []string{"alpha.epoch.json", "alpha.state.json", "alpha.wal"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("%s not written: %v", name, err)
+		}
+	}
+	boot().Close()
+}
+
+// TestFailedPreloadClosesLoadedLogs: construction that fails in Preload
+// hands its caller no Server to Close, so it must release the log of
+// every city that did load.
+func TestFailedPreloadClosesLoadedLogs(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open files")
+	}
+	data, snap := t.TempDir(), t.TempDir()
+	copyDataset(t, data, "alpha")
+	if err := os.WriteFile(filepath.Join(data, "broken.json"), []byte("not a dataset"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewMultiCity(Options{DataDir: data, SnapshotDir: snap, PreloadCities: []string{"alpha", "broken"}})
+	if err == nil {
+		t.Fatal("preloading a broken dataset succeeded")
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && filepath.Dir(target) == snap && strings.HasSuffix(target, ".wal") {
+			t.Errorf("failed construction left %s open", target)
+		}
 	}
 }
 

@@ -8,20 +8,22 @@
 //
 // # Routes
 //
-// City-scoped routes live under /cities/{city}/...; the legacy single-city
-// /api/... routes are kept as aliases for the configured default city, so
-// existing clients keep working unchanged:
+// Every route has one address; a city's resources live under
+// /cities/{city}:
 //
-//	GET  /healthz                 (alias /api/healthz)  liveness + engine/registry metrics
-//	GET  /cities                                        known cities + residency
-//	GET  /cities/{city}           (alias /api/city)     schema, POI counts, bounds
-//	GET  /cities/{city}/pois      (alias /api/pois)
-//	POST /cities/{city}/groups    (alias /api/groups)
+//	GET  /healthz                  liveness + engine/registry metrics
+//	GET  /metrics                  Prometheus text exposition
+//	GET  /cities                   known cities + residency
+//	GET  /cities/{city}            schema, POI counts, bounds
+//	GET  /cities/{city}/pois
+//	POST /cities/{city}/groups
 //	GET  /cities/{city}/groups/{id}
 //	POST /cities/{city}/packages
 //	GET  /cities/{city}/packages/{id}
 //	POST /cities/{city}/packages/{id}/ops
 //	POST /cities/{city}/packages/{id}/refine
+//	GET  /cities/{city}/wal        replication stream
+//	POST /promote                  follower failover
 //
 // # Concurrency
 //
@@ -43,8 +45,10 @@
 // With a snapshot directory configured, every mutation (group creation,
 // package creation, customization op, refinement) appends one typed
 // record to the city's write-ahead log — O(1) per mutation regardless of
-// city size. The full-state snapshot is only rewritten at *compaction*:
-// when the log crosses the configured record-count or byte thresholds.
+// city size — and the append is fsynced, group-committed, before the
+// mutation is acknowledged. The full-state snapshot is only rewritten at
+// *compaction*: when the log crosses the record-count threshold
+// (Options.CompactEvery) or DefaultCompactBytes.
 // On a city's first touch after a restart the snapshot is read back and
 // the log suffix replayed on top, with
 // package POIs re-resolved against the city dataset. Torn log tails are
@@ -76,10 +80,11 @@ import (
 	"grouptravel/internal/telemetry"
 )
 
-// Compaction defaults: how much write-ahead log a city accumulates before
-// its snapshot is rewritten. 1k records keeps replay-on-load well under a
-// snapshot write's own cost; 4 MiB bounds replay time for op-heavy logs
-// with large packages.
+// Compaction triggers: how much write-ahead log a city accumulates before
+// its snapshot is rewritten. 1k records (the default of
+// Options.CompactEvery) keeps replay-on-load well under a snapshot write's
+// own cost; 4 MiB bounds replay time for op-heavy logs with large
+// packages.
 const (
 	DefaultCompactEvery = 1024
 	DefaultCompactBytes = 4 << 20
@@ -97,22 +102,16 @@ type Options struct {
 	// SnapshotDir enables persistence of groups/packages per city; empty
 	// disables it.
 	SnapshotDir string
-	// DefaultCity is the key the legacy /api routes serve; defaults to
-	// the alphabetically first key.
-	DefaultCity string
-	// EngineCacheCap overrides each engine's cluster-cache bound
-	// (core.DefaultCacheCap when 0, unbounded when < 0).
-	EngineCacheCap int
-	// WALSync selects when write-ahead-log appends reach stable storage.
-	// The zero value is store.WALSyncAlways.
+	// WALSync is ignored: every write-ahead-log append is fsynced before
+	// its mutation is acknowledged.
+	//
+	// Deprecated: the durability rule is not configurable.
 	WALSync store.WALSyncPolicy
 	// CompactEvery rewrites a city's snapshot (and truncates its log)
 	// once the log holds this many records. 0 means DefaultCompactEvery;
-	// < 0 disables the record-count trigger.
+	// < 0 disables the record-count trigger (DefaultCompactBytes still
+	// applies).
 	CompactEvery int
-	// CompactBytes is the byte-size trigger for compaction. 0 means
-	// DefaultCompactBytes; < 0 disables it.
-	CompactBytes int64
 	// PreloadCities are keys to load at boot through the registry's
 	// singleflight path, so the first request pays no cold start. Unknown
 	// keys or failing loads fail construction.
@@ -125,15 +124,13 @@ type Options struct {
 	Follow string
 	// Advertise is the base URL peers and front tiers reach this node at
 	// (-advertise); it self-describes with it on /healthz so a router can
-	// match topology entries against X-GT-Primary hints.
+	// match topology entries against X-GT-Primary hints. A follower also
+	// names itself with it on its primary's replication-slot table (the
+	// ?fid= stream handshake): per-follower positions on the primary's
+	// /healthz and /metrics, and compaction holds while this follower
+	// lags. Empty, the follower streams anonymously (replication still
+	// works, it just isn't slot-tracked).
 	Advertise string
-	// FollowerID names this node on its primary's replication-slot table
-	// (the ?fid= stream handshake): per-follower positions on the
-	// primary's /healthz and /metrics, and compaction holds while this
-	// follower lags. Defaults to Advertise; with both empty the node
-	// streams anonymously (replication still works, it just isn't
-	// slot-tracked).
-	FollowerID string
 	// FollowPoll paces the replication tailers' reconnects: each tailer
 	// holds a push stream open per city — the primary flushes frames as
 	// commits land, so steady-state lag is bounded by the network, not an
@@ -150,11 +147,8 @@ type Options struct {
 // Server routes requests to per-city engines and serving state.
 type Server struct {
 	reg          *registry.Registry[*cityState]
-	defaultCity  string
 	snapshotDir  string
-	walSync      store.WALSyncPolicy
 	compactEvery int64
-	compactBytes int64
 
 	// Replication role (see follower.go): advertise is the base URL peers
 	// and front tiers reach this node at ("" when unknown); upstream is
@@ -195,8 +189,7 @@ type Server struct {
 }
 
 // New builds a single-city server with no persistence — the original
-// constructor, kept for embedders and tests; the city becomes the default
-// (and only) city.
+// constructor, kept for embedders and tests.
 func New(city *dataset.City) (*Server, error) {
 	if city == nil {
 		return nil, fmt.Errorf("server: nil city")
@@ -207,9 +200,9 @@ func New(city *dataset.City) (*Server, error) {
 // cityKey derives the registry key for a preloaded city.
 func cityKey(name string) string { return strings.ToLower(name) }
 
-// scanDataDir lists the city keys a data directory can serve. Snapshot
-// files (*.state.json) are not datasets and are skipped, so DataDir and
-// SnapshotDir may point at the same directory.
+// scanDataDir lists the city keys a data directory can serve. Files the
+// store writes (snapshots, epochs, logs) are not datasets and are
+// skipped, so DataDir and SnapshotDir may point at the same directory.
 func scanDataDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -218,7 +211,7 @@ func scanDataDir(dir string) ([]string, error) {
 	var keys []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".state.json") {
+		if e.IsDir() || !strings.HasSuffix(name, ".json") || store.IsStateFile(name) {
 			continue
 		}
 		keys = append(keys, strings.TrimSuffix(name, ".json"))
@@ -268,9 +261,7 @@ func NewMultiCity(opts Options) (*Server, error) {
 
 	s := &Server{
 		snapshotDir:  opts.SnapshotDir,
-		walSync:      opts.WALSync,
 		compactEvery: int64(opts.CompactEvery),
-		compactBytes: opts.CompactBytes,
 		// Set before the registry exists: city loads consult the role to
 		// decide whether they replicate, and pull their per-city counters
 		// off the metrics registry.
@@ -283,23 +274,6 @@ func NewMultiCity(opts Options) (*Server, error) {
 	s.slots = newSlotTable(s.metrics.reg)
 	if s.compactEvery == 0 {
 		s.compactEvery = DefaultCompactEvery
-	}
-	if s.compactBytes == 0 {
-		s.compactBytes = DefaultCompactBytes
-	}
-	s.defaultCity = opts.DefaultCity
-	if s.defaultCity == "" {
-		s.defaultCity = keys[0]
-	}
-	found := false
-	for _, k := range keys {
-		if k == s.defaultCity {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("server: default city %q not among %v", s.defaultCity, keys)
 	}
 
 	reg, err := registry.New(keys, registry.Options[*cityState]{
@@ -314,8 +288,7 @@ func NewMultiCity(opts Options) (*Server, error) {
 			defer f.Close()
 			return dataset.LoadJSON(f)
 		},
-		NewState:       func(c *registry.City[*cityState]) (*cityState, error) { return s.newCityState(c) },
-		EngineCacheCap: opts.EngineCacheCap,
+		NewState: func(c *registry.City[*cityState]) (*cityState, error) { return s.newCityState(c) },
 	})
 	if err != nil {
 		return nil, err
@@ -328,15 +301,14 @@ func NewMultiCity(opts Options) (*Server, error) {
 		return nil, err
 	}
 	if err := s.Preload(opts.PreloadCities...); err != nil {
+		// The cities that did load hold open logs, and no caller gets a
+		// Server to Close.
+		s.Close()
 		return nil, err
 	}
 	if s.upstream != "" && !s.promoted.Load() {
 		s.follower = replicate.NewFollower(s.upstream, keys, followerTarget{s}, max(opts.FollowPoll, 0))
-		fid := opts.FollowerID
-		if fid == "" {
-			fid = s.advertise
-		}
-		s.follower.SetID(fid)
+		s.follower.SetID(s.advertise)
 		s.follower.SetEpochInfo(s.Epoch)
 		s.follower.SetOnEpoch(s.observeEpoch)
 		if opts.FollowPoll >= 0 {
@@ -383,19 +355,14 @@ func (s *Server) Preload(keys ...string) error {
 // Registry exposes the underlying city registry (benchmarks and embedders).
 func (s *Server) Registry() *registry.Registry[*cityState] { return s.reg }
 
-// DefaultCity returns the key the legacy /api routes serve.
-func (s *Server) DefaultCity() string { return s.defaultCity }
-
-// Handler returns the HTTP handler with all routes registered: the
-// city-scoped /cities tree plus the legacy /api aliases for the default
-// city. The whole mux is wrapped in the telemetry middleware — per-class
-// latency histograms, in-flight gauges, status counters, request-id echo
-// (the shard echoes the id the router minted; it never mints its own, so
-// the hot path stays allocation-free), and the opt-in access log.
+// Handler returns the HTTP handler with all routes registered. The whole
+// mux is wrapped in the telemetry middleware — per-class latency
+// histograms, in-flight gauges, status counters, request-id echo (the
+// shard echoes the id the router minted; it never mints its own, so the
+// hot path stays allocation-free), and the opt-in access log.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /api/healthz", s.handleHealth)
 	mux.Handle("GET /metrics", s.metrics.reg.Handler())
 	mux.HandleFunc("GET /cities", s.handleCities)
 
@@ -407,22 +374,19 @@ func (s *Server) Handler() http.Handler {
 	mutate := func(h func(cs *cityState, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 		return s.writable(s.withCity(h))
 	}
-	for _, prefix := range []string{"/api", "/cities/{city}"} {
-		mux.HandleFunc("GET "+prefix+"/pois", city((*cityState).handlePOIs))
-		mux.HandleFunc("POST "+prefix+"/groups", mutate((*cityState).handleCreateGroup))
-		mux.HandleFunc("GET "+prefix+"/groups/{id}", city((*cityState).handleGetGroup))
-		mux.HandleFunc("POST "+prefix+"/packages", mutate((*cityState).handleCreatePackage))
-		mux.HandleFunc("GET "+prefix+"/packages/{id}", city((*cityState).handleGetPackage))
-		mux.HandleFunc("POST "+prefix+"/packages/{id}/ops", mutate((*cityState).handleOps))
-		mux.HandleFunc("POST "+prefix+"/packages/{id}/refine", mutate((*cityState).handleRefine))
-		// The replication stream: followers tail it, and a follower serves
-		// it too (from its own log), so replicas can cascade. Not routed
-		// through withCity — it needs no applied-seq stamp and answers 501
-		// without loading the city when persistence is off (stream.go).
-		mux.HandleFunc("GET "+prefix+"/wal", s.handleWAL)
-	}
-	mux.HandleFunc("GET /api/city", city((*cityState).handleCity))
 	mux.HandleFunc("GET /cities/{city}", city((*cityState).handleCity))
+	mux.HandleFunc("GET /cities/{city}/pois", city((*cityState).handlePOIs))
+	mux.HandleFunc("POST /cities/{city}/groups", mutate((*cityState).handleCreateGroup))
+	mux.HandleFunc("GET /cities/{city}/groups/{id}", city((*cityState).handleGetGroup))
+	mux.HandleFunc("POST /cities/{city}/packages", mutate((*cityState).handleCreatePackage))
+	mux.HandleFunc("GET /cities/{city}/packages/{id}", city((*cityState).handleGetPackage))
+	mux.HandleFunc("POST /cities/{city}/packages/{id}/ops", mutate((*cityState).handleOps))
+	mux.HandleFunc("POST /cities/{city}/packages/{id}/refine", mutate((*cityState).handleRefine))
+	// The replication stream: followers tail it, and a follower serves it
+	// too (from its own log), so replicas can cascade. Not routed through
+	// withCity — it needs no applied-seq stamp and answers 501 without
+	// loading the city when persistence is off (stream.go).
+	mux.HandleFunc("GET /cities/{city}/wal", s.handleWAL)
 	mux.HandleFunc("POST /promote", s.handlePromote)
 	mw := &telemetry.Middleware{Metrics: s.metrics.http, Log: s.accessLog}
 	// The epoch sniffer wraps everything: any request can carry proof of
@@ -430,15 +394,11 @@ func (s *Server) Handler() http.Handler {
 	return s.noteEpochHeader(mw.Wrap(mux))
 }
 
-// withCity resolves the request's city — the {city} path value, or the
-// default city on the legacy routes — and gets it from the registry,
-// loading it on first touch.
+// withCity resolves the request's {city} path value and gets it from the
+// registry, loading it on first touch.
 func (s *Server) withCity(h func(cs *cityState, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("city")
-		if key == "" {
-			key = s.defaultCity
-		}
 		c, err := s.reg.Get(key)
 		if err != nil {
 			if !s.reg.Has(key) {
@@ -529,19 +489,13 @@ type walHealth struct {
 }
 
 type healthResponse struct {
-	Status string `json:"status"`
-	// City preserves the legacy single-city health field: the default
-	// city's dataset name when it is resident, its key otherwise (reading
-	// health must not force a dataset load).
-	City        string                `json:"city"`
-	DefaultCity string                `json:"defaultCity"`
+	Status      string                `json:"status"`
 	Role        string                `json:"role"`                // primary | follower | promoted | fenced
 	Primary     string                `json:"primary,omitempty"`   // the primary's URL on (ex-)followers
 	Advertise   string                `json:"advertise,omitempty"` // the URL this node self-describes as
 	Registry    registry.Stats        `json:"registry"`
 	Cities      map[string]cityHealth `json:"cities"` // loaded cities only
 	Persistence bool                  `json:"persistence"`
-	WALSync     string                `json:"walSync,omitempty"` // fsync policy when persistence is on
 	// Epoch is the node's replication term and EpochPrimary the term
 	// owner's URL (absent before any promotion); ReplicationSlots are the
 	// per-follower stream positions this node tracks as a primary.
@@ -553,17 +507,12 @@ type healthResponse struct {
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	resp := healthResponse{
 		Status:      "ok",
-		City:        s.defaultCity,
-		DefaultCity: s.defaultCity,
 		Role:        s.Role(),
 		Primary:     s.upstream,
 		Advertise:   s.advertise,
 		Registry:    s.reg.Stats(),
 		Cities:      map[string]cityHealth{},
 		Persistence: s.snapshotDir != "",
-	}
-	if resp.Persistence {
-		resp.WALSync = s.walSync.String()
 	}
 	resp.Epoch, resp.EpochPrimary = s.Epoch()
 	resp.ReplicationSlots = s.slots.snapshot()
@@ -575,9 +524,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 		resp.Cities[c.Key] = h
-		if c.Key == s.defaultCity {
-			resp.City = c.City.Name
-		}
 	})
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -593,7 +539,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 type citySummary struct {
 	Key        string `json:"key"`
 	Loaded     bool   `json:"loaded"`
-	Default    bool   `json:"default"`
 	WALBytes   int64  `json:"walBytes,omitempty"`
 	AppliedSeq int64  `json:"appliedSeq,omitempty"`
 }
@@ -601,7 +546,7 @@ type citySummary struct {
 func (s *Server) handleCities(w http.ResponseWriter, _ *http.Request) {
 	var out []citySummary
 	for _, key := range s.reg.Keys() {
-		row := citySummary{Key: key, Default: key == s.defaultCity}
+		row := citySummary{Key: key}
 		if c, ok := s.reg.Resident(key); ok {
 			row.Loaded = true
 			if c.State.wal != nil {

@@ -22,6 +22,12 @@ var (
 	srvCity *dataset.City
 )
 
+// srvKey is the registry key of the shared test city.
+const srvKey = "servercity"
+
+// cityBase is the test city's route prefix on a test server.
+func cityBase(ts *httptest.Server) string { return ts.URL + "/cities/" + srvKey }
+
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	srvOnce.Do(func() {
@@ -91,7 +97,7 @@ func createGroup(t *testing.T, ts *httptest.Server, members int) int {
 		req.Members = append(req.Members, ratings(t, i))
 	}
 	var resp groupResponse
-	doJSON(t, "POST", ts.URL+"/api/groups", req, http.StatusCreated, &resp)
+	doJSON(t, "POST", cityBase(ts)+"/groups", req, http.StatusCreated, &resp)
 	if resp.Size != members {
 		t.Fatalf("group size = %d", resp.Size)
 	}
@@ -101,7 +107,7 @@ func createGroup(t *testing.T, ts *httptest.Server, members int) int {
 func createPackage(t *testing.T, ts *httptest.Server, groupID int) packageResponse {
 	t.Helper()
 	var resp packageResponse
-	doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{
+	doJSON(t, "POST", cityBase(ts)+"/packages", createPackageRequest{
 		GroupID: groupID, Consensus: "pairwise", K: 3,
 	}, http.StatusCreated, &resp)
 	return resp
@@ -110,42 +116,26 @@ func createPackage(t *testing.T, ts *httptest.Server, groupID int) packageRespon
 func TestHealthAndCity(t *testing.T) {
 	ts := testServer(t)
 	var health healthResponse
-	doJSON(t, "GET", ts.URL+"/api/healthz", nil, http.StatusOK, &health)
-	if health.Status != "ok" || health.DefaultCity != "servercity" {
+	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, &health)
+	if health.Status != "ok" {
 		t.Fatalf("health = %+v", health)
-	}
-	// The legacy "city" field survives: the key before the lazy load...
-	if health.City != "servercity" {
-		t.Fatalf("health city = %q", health.City)
 	}
 	if health.Registry.Known != 1 {
 		t.Fatalf("registry stats = %+v", health.Registry)
 	}
-	// /healthz is an alias and must agree.
-	var alias healthResponse
-	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, &alias)
-	if alias.Status != "ok" {
-		t.Fatalf("alias health = %+v", alias)
-	}
 	var city cityResponse
-	doJSON(t, "GET", ts.URL+"/api/city", nil, http.StatusOK, &city)
-	if city.Name != "ServerCity" || city.Key != "servercity" {
+	doJSON(t, "GET", cityBase(ts), nil, http.StatusOK, &city)
+	if city.Name != "ServerCity" || city.Key != srvKey {
 		t.Fatalf("city = %q (key %q)", city.Name, city.Key)
 	}
 	if city.Counts["attr"] == 0 || len(city.Schema["rest"]) == 0 {
 		t.Fatalf("city response incomplete: %+v", city)
 	}
-	// The same city is served under its /cities key.
-	var scoped cityResponse
-	doJSON(t, "GET", ts.URL+"/cities/servercity", nil, http.StatusOK, &scoped)
-	if scoped.Name != city.Name {
-		t.Fatalf("scoped city = %+v", scoped)
-	}
 	doJSON(t, "GET", ts.URL+"/cities/atlantis", nil, http.StatusNotFound, nil)
-	// GET /cities lists the only city as loaded default.
+	// GET /cities lists the only city as loaded.
 	var cities []citySummary
 	doJSON(t, "GET", ts.URL+"/cities", nil, http.StatusOK, &cities)
-	if len(cities) != 1 || cities[0].Key != "servercity" || !cities[0].Default || !cities[0].Loaded {
+	if len(cities) != 1 || cities[0].Key != srvKey || !cities[0].Loaded {
 		t.Fatalf("cities = %+v", cities)
 	}
 	// After a build, the health report carries engine cache metrics.
@@ -159,16 +149,48 @@ func TestHealthAndCity(t *testing.T) {
 	if ch.Cache.Misses < 1 || ch.Cache.Cap != 64 || ch.Groups < 1 || ch.Packages < 1 {
 		t.Fatalf("city health = %+v", ch)
 	}
-	// ...and the dataset name once the default city is resident.
-	if health.City != "ServerCity" {
-		t.Fatalf("resident health city = %q", health.City)
+}
+
+// TestRemovedSurfacesStayRemoved: every resource has one address, under
+// /cities/{city}; the single-city /api tree, the default-city report and
+// the WAL sync mode are gone from the wire.
+func TestRemovedSurfacesStayRemoved(t *testing.T) {
+	_, ts := newPersistentServer(t)
+	for _, r := range []struct {
+		method, path string
+		body         any
+	}{
+		{"GET", "/healthz", nil},
+		{"GET", "/city", nil},
+		{"POST", "/groups", groupRequest(t)},
+	} {
+		doJSON(t, r.method, ts.URL+"/api"+r.path, r.body, http.StatusNotFound, nil)
+	}
+
+	var health map[string]json.RawMessage
+	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, &health)
+	if _, ok := health["persistence"]; !ok {
+		t.Fatalf("/healthz = %v, want a persistence key", health)
+	}
+	for _, key := range []string{"city", "defaultCity", "walSync"} {
+		if _, ok := health[key]; ok {
+			t.Errorf("/healthz still has %q", key)
+		}
+	}
+	var cities []map[string]json.RawMessage
+	doJSON(t, "GET", ts.URL+"/cities", nil, http.StatusOK, &cities)
+	if len(cities) != 1 {
+		t.Fatalf("/cities = %v", cities)
+	}
+	if _, ok := cities[0]["default"]; ok {
+		t.Errorf("/cities row still has \"default\": %v", cities[0])
 	}
 }
 
 func TestPOIQueries(t *testing.T) {
 	ts := testServer(t)
 	var pois []poiResponse
-	doJSON(t, "GET", ts.URL+"/api/pois?cat=rest&k=5", nil, http.StatusOK, &pois)
+	doJSON(t, "GET", cityBase(ts)+"/pois?cat=rest&k=5", nil, http.StatusOK, &pois)
 	if len(pois) != 5 {
 		t.Fatalf("got %d POIs", len(pois))
 	}
@@ -178,33 +200,33 @@ func TestPOIQueries(t *testing.T) {
 		}
 	}
 	// Nearest query.
-	doJSON(t, "GET", ts.URL+"/api/pois?near=48.8566,2.3522&k=3", nil, http.StatusOK, &pois)
+	doJSON(t, "GET", cityBase(ts)+"/pois?near=48.8566,2.3522&k=3", nil, http.StatusOK, &pois)
 	if len(pois) != 3 {
 		t.Fatalf("nearest returned %d", len(pois))
 	}
 	// Bad inputs.
-	doJSON(t, "GET", ts.URL+"/api/pois?cat=volcano", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/api/pois?near=oops", nil, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/api/pois?k=-1", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", cityBase(ts)+"/pois?cat=volcano", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", cityBase(ts)+"/pois?near=oops", nil, http.StatusBadRequest, nil)
+	doJSON(t, "GET", cityBase(ts)+"/pois?k=-1", nil, http.StatusBadRequest, nil)
 }
 
 func TestGroupLifecycle(t *testing.T) {
 	ts := testServer(t)
 	id := createGroup(t, ts, 3)
 	var got groupResponse
-	doJSON(t, "GET", fmt.Sprintf("%s/api/groups/%d", ts.URL, id), nil, http.StatusOK, &got)
+	doJSON(t, "GET", fmt.Sprintf("%s/groups/%d", cityBase(ts), id), nil, http.StatusOK, &got)
 	if got.ID != id || got.Size != 3 {
 		t.Fatalf("group = %+v", got)
 	}
 	if got.Uniformity < 0 || got.Uniformity > 1 {
 		t.Fatalf("uniformity = %v", got.Uniformity)
 	}
-	doJSON(t, "GET", ts.URL+"/api/groups/999", nil, http.StatusNotFound, nil)
-	doJSON(t, "GET", ts.URL+"/api/groups/abc", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", cityBase(ts)+"/groups/999", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", cityBase(ts)+"/groups/abc", nil, http.StatusNotFound, nil)
 	// Empty group rejected.
-	doJSON(t, "POST", ts.URL+"/api/groups", createGroupRequest{}, http.StatusBadRequest, nil)
+	doJSON(t, "POST", cityBase(ts)+"/groups", createGroupRequest{}, http.StatusBadRequest, nil)
 	// Bad ratings rejected.
-	doJSON(t, "POST", ts.URL+"/api/groups", createGroupRequest{
+	doJSON(t, "POST", cityBase(ts)+"/groups", createGroupRequest{
 		Members: []map[string][]float64{{"rest": {9, 9}}},
 	}, http.StatusBadRequest, nil)
 }
@@ -225,7 +247,7 @@ func TestPackageLifecycle(t *testing.T) {
 	// GET with routes: walking distances appear and days reorder to start
 	// at the accommodation.
 	var routed packageResponse
-	doJSON(t, "GET", fmt.Sprintf("%s/api/packages/%d?routes=1", ts.URL, pkg.ID), nil, http.StatusOK, &routed)
+	doJSON(t, "GET", fmt.Sprintf("%s/packages/%d?routes=1", cityBase(ts), pkg.ID), nil, http.StatusOK, &routed)
 	for _, d := range routed.Days {
 		if d.WalkKm <= 0 {
 			t.Fatalf("routed day missing walk distance: %+v", d)
@@ -235,17 +257,17 @@ func TestPackageLifecycle(t *testing.T) {
 		}
 	}
 	// Unknown group and bad consensus.
-	doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{GroupID: 999}, http.StatusNotFound, nil)
-	doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{GroupID: gid, Consensus: "nope"}, http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{GroupID: gid, K: 5000}, http.StatusBadRequest, nil)
-	doJSON(t, "GET", ts.URL+"/api/packages/424242", nil, http.StatusNotFound, nil)
+	doJSON(t, "POST", cityBase(ts)+"/packages", createPackageRequest{GroupID: 999}, http.StatusNotFound, nil)
+	doJSON(t, "POST", cityBase(ts)+"/packages", createPackageRequest{GroupID: gid, Consensus: "nope"}, http.StatusBadRequest, nil)
+	doJSON(t, "POST", cityBase(ts)+"/packages", createPackageRequest{GroupID: gid, K: 5000}, http.StatusBadRequest, nil)
+	doJSON(t, "GET", cityBase(ts)+"/packages/424242", nil, http.StatusNotFound, nil)
 }
 
 func TestCustomizationOps(t *testing.T) {
 	ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	pkg := createPackage(t, ts, gid)
-	url := fmt.Sprintf("%s/api/packages/%d/ops", ts.URL, pkg.ID)
+	url := fmt.Sprintf("%s/packages/%d/ops", cityBase(ts), pkg.ID)
 
 	// REMOVE the first item of day 1.
 	target := pkg.Days[0].Items[0].ID
@@ -266,7 +288,7 @@ func TestCustomizationOps(t *testing.T) {
 
 	// ADD a nearby restaurant found via the POI API.
 	var cands []poiResponse
-	doJSON(t, "GET", fmt.Sprintf("%s/api/pois?cat=rest&near=%f,%f&k=8", ts.URL,
+	doJSON(t, "GET", fmt.Sprintf("%s/pois?cat=rest&near=%f,%f&k=8", cityBase(ts),
 		pkg.Days[0].Centroid.Lat, pkg.Days[0].Centroid.Lon), nil, http.StatusOK, &cands)
 	added := false
 	for _, c := range cands {
@@ -290,7 +312,7 @@ func TestCustomizationOps(t *testing.T) {
 
 	// GENERATE with a rectangle over the city.
 	var city cityResponse
-	doJSON(t, "GET", ts.URL+"/api/city", nil, http.StatusOK, &city)
+	doJSON(t, "GET", cityBase(ts), nil, http.StatusOK, &city)
 	rect := map[string]float64{
 		"Lat":    city.Bounds["lat"] - city.Bounds["height"]*0.25,
 		"Lon":    city.Bounds["lon"] + city.Bounds["width"]*0.25,
@@ -313,10 +335,10 @@ func TestRefineEndpoint(t *testing.T) {
 	ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	pkg := createPackage(t, ts, gid)
-	opsURL := fmt.Sprintf("%s/api/packages/%d/ops", ts.URL, pkg.ID)
+	opsURL := fmt.Sprintf("%s/packages/%d/ops", cityBase(ts), pkg.ID)
 	doJSON(t, "POST", opsURL, opRequest{Member: 0, Op: "remove", CI: 0, POI: pkg.Days[0].Items[0].ID}, http.StatusOK, nil)
 
-	refineURL := fmt.Sprintf("%s/api/packages/%d/refine", ts.URL, pkg.ID)
+	refineURL := fmt.Sprintf("%s/packages/%d/refine", cityBase(ts), pkg.ID)
 	var ref refineResponse
 	doJSON(t, "POST", refineURL, refineRequest{Strategy: "batch", Rebuild: true}, http.StatusOK, &ref)
 	if ref.Operations != 1 || ref.NewPackage == nil {
@@ -351,7 +373,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			var buf bytes.Buffer
 			_ = json.NewEncoder(&buf).Encode(createPackageRequest{GroupID: gid, K: 2})
-			resp, err := http.Post(ts.URL+"/api/packages", "application/json", &buf)
+			resp, err := http.Post(cityBase(ts)+"/packages", "application/json", &buf)
 			if err != nil {
 				errs <- err
 				return
@@ -377,7 +399,7 @@ func TestConcurrentRequests(t *testing.T) {
 // WAL record.
 func TestWeightedPackage(t *testing.T) {
 	srv, ts := newPersistentServer(t)
-	key := srv.DefaultCity()
+	key := srvKey
 	c, err := srv.Registry().Get(key)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +413,7 @@ func TestWeightedPackage(t *testing.T) {
 	build := func(name string, weights []float64) *profile.Profile {
 		t.Helper()
 		var resp packageResponse
-		doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{
+		doJSON(t, "POST", cityBase(ts)+"/packages", createPackageRequest{
 			GroupID: gid, Consensus: name, K: 2, Weights: weights,
 		}, http.StatusCreated, &resp)
 		if !resp.Valid {
@@ -447,7 +469,7 @@ func TestWeightedPackage(t *testing.T) {
 	for _, name := range names {
 		for what, w := range bad {
 			n, head := packages(), primaryHead(t, srv, key)
-			doJSON(t, "POST", ts.URL+"/api/packages", createPackageRequest{
+			doJSON(t, "POST", cityBase(ts)+"/packages", createPackageRequest{
 				GroupID: gid, Consensus: name, K: 2, Weights: w,
 			}, http.StatusBadRequest, nil)
 			if packages() != n || primaryHead(t, srv, key) != head {

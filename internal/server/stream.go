@@ -96,9 +96,6 @@ func parseStreamParams(w http.ResponseWriter, r *http.Request) (walStreamParams,
 // is answered without loading anything.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("city")
-	if key == "" {
-		key = s.defaultCity
-	}
 	if !s.reg.Has(key) {
 		writeErr(w, http.StatusNotFound, "unknown city %q", key)
 		return

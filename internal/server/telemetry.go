@@ -54,13 +54,13 @@ func newServerMetrics() *serverMetrics {
 		reg:  reg,
 		http: telemetry.NewHTTPMetrics(reg),
 		walAppend: reg.Histogram("gt_wal_append_seconds",
-			"WAL append latency: marshal, frame, write, and the sync policy's share.", nil),
+			"WAL append latency: marshal, frame, write and fsync.", nil),
 		fsyncSmall: reg.Histogram("gt_wal_fsync_seconds",
-			"WAL fsync latency (group commits and background flushes).", nil, "size", "lt1MiB"),
+			"WAL fsync latency (group commits).", nil, "size", "lt1MiB"),
 		fsyncMed: reg.Histogram("gt_wal_fsync_seconds",
-			"WAL fsync latency (group commits and background flushes).", nil, "size", "1-16MiB"),
+			"WAL fsync latency (group commits).", nil, "size", "1-16MiB"),
 		fsyncLarge: reg.Histogram("gt_wal_fsync_seconds",
-			"WAL fsync latency (group commits and background flushes).", nil, "size", "ge16MiB"),
+			"WAL fsync latency (group commits).", nil, "size", "ge16MiB"),
 		compaction: reg.Histogram("gt_wal_compaction_seconds",
 			"Snapshot compaction duration, log rotation to pending-segment removal.", nil),
 	}

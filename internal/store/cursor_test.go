@@ -96,7 +96,7 @@ func TestAppendFrameShipsVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := OpenWAL(dir, "follower", WALSyncPolicy{Mode: WALSyncOff})
+	w, err := OpenWAL(dir, "follower")
 	if err != nil {
 		t.Fatal(err)
 	}

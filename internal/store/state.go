@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"grouptravel/internal/core"
@@ -316,6 +317,20 @@ func LoadServerState(r io.Reader, city *dataset.City) (*ServerState, error) {
 // snapshot directory.
 func SnapshotPath(dir, key string) string {
 	return filepath.Join(dir, key+".state.json")
+}
+
+// IsStateFile reports whether name, a file's base name, is one this
+// package writes into a state directory: a snapshot, an epoch, a log or
+// its sealed segment, a temp file of an atomic write, or a quarantined
+// copy. A directory that holds other files too — a server's data
+// directory may double as its snapshot directory — skips these.
+func IsStateFile(name string) bool {
+	for _, suffix := range []string{".state.json", ".epoch.json", ".wal", ".wal.pending", ".tmp", ".corrupt"} {
+		if strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 // WriteSnapshot atomically persists a city's state under dir: the file is

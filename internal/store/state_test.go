@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -337,4 +338,25 @@ func poiIDs(pois []*poi.POI) []int {
 		ids = append(ids, p.ID)
 	}
 	return ids
+}
+
+// TestIsStateFile: every name the package gives a file in a state
+// directory is a state file; datasets beside them are not, whatever the
+// city is called.
+func TestIsStateFile(t *testing.T) {
+	const dir, key = "state", "alpha"
+	for _, path := range []string{
+		SnapshotPath(dir, key), EpochPath(dir, key), WALPath(dir, key), PendingWALPath(dir, key),
+		SnapshotPath(dir, key) + ".corrupt", WALPath(dir, key) + ".corrupt",
+		filepath.Join(dir, key+".state.123.tmp"), filepath.Join(dir, key+".epoch.456.tmp"),
+	} {
+		if !IsStateFile(filepath.Base(path)) {
+			t.Errorf("IsStateFile(%q) = false", filepath.Base(path))
+		}
+	}
+	for _, name := range []string{"alpha.json", "state.json", "epoch.json", "wal.json"} {
+		if IsStateFile(name) {
+			t.Errorf("IsStateFile(%q) = true for a dataset", name)
+		}
+	}
 }

@@ -256,63 +256,29 @@ func RemovePendingWAL(dir, key string) error {
 
 // --- sync policy ---
 
-// WALSyncMode selects when appends reach stable storage.
+// WALSyncMode names when appends reach stable storage. The log has one
+// durability rule, WALSyncAlways.
+//
+// Deprecated: the rule is not configurable; the type remains for callers
+// that name it.
 type WALSyncMode int
 
-const (
-	// WALSyncAlways fsyncs on every append (group-committed: one fsync
-	// covers every append that completed before it). Survives power loss.
-	WALSyncAlways WALSyncMode = iota
-	// WALSyncInterval fsyncs at most once per interval, on the append
-	// that finds the interval expired. Bounded loss window on power
-	// failure; process crashes lose nothing (the OS has the writes).
-	WALSyncInterval
-	// WALSyncOff never fsyncs from the appender; durability rides on the
-	// OS flushing and on compaction's snapshot fsync.
-	WALSyncOff
-)
+// WALSyncAlways fsyncs every append before it returns (group-committed:
+// one fsync covers every append that completed before it). Survives power
+// loss.
+const WALSyncAlways WALSyncMode = 0
 
-// DefaultWALSyncInterval is the flush period ParseWALSync uses for the
-// bare "interval" spelling.
-const DefaultWALSyncInterval = 100 * time.Millisecond
-
-// WALSyncPolicy is a mode plus its interval (WALSyncInterval only). The
-// zero value is WALSyncAlways, the safe default.
+// WALSyncPolicy describes the log's durability rule. Its only value is
+// the zero value, WALSyncAlways.
+//
+// Deprecated: the rule is not configurable; the type remains for callers
+// that name it.
 type WALSyncPolicy struct {
-	Mode     WALSyncMode
-	Interval time.Duration
+	Mode WALSyncMode
 }
 
-// ParseWALSync parses the -wal-sync flag: "always", "off", "interval"
-// (DefaultWALSyncInterval), or a duration like "250ms" (interval mode
-// with that period).
-func ParseWALSync(s string) (WALSyncPolicy, error) {
-	switch s {
-	case "", "always":
-		return WALSyncPolicy{Mode: WALSyncAlways}, nil
-	case "off", "never":
-		return WALSyncPolicy{Mode: WALSyncOff}, nil
-	case "interval":
-		return WALSyncPolicy{Mode: WALSyncInterval, Interval: DefaultWALSyncInterval}, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d <= 0 {
-		return WALSyncPolicy{}, fmt.Errorf("store: wal sync %q (want always, off, interval, or a positive duration)", s)
-	}
-	return WALSyncPolicy{Mode: WALSyncInterval, Interval: d}, nil
-}
-
-// String renders the policy in the same vocabulary ParseWALSync accepts.
-func (p WALSyncPolicy) String() string {
-	switch p.Mode {
-	case WALSyncOff:
-		return "off"
-	case WALSyncInterval:
-		return p.Interval.String()
-	default:
-		return "always"
-	}
-}
+// String names the rule.
+func (WALSyncPolicy) String() string { return "always" }
 
 // --- appender ---
 
@@ -334,7 +300,6 @@ type WALStats struct {
 type WAL struct {
 	path    string
 	pending string // sealed-segment path (Rotate target)
-	policy  WALSyncPolicy
 
 	// mu serializes file writes, truncation, rotation and close.
 	// size/records are read by Stats under mu; size is additionally
@@ -352,14 +317,9 @@ type WAL struct {
 
 	// syncMu serializes fsyncs (group commit): synced is the high-water
 	// byte offset known durable; a goroutine whose write offset is below
-	// it skips its fsync entirely. flushTimer covers the tail of a burst
-	// under WALSyncInterval: an append that skips its fsync arms it, so
-	// the last records of a burst reach disk within one interval even if
-	// no further append ever comes.
-	syncMu     sync.Mutex
-	synced     int64
-	lastSync   time.Time
-	flushTimer *time.Timer
+	// it skips its fsync entirely.
+	syncMu sync.Mutex
+	synced int64
 
 	fsyncs atomic.Int64
 
@@ -376,10 +336,9 @@ type WAL struct {
 }
 
 // Instrument attaches latency instruments: appendH observes every
-// successful Append/AppendFrames end to end (marshal, frame, write, and
-// whatever the sync policy charges the appender); fsyncFor maps the log's
-// byte size at fsync time to the histogram that observes that fsync
-// (group commits and background flushes). Call before the first Append;
+// successful Append/AppendFrames end to end (marshal, frame, write and
+// fsync); fsyncFor maps the log's byte size at fsync time to the
+// histogram that observes that fsync. Call before the first Append;
 // either may be nil.
 func (w *WAL) Instrument(appendH *telemetry.Histogram, fsyncFor func(sizeBytes int64) *telemetry.Histogram) {
 	w.appendHist = appendH
@@ -398,7 +357,7 @@ func (w *WAL) observeFsync(sizeBytes int64, elapsed time.Duration) {
 // empty file gets the magic header; an existing file must carry it —
 // callers run ReplayWAL first, which repairs or quarantines bad files, so
 // a bad header here is an I/O-level surprise, not routine corruption.
-func OpenWAL(dir, key string, policy WALSyncPolicy) (*WAL, error) {
+func OpenWAL(dir, key string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
 	}
@@ -430,10 +389,9 @@ func OpenWAL(dir, key string, policy WALSyncPolicy) (*WAL, error) {
 			return nil, fmt.Errorf("store: wal %s has no valid header (run replay first)", path)
 		}
 	}
-	w := &WAL{path: path, pending: PendingWALPath(dir, key), policy: policy, f: f}
+	w := &WAL{path: path, pending: PendingWALPath(dir, key), f: f}
 	w.size.Store(size)
 	w.synced = size
-	w.lastSync = time.Now()
 	w.nextSeq = 1
 	// Records and sequence in the existing suffix are unknown here; the
 	// caller learned both from ReplayWAL and seeds them (Seed) so
@@ -473,8 +431,8 @@ func (w *WAL) PendingExists() bool {
 // Path returns the log's file path.
 func (w *WAL) Path() string { return w.path }
 
-// Append stamps the record's sequence number, marshals, frames and
-// writes it, then applies the sync policy, returning the stamped
+// Append stamps the record's sequence number, marshals, frames, writes
+// and fsyncs it (group-committed), returning the stamped
 // sequence — the commit token a mutation response hands back to its
 // client. Safe for concurrent use. An error means the record did not
 // commit: a partial write is healed by truncating the file back to the
@@ -569,8 +527,8 @@ func (w *WAL) writableLocked() error {
 }
 
 // writeLocked writes buf — n whole frames, the last one sequence next-1 —
-// at the end of the log, then applies the sync policy. Called with w.mu
-// held; it unlocks.
+// at the end of the log, then fsyncs it. Called with w.mu held; it
+// unlocks.
 func (w *WAL) writeLocked(buf []byte, n int, next int64) error {
 	start := w.size.Load()
 	wrote, err := w.f.Write(buf)
@@ -589,34 +547,16 @@ func (w *WAL) writeLocked(buf []byte, n int, next int64) error {
 	w.nextSeq = next
 	off := w.size.Load()
 	w.mu.Unlock()
-
-	switch w.policy.Mode {
-	case WALSyncAlways:
-		return w.syncTo(off, false)
-	case WALSyncInterval:
-		return w.syncTo(off, true)
-	}
-	return nil
+	return w.syncTo(off)
 }
 
 // syncTo makes bytes up to off durable. Group commit: if another
-// goroutine's fsync already covered off, return immediately. With
-// intervalOnly set, the fsync additionally waits for the policy interval
-// to elapse since the last one; a skipped fsync arms the flush timer so
-// the bytes still reach disk within one interval if the burst ends here.
-func (w *WAL) syncTo(off int64, intervalOnly bool) error {
+// goroutine's fsync already covered off, return immediately.
+func (w *WAL) syncTo(off int64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	if w.synced >= off {
 		return nil
-	}
-	if intervalOnly {
-		if wait := w.policy.Interval - time.Since(w.lastSync); wait > 0 {
-			if w.flushTimer == nil {
-				w.flushTimer = time.AfterFunc(wait, w.backgroundFlush)
-			}
-			return nil
-		}
 	}
 	// Everything written before this fsync call is covered by it, so the
 	// durable watermark is the size observed now, not just off.
@@ -628,42 +568,12 @@ func (w *WAL) syncTo(off int64, intervalOnly bool) error {
 	w.observeFsync(target, time.Since(start))
 	w.fsyncs.Add(1)
 	w.synced = target
-	w.lastSync = time.Now()
 	return nil
 }
 
-// backgroundFlush is the interval policy's deadline: it fsyncs whatever
-// the last burst left unsynced. f is mutated only under mu+syncMu both
-// held, so reading it under syncMu alone is safe.
-func (w *WAL) backgroundFlush() {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	w.flushTimer = nil
-	if w.f == nil || w.synced >= w.size.Load() {
-		return
-	}
-	target := w.size.Load()
-	start := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return // the next append's fsync (or Close) retries
-	}
-	w.observeFsync(target, time.Since(start))
-	w.fsyncs.Add(1)
-	w.synced = target
-	w.lastSync = time.Now()
-}
-
-// stopFlushLocked cancels a pending background flush; callers hold syncMu.
-func (w *WAL) stopFlushLocked() {
-	if w.flushTimer != nil {
-		w.flushTimer.Stop()
-		w.flushTimer = nil
-	}
-}
-
-// Sync forces an fsync regardless of policy (shutdown paths).
+// Sync fsyncs whatever a failed append's fsync left unsynced.
 func (w *WAL) Sync() error {
-	return w.syncTo(w.size.Load(), false)
+	return w.syncTo(w.size.Load())
 }
 
 // Rotate seals the current log as the city's pending segment and starts
@@ -725,7 +635,6 @@ func (w *WAL) Rotate() error {
 	w.size.Store(walHeaderLen)
 	w.records = 0
 	w.synced = walHeaderLen
-	w.stopFlushLocked()
 	return nil
 }
 
@@ -750,12 +659,11 @@ func (w *WAL) Reset() error {
 	w.records = 0
 	w.synced = walHeaderLen
 	w.broken = false // the garbage frame, if any, was just truncated away
-	w.stopFlushLocked()
 	return nil
 }
 
-// Close releases the file handle. Pending bytes are fsynced first under
-// any policy, so a clean shutdown never loses appended records.
+// Close fsyncs any bytes a failed append's fsync left unsynced, then
+// releases the file handle.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -764,7 +672,6 @@ func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	w.stopFlushLocked()
 	err := w.f.Sync()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr

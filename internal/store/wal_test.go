@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"grouptravel/internal/consensus"
 	"grouptravel/internal/core"
@@ -102,7 +101,7 @@ func makeWALFixture(t testing.TB) *walFixture {
 // writeWAL appends records to a fresh log under dir and closes it.
 func writeWAL(t testing.TB, dir, key string, recs []WALRecord) {
 	t.Helper()
-	w, err := OpenWAL(dir, key, WALSyncPolicy{Mode: WALSyncOff})
+	w, err := OpenWAL(dir, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +425,7 @@ func TestWALBadHeaderQuarantined(t *testing.T) {
 func TestWALResetAfterCompaction(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncAlways})
+	w, err := OpenWAL(dir, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +463,7 @@ func TestWALResetAfterCompaction(t *testing.T) {
 func TestWALConcurrentAppends(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncAlways})
+	w, err := OpenWAL(dir, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,55 +506,6 @@ func TestWALConcurrentAppends(t *testing.T) {
 	}
 }
 
-func TestParseWALSync(t *testing.T) {
-	cases := []struct {
-		in   string
-		want WALSyncPolicy
-		ok   bool
-	}{
-		{"always", WALSyncPolicy{Mode: WALSyncAlways}, true},
-		{"", WALSyncPolicy{Mode: WALSyncAlways}, true},
-		{"off", WALSyncPolicy{Mode: WALSyncOff}, true},
-		{"interval", WALSyncPolicy{Mode: WALSyncInterval, Interval: DefaultWALSyncInterval}, true},
-		{"250ms", WALSyncPolicy{Mode: WALSyncInterval, Interval: 250 * time.Millisecond}, true},
-		{"-5s", WALSyncPolicy{}, false},
-		{"sometimes", WALSyncPolicy{}, false},
-	}
-	for _, c := range cases {
-		got, err := ParseWALSync(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Fatalf("ParseWALSync(%q) = %+v, %v", c.in, got, err)
-		}
-	}
-	// String round-trips through the parser's vocabulary.
-	for _, p := range []WALSyncPolicy{{Mode: WALSyncAlways}, {Mode: WALSyncOff}, {Mode: WALSyncInterval, Interval: time.Second}} {
-		back, err := ParseWALSync(p.String())
-		if err != nil || back != p {
-			t.Fatalf("round trip %v -> %q -> %v (%v)", p, p.String(), back, err)
-		}
-	}
-}
-
-// TestWALSyncOffNoFsyncs: the off policy must not fsync per append (the
-// whole point of offering it).
-func TestWALSyncOffNoFsyncs(t *testing.T) {
-	fx := makeWALFixture(t)
-	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for _, r := range fx.records {
-		if _, err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := w.Stats(); st.Fsyncs != 0 {
-		t.Fatalf("off policy fsynced %d times", st.Fsyncs)
-	}
-}
-
 // TestWALCompactionCrashIdempotent: a compaction can crash after its
 // snapshot lands but before the covered log records are removed. Replay
 // must skip records at or below the snapshot's sequence watermark —
@@ -581,7 +531,7 @@ func TestWALCompactionCrashIdempotent(t *testing.T) {
 	}
 	// New appends must continue above the watermark, or they would be
 	// invisible to the next replay.
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncOff})
+	w, err := OpenWAL(dir, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +548,7 @@ func TestWALCompactionCrashIdempotent(t *testing.T) {
 func TestWALRotateChain(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncOff})
+	w, err := OpenWAL(dir, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,31 +613,6 @@ func TestWALRotateChain(t *testing.T) {
 	}
 }
 
-// TestWALIntervalFlushTimer: under the interval policy, the records of a
-// burst that ends quietly must still reach disk within roughly one
-// interval — an armed deadline flush, not just "on the next append".
-func TestWALIntervalFlushTimer(t *testing.T) {
-	fx := makeWALFixture(t)
-	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncInterval, Interval: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := w.Append(fx.records[0]); err != nil {
-		t.Fatal(err)
-	}
-	// No further appends: without the deadline flush this would stay
-	// unsynced forever.
-	deadline := time.Now().Add(2 * time.Second)
-	for w.Stats().Fsyncs == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("burst tail never fsynced under interval policy")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestWALAppendFramesBatch: a replicated batch lands with one write and
 // one group-commit fsync — not one per frame — skips frames the log
 // already holds, and replays identically to the source records.
@@ -704,7 +629,7 @@ func TestWALAppendFramesBatch(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncAlways})
+	w, err := OpenWAL(dir, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,7 +677,7 @@ func TestWALAppendFramesRefusesGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncOff})
+	w, err := OpenWAL(dir, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -797,7 +722,7 @@ func TestWALAppendFramesRefusesGap(t *testing.T) {
 func TestWALGapDropsCurrentSegment(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal", WALSyncPolicy{Mode: WALSyncOff})
+	w, err := OpenWAL(dir, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,8 @@ const (
 )
 
 // classIdx maps one request onto its endpoint class index. Suffix checks
-// only — the router's /cities/{city}/... paths and the shard's legacy
-// /api aliases land in the same class. The last path byte pre-filters
+// only, so a request lands in the same class whichever city it names,
+// on the router and on a shard alike. The last path byte pre-filters
 // which suffixes can match at all, so the hot read paths (…/pois,
 // …/cities/{city}, …/packages/{id}) run at most one real suffix compare.
 func classIdx(method, path string) int {

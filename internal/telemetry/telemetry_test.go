@@ -350,14 +350,12 @@ func TestClassify(t *testing.T) {
 	cases := []struct{ method, path, want string }{
 		{"GET", "/healthz", ClassHealth},
 		{"GET", "/metrics", ClassHealth},
-		{"GET", "/api/healthz", ClassHealth},
 		{"POST", "/promote", ClassHealth},
 		{"GET", "/cities/paris/wal", ClassWAL},
 		{"GET", "/cities", ClassRead},
 		{"GET", "/cities/paris/pois", ClassRead},
 		{"GET", "/cities/paris/packages/3", ClassRead},
 		{"POST", "/cities/paris/packages", ClassBuild},
-		{"POST", "/api/packages", ClassBuild},
 		{"POST", "/cities/paris/packages/3/refine", ClassRefine},
 		{"POST", "/cities/paris/groups", ClassCollab},
 		{"POST", "/cities/paris/packages/3/ops", ClassCollab},
