@@ -549,13 +549,17 @@ func BenchmarkBuildPackageWarm(b *testing.B) {
 }
 
 // --- Server throughput: concurrent package builds over HTTP ---
+//
+// Each build is a mutation: it appends one record to the city's
+// write-ahead log and waits for its group-committed fsync.
 
 func BenchmarkServerThroughput(b *testing.B) {
 	benchSetup(b)
-	srv, err := server.New(benchCity)
+	srv, err := server.NewMultiCity(server.Options{Cities: []*dataset.City{benchCity}, SnapshotDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	base := ts.URL + "/cities/" + strings.ToLower(benchCity.Name)
@@ -626,10 +630,11 @@ func benchMultiCitySetup(b *testing.B) {
 
 func BenchmarkMultiCityThroughput(b *testing.B) {
 	benchMultiCitySetup(b)
-	srv, err := server.NewMultiCity(server.Options{DataDir: benchMCDir})
+	srv, err := server.NewMultiCity(server.Options{DataDir: benchMCDir, SnapshotDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -1085,10 +1090,11 @@ func pushReplicationBench(b *testing.B, withEpoch bool) {
 // and the relayed header set — not request construction.
 func BenchmarkRouterProxy(b *testing.B) {
 	benchSetup(b)
-	srv, err := server.NewMultiCity(server.Options{Cities: []*dataset.City{benchCity}})
+	srv, err := server.NewMultiCity(server.Options{Cities: []*dataset.City{benchCity}, SnapshotDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	rt, err := router.New(router.Options{
@@ -1131,10 +1137,11 @@ func BenchmarkRouterProxy(b *testing.B) {
 // that serves a repeat read from memory (BenchmarkRouterEdgeCache).
 func BenchmarkHotRead(b *testing.B) {
 	benchSetup(b)
-	srv, err := server.NewMultiCity(server.Options{Cities: []*dataset.City{benchCity}})
+	srv, err := server.NewMultiCity(server.Options{Cities: []*dataset.City{benchCity}, SnapshotDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -1186,8 +1193,6 @@ func BenchmarkHotRead(b *testing.B) {
 //     comparable with the BenchmarkRouterProxy rows.
 func BenchmarkRouterEdgeCache(b *testing.B) {
 	benchSetup(b)
-	// Persistence on: mutations allocate WAL sequences, so city-scoped
-	// GETs carry the X-GT-Applied-Seq stamp the cache validates against.
 	srv, err := server.NewMultiCity(server.Options{Cities: []*dataset.City{benchCity}, SnapshotDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)

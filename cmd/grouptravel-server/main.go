@@ -2,8 +2,8 @@
 // a Figure 3 style map GUI would talk to. One process serves many cities:
 // requests route to a per-city engine through a city-keyed registry that
 // lazily loads datasets from -data-dir (a loaded city stays resident), and
-// persists every city's groups and packages under -snapshot-dir so a
-// restart reconstructs the full state.
+// persists every city's groups and packages under -snapshot-dir, which is
+// required, so a restart reconstructs the full state.
 //
 // Persistence is a per-city write-ahead log plus periodic compaction:
 // every mutation appends one record to <key>.wal, fsynced (group-committed)
@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	grouptravel-server -city builtin:Paris -addr :8080
+//	grouptravel-server -city builtin:Paris -snapshot-dir ./state -addr :8080
 //	grouptravel-server -city paris.json -snapshot-dir ./state
 //	grouptravel-server -data-dir ./cities -snapshot-dir ./state \
 //	    -compact-every 4096 -preload-cities paris,rome
@@ -61,10 +61,10 @@ import (
 func main() {
 	citySpec := flag.String("city", "", `extra city: "builtin:<Name>" or a JSON path (default builtin:Paris when -data-dir is unset)`)
 	dataDir := flag.String("data-dir", "", "directory of <key>.json city datasets to serve")
-	snapshotDir := flag.String("snapshot-dir", "", "persist per-city groups/packages here (empty: in-memory only; required with -follow)")
+	snapshotDir := flag.String("snapshot-dir", "", "directory of every city's write-ahead log, snapshot and epoch (required)")
 	compactEvery := flag.Int("compact-every", 0, "compact a city's log into its snapshot after this many records (0: default 1024, <0: off; 4MiB of log always compacts)")
 	preload := flag.String("preload-cities", "", "comma-separated city keys to load at boot (warm-up)")
-	follow := flag.String("follow", "", "run as a read-only follower replicating from the primary at this base URL (requires -snapshot-dir)")
+	follow := flag.String("follow", "", "run as a read-only follower replicating from the primary at this base URL into its own -snapshot-dir")
 	advertise := flag.String("advertise", "", "base URL peers and routers reach this node at (self-described on /healthz; a follower's replication-slot id)")
 	followPoll := flag.Duration("follow-poll", 0, "replication stream reconnect pacing: the failure backoff base (0: default 250ms)")
 	addr := flag.String("addr", ":8080", "listen address (port 0: a free port, printed at startup)")
@@ -113,9 +113,7 @@ func main() {
 	}
 	keys := srv.Registry().Keys()
 	fmt.Printf("grouptravel-server: %d cities %v on %s\n", len(keys), keys, ln.Addr())
-	if *snapshotDir != "" {
-		fmt.Printf("grouptravel-server: WAL + snapshots under %s\n", *snapshotDir)
-	}
+	fmt.Printf("grouptravel-server: WAL + snapshots under %s\n", *snapshotDir)
 	if role := srv.Role(); role != "primary" {
 		fmt.Printf("grouptravel-server: role %s (primary %s)\n", role, *follow)
 	}

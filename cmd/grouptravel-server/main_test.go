@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"grouptravel/internal/daemontest"
@@ -42,9 +43,10 @@ func TestRemovedFlags(t *testing.T) {
 	}
 }
 
-// TestServeCity boots the daemon on a generated city and commits one
-// mutation through it.
-func TestServeCity(t *testing.T) {
+// alphaDataDir writes a generated city as alpha.json into a fresh data
+// directory.
+func alphaDataDir(t *testing.T) (*dataset.City, string) {
+	t.Helper()
 	city, err := dataset.Generate(dataset.TestSpec("Alpha", 7))
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +62,23 @@ func TestServeCity(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return city, dataDir
+}
+
+// TestRequiresSnapshotDir: every city runs on its write-ahead log, so a
+// boot without -snapshot-dir exits non-zero and names the flag.
+func TestRequiresSnapshotDir(t *testing.T) {
+	_, dataDir := alphaDataDir(t)
+	out, code := daemon.Run(t, "-data-dir", dataDir, "-addr", "127.0.0.1:0")
+	if code == 0 || !strings.Contains(out, "-snapshot-dir") {
+		t.Fatalf("boot without -snapshot-dir: exit %d, want non-zero with output naming -snapshot-dir:\n%s", code, out)
+	}
+}
+
+// TestServeCity boots the daemon on a generated city and commits one
+// mutation through it.
+func TestServeCity(t *testing.T) {
+	city, dataDir := alphaDataDir(t)
 	base := daemon.Start(t, "-data-dir", dataDir, "-snapshot-dir", t.TempDir())
 
 	var members []map[string][]float64

@@ -1,5 +1,6 @@
 // Httpapi drives the GroupTravel HTTP API end to end in one process: it
-// starts the server on a loopback port, registers a group from member
+// starts the server on a loopback port over a temporary state directory,
+// which holds the city's write-ahead log, registers a group from member
 // ratings, builds a package, applies a customization operator, and
 // refines-and-rebuilds — the request sequence a Figure 3 style web GUI
 // would issue.
@@ -12,6 +13,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 
 	"grouptravel"
 	"grouptravel/internal/dataset"
@@ -23,10 +25,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := server.New(city)
+	stateDir, err := os.MkdirTemp("", "grouptravel-httpapi-*")
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(stateDir)
+	srv, err := server.NewMultiCity(server.Options{Cities: []*dataset.City{city}, SnapshotDir: stateDir})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -51,9 +51,9 @@ func main() {
 	}
 	defer os.RemoveAll(stateB)
 
-	// 1. The primary: an ordinary server with persistence — its per-city
-	// WAL is what followers tail. CompactEvery is tiny so the demo's
-	// mutations trip a real compaction.
+	// 1. The primary: an ordinary server — its per-city WAL is what
+	// followers tail. CompactEvery is tiny so the demo's mutations trip a
+	// real compaction.
 	primary, err := server.NewMultiCity(server.Options{
 		Cities: []*dataset.City{city}, SnapshotDir: stateA, CompactEvery: 3,
 	})

@@ -185,7 +185,7 @@ func (r *Registry[S]) load(key string) (*City[S], error) {
 
 // LoadedCity is one resident city as reported by Stats. LoadMillis is the
 // wall time its load pipeline took — dataset read, engine construction and
-// state build (with persistence: snapshot read + log replay) — so a warm-up
+// state build (for the server: snapshot read + log replay) — so a warm-up
 // policy can see what each cold start costs; 0 while still loading.
 type LoadedCity struct {
 	Key        string  `json:"key"`

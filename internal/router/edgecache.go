@@ -38,9 +38,9 @@ package router
 //     alone retires stay resident until LRU pressure recycles them:
 //     the bound is a per-request view of the health feed, not a floor.
 //
-// Entries without a seq stamp are never cached: no sequence space means
-// no way to validate freshness, so persistence-less backends simply
-// keep paying the proxy hop.
+// Entries without a seq stamp are never cached: a shard stamps a city's
+// reads only once its log holds a record, and without a stamp there is
+// no way to validate freshness, so those reads keep paying the proxy hop.
 //
 // Concurrent misses for one key collapse into a single upstream fill
 // (singleflight): a thundering herd on a hot group costs one proxy hop
@@ -265,7 +265,8 @@ func (ec *edgeCache) invalidate(city string, seq int64) {
 }
 
 // purgeCity drops every entry of a city outright — the fallback for a
-// mutation that carried no commit token (no sequence space to floor on).
+// mutation whose commit token names no sequence to floor on: none, or
+// the pin token of a write the shard's log failed to record.
 func (ec *edgeCache) purgeCity(city string) {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()

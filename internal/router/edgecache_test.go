@@ -327,6 +327,62 @@ func TestEdgeCacheNeverServesPreWrite(t *testing.T) {
 	}
 }
 
+// TestEdgeCachePinnedWriteKeepsCaching: a write the primary's log failed
+// to record is acknowledged with the pin token. The writer's cookie
+// carries the pin, so its reads stay on the primary; but the pin names no
+// sequence any entry can reach, so it must not become the city's commit
+// floor. The city's entries purge instead, and token-less reads fill and
+// hit again.
+func TestEdgeCachePinnedWriteKeepsCaching(t *testing.T) {
+	psrv, pts := newPrimary(t)
+	city := rtTestCities(t)[0]
+	key := cityKeyOf(city)
+	rt, rts := newRouter(t, Options{Topology: singleShard(pts.URL), EdgeCache: true})
+	rt.Poll()
+
+	var g1 createdGroup
+	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g1)
+	g1url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g1.ID)
+	doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil)
+	if hdr := doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
+		t.Fatal("cache did not warm")
+	}
+
+	// Close breaks every loaded city's log: the next write commits in
+	// memory only and is acknowledged with the pin token.
+	psrv.Close()
+	var g2 createdGroup
+	hdr := doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g2)
+	if got := hdr.Get(HeaderSeq); got != strconv.FormatInt(pinToken, 10) {
+		t.Fatalf("write on a broken log: X-GT-Seq %q, want the pin token", got)
+	}
+	sid := cookieCarrier(sessionCookieOf(t, hdr))
+	if f := rt.edge.floor(key); f != g1.Seq {
+		t.Fatalf("commit floor after the pinned write = %d, want %d (the last real token)", f, g1.Seq)
+	}
+
+	// Token-less reads: the purge dropped the warm entry, so the first
+	// fetch refills and the second hits.
+	if hdr := doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) == "hit" {
+		t.Fatal("pre-write entry served after the pinned write")
+	}
+	if hdr := doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
+		t.Fatalf("second token-less read after the pinned write missed: edge=%q backend=%q",
+			hdr.Get(HeaderEdge), hdr.Get(HeaderBackend))
+	}
+
+	// The writer's reads carry the pin: the primary serves them, every
+	// time, the write included.
+	g2url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g2.ID)
+	for i := 0; i < 2; i++ {
+		hdr := doJSON(t, "GET", g2url, nil, sid, http.StatusOK, nil)
+		if hdr.Get(HeaderEdge) == "hit" || hdr.Get(HeaderBackend) != pts.URL {
+			t.Fatalf("writer's read %d: edge=%q backend=%q, want the primary %q",
+				i, hdr.Get(HeaderEdge), hdr.Get(HeaderBackend), pts.URL)
+		}
+	}
+}
+
 // TestSessionCookieReadYourWrites proves the header-less client contract:
 // a client that only replays its cookie jar gets read-your-writes through
 // a lagging follower, and floors for different cities merge into one

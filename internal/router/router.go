@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -88,6 +89,12 @@ const (
 	// maxBufferedBody bounds a buffered mutation body (bodies must be
 	// replayable for the 403/failover retries).
 	maxBufferedBody = 16 << 20
+	// pinToken is the commit token a shard acknowledges a write with when
+	// its write-ahead log failed to record it (internal/server's
+	// pinPrimarySeq). No follower ever reaches it, so as a session floor it
+	// keeps the writer's reads on the primary; no cache entry reaches it
+	// either, so it never becomes a commit floor.
+	pinToken = math.MaxInt64
 )
 
 // Options configures a Router.
@@ -120,8 +127,8 @@ type Options struct {
 	// EdgeCache enables the router's seq-validated response cache for hot
 	// city-scoped GETs (see edgecache.go): zero-hop reads with coalesced
 	// fills, read-your-writes floors honored, staleness bounded by the
-	// health feed's poll window. Off by default — the cache only works
-	// against backends that stamp X-GT-Applied-Seq (persistence on).
+	// health feed's poll window. Off by default. Only responses a shard
+	// stamped with X-GT-Applied-Seq are cached.
 	EdgeCache bool
 }
 
@@ -506,7 +513,7 @@ func (rt *Router) edgeRead(sh *Shard, city, rest string, w http.ResponseWriter, 
 // captureAndRelay relays one backend response while capturing it into an
 // edge-cache entry when it is cacheable: status 200, stamped with a
 // positive X-GT-Applied-Seq (the shard's proof of what state the bytes
-// reflect — unstamped responses have no sequence space and are never
+// reflect — unstamped responses cannot be validated and are never
 // cached), and bounded in size. Oversized bodies stream through after
 // the buffered prefix. Returns the stored entry, nil when uncacheable.
 func (rt *Router) captureAndRelay(w http.ResponseWriter, resp *http.Response, sh *Shard, city, key, node string) *edgeEntry {
@@ -839,8 +846,10 @@ func dialFailure(err error) bool {
 // cache (the city's commit floor rises, so entries rendered pre-write
 // stop serving before the writer can act on the ack), and as a
 // gt-session cookie echo (header-less read-your-writes for clients that
-// just replay their cookie jar). A commit without a parseable token has
-// no sequence space to floor on — the city's edge entries purge outright.
+// just replay their cookie jar). A commit without a parseable token, or
+// with the pin token, names no sequence to floor on — the city's edge
+// entries purge outright and its commit floor stays where it was, while
+// the cookie still carries the pin to the writer's next read.
 func (rt *Router) noteMutation(city string, r *http.Request, w http.ResponseWriter, resp *http.Response) {
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return
@@ -857,7 +866,11 @@ func (rt *Router) noteMutation(city string, r *http.Request, w http.ResponseWrit
 		tokenCity = city
 	}
 	if rt.edge != nil {
-		rt.edge.invalidate(tokenCity, seq)
+		if seq == pinToken {
+			rt.edge.purgeCity(tokenCity)
+		} else {
+			rt.edge.invalidate(tokenCity, seq)
+		}
 	}
 	var prev string
 	if ck, err := r.Cookie(SessionCookie); err == nil {

@@ -3,25 +3,8 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-
-	"grouptravel/internal/dataset"
 )
-
-// newPersistentServer boots the shared test city with persistence on, so
-// mutations allocate real WAL sequences.
-func newPersistentServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	testServer(t) // ensures srvCity is generated
-	s, err := NewMultiCity(Options{Cities: []*dataset.City{srvCity}, SnapshotDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
 
 // groupRequest builds a valid 3-member group-create body.
 func groupRequest(t *testing.T) map[string]any {
@@ -40,7 +23,7 @@ func groupRequest(t *testing.T) map[string]any {
 // cache in particular) can therefore validate what state a cached body
 // reflects without a second round trip.
 func TestAppliedSeqStampedOnCityGETs(t *testing.T) {
-	_, ts := newPersistentServer(t)
+	_, ts := testServer(t)
 	key := srvKey
 
 	getHdr := func(path string, wantStatus int) http.Header {
@@ -92,16 +75,5 @@ func TestAppliedSeqStampedOnCityGETs(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/cities/"+key+"/groups", groupRequest(t), http.StatusCreated, &g)
 	if got := getHdr("/cities/"+key, http.StatusOK).Get(HeaderAppliedSeq); got != "2" {
 		t.Fatalf("post-second-mutation GET: X-GT-Applied-Seq = %q, want \"2\"", got)
-	}
-
-	// A persistence-less server has no sequence space to stamp.
-	bare := testServer(t)
-	resp, err := http.Get(cityBase(bare))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(HeaderAppliedSeq); got != "" {
-		t.Fatalf("persistence-less GET stamped X-GT-Applied-Seq = %q, want none", got)
 	}
 }

@@ -45,7 +45,7 @@ type cityState struct {
 	packages map[int]*packageState
 	nextID   int
 
-	// snapDir is empty when persistence is off (wal is nil then too).
+	// snapDir holds the city's log, snapshot and epoch files.
 	// persistMu orders mutations against compaction: a mutation holds the
 	// read side across [in-memory commit + WAL append] so compaction
 	// (write side: collect + snapshot + log reset) can never collect a
@@ -136,8 +136,8 @@ type packageState struct {
 	session *interact.Session
 }
 
-// newCityState builds (or, with persistence on, recovers) a city's serving
-// state. Called by the registry on the city's first touch.
+// newCityState recovers a city's serving state from its snapshot and
+// log. Called by the registry on the city's first touch.
 // Recovery is snapshot + WAL replay: the snapshot is the last compaction,
 // the log holds every mutation since. A torn log tail was already
 // truncated by the replayer (surfaced on /healthz); a corrupt snapshot
@@ -163,9 +163,6 @@ func (s *Server) newCityState(c *registry.City[*cityState]) (*cityState, error) 
 		replStopped: s.upstream == "" || s.promoted.Load(),
 	}
 	cs.persistErr.Store("")
-	if cs.snapDir == "" {
-		return cs, nil
-	}
 
 	start := time.Now()
 	if err := cs.recoverState(); err != nil {
@@ -389,8 +386,8 @@ func (cs *cityState) register(ps *packageState) int {
 //
 // The returned sequence is the mutation's commit token — what the
 // handler hands back as X-GT-Seq so a front tier can pin the session's
-// reads to replicas at or past it. 0 when persistence is off (no
-// sequence space exists, and no replicas either).
+// reads to replicas at or past it. 0 when mutate logged no record (it
+// failed, so nothing committed).
 //
 // Append failures never fail the request — the in-memory state is already
 // committed — but they are recorded for /healthz, since the in-memory
@@ -406,14 +403,12 @@ func (cs *cityState) commit(mutate func(logRec func(store.WALRecord))) int64 {
 	var seq int64
 	mutate(func(rec store.WALRecord) {
 		logged = true
-		if cs.wal != nil {
-			s, err := cs.wal.Append(rec)
-			if err != nil {
-				cs.persistErr.Store(err.Error())
-				seq = pinPrimarySeq
-			} else {
-				seq = s
-			}
+		s, err := cs.wal.Append(rec)
+		if err != nil {
+			cs.persistErr.Store(err.Error())
+			seq = pinPrimarySeq
+		} else {
+			seq = s
 		}
 	})
 	cs.persistMu.RUnlock()
@@ -440,9 +435,6 @@ const pinPrimarySeq = int64(math.MaxInt64)
 // One compaction runs at a time; contemporaries skip rather than queue
 // (the next mutation past the threshold re-triggers).
 func (cs *cityState) maybeCompact() {
-	if cs.wal == nil {
-		return
-	}
 	st := cs.wal.Stats()
 	overRecords := cs.compactEvery > 0 && st.Records >= cs.compactEvery
 	overBytes := st.Bytes >= DefaultCompactBytes
@@ -455,7 +447,7 @@ func (cs *cityState) maybeCompact() {
 	// The slot table's own deadlines bound the wait (a dead follower is
 	// collected, a stuck one is dropped), and the next mutation past the
 	// threshold re-triggers.
-	if cs.slots != nil && cs.slots.hold(cs.key, cs.wal.LastSeq()) {
+	if cs.slots.hold(cs.key, cs.wal.LastSeq()) {
 		return
 	}
 	if !cs.compacting.CompareAndSwap(false, true) {
@@ -481,13 +473,10 @@ func (cs *cityState) maybeCompact() {
 // still works) and are recorded for /healthz rather than failing the
 // mutation that triggered the compaction.
 func (cs *cityState) compact() error {
-	if cs.snapDir == "" {
-		return nil
-	}
 	// A pending segment means an earlier compaction never finished its
 	// snapshot; rotating again would need a second pending slot, so
 	// retry inline under the lock — rare, and it clears the debt.
-	if cs.wal == nil || cs.wal.PendingExists() {
+	if cs.wal.PendingExists() {
 		return cs.compactInline()
 	}
 	start := time.Now()
@@ -523,9 +512,7 @@ func (cs *cityState) compactInline() error {
 	cs.persistMu.Lock()
 	defer cs.persistMu.Unlock()
 	st := cs.collectState()
-	if cs.wal != nil {
-		st.WALSeq = cs.wal.LastSeq()
-	}
+	st.WALSeq = cs.wal.LastSeq()
 	at, err := store.WriteSnapshot(cs.snapDir, cs.key, st)
 	if err != nil {
 		cs.persistErr.Store(err.Error())
@@ -535,11 +522,9 @@ func (cs *cityState) compactInline() error {
 		cs.persistErr.Store(err.Error())
 		return err
 	}
-	if cs.wal != nil {
-		if err := cs.wal.Reset(); err != nil {
-			cs.persistErr.Store(err.Error())
-			return err
-		}
+	if err := cs.wal.Reset(); err != nil {
+		cs.persistErr.Store(err.Error())
+		return err
 	}
 	cs.compactDur.ObserveSince(start)
 	cs.noteCompaction(at)
@@ -608,14 +593,8 @@ func (cs *cityState) collectState() *store.ServerState {
 // sequence on a primary, the last applied sequence on a follower (frames
 // are re-appended verbatim AFTER they apply, so the local log head
 // never runs ahead of the serving state — the invariant a router's
-// freshness pinning relies on). 0 when the city runs without persistence
-// — no sequence space exists then.
-func (cs *cityState) appliedSeq() int64 {
-	if cs.wal == nil {
-		return 0
-	}
-	return cs.wal.LastSeq()
-}
+// freshness pinning relies on). 0 until the city's first record.
+func (cs *cityState) appliedSeq() int64 { return cs.wal.LastSeq() }
 
 // health summarizes the city for the health endpoint.
 func (cs *cityState) health() cityHealth {
@@ -633,17 +612,15 @@ func (cs *cityState) health() cityHealth {
 	if msg, _ := cs.persistErr.Load().(string); msg != "" {
 		h.PersistErr = msg
 	}
-	if cs.wal != nil {
-		ws := cs.wal.Stats()
-		h.WAL = &walHealth{
-			Records:         ws.Records,
-			Bytes:           ws.Bytes,
-			Fsyncs:          ws.Fsyncs,
-			Compactions:     cs.met.compactions.Value(),
-			Replayed:        cs.replay.Records,
-			ReplayMillis:    cs.replayMillis,
-			ReplayTruncated: cs.replay.Truncated,
-		}
+	ws := cs.wal.Stats()
+	h.WAL = &walHealth{
+		Records:         ws.Records,
+		Bytes:           ws.Bytes,
+		Fsyncs:          ws.Fsyncs,
+		Compactions:     cs.met.compactions.Value(),
+		Replayed:        cs.replay.Records,
+		ReplayMillis:    cs.replayMillis,
+		ReplayTruncated: cs.replay.Truncated,
 	}
 	return h
 }

@@ -29,7 +29,7 @@ func pkgFingerprint(t *testing.T, p packageResponse) string {
 // -race this also certifies the lock-sharded handler paths.
 func TestConcurrentPackageBuildsMatchSequential(t *testing.T) {
 	// Sequential ground truth.
-	seqTS := testServer(t)
+	_, seqTS := testServer(t)
 	seqGID := createGroup(t, seqTS, 4)
 	type workload struct {
 		consensus string
@@ -50,7 +50,7 @@ func TestConcurrentPackageBuildsMatchSequential(t *testing.T) {
 	}
 
 	// Concurrent run on a fresh server over the same city.
-	ts := testServer(t)
+	_, ts := testServer(t)
 	gid := createGroup(t, ts, 4)
 	const goroutines = 8
 	const rounds = 2
@@ -100,7 +100,7 @@ func TestConcurrentPackageBuildsMatchSequential(t *testing.T) {
 // goroutine owns one package and customizes + refines it while the others
 // do the same. Mutations on distinct packages must proceed independently.
 func TestConcurrentOpsAndRefine(t *testing.T) {
-	ts := testServer(t)
+	_, ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	const goroutines = 8
 	ids := make([]int, goroutines)

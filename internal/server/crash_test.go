@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"grouptravel/internal/dataset"
@@ -158,8 +159,9 @@ func TestPreloadCities(t *testing.T) {
 	// construction.
 	if _, err := NewMultiCity(Options{
 		DataDir:       multiCityDataDir(t),
+		SnapshotDir:   t.TempDir(),
 		PreloadCities: []string{"atlantis"},
-	}); err == nil {
-		t.Fatal("unknown preload city accepted")
+	}); err == nil || !strings.Contains(err.Error(), "atlantis") {
+		t.Fatalf("unknown preload city: err = %v", err)
 	}
 }

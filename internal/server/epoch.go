@@ -76,9 +76,6 @@ func (s *Server) bumpEpoch() (int64, string) {
 // still fences in memory — an unfenced split-brain is strictly worse
 // than a fence that forgets across restart).
 func (s *Server) persistEpochLocked(term int64, owner string) {
-	if s.snapshotDir == "" {
-		return
-	}
 	for _, key := range s.reg.Keys() {
 		if err := store.WriteEpoch(s.snapshotDir, key, store.Epoch{Epoch: term, Primary: owner}); err != nil {
 			if c, ok := s.reg.Resident(key); ok {
@@ -95,9 +92,6 @@ func (s *Server) persistEpochLocked(term int64, owner string) {
 // fenced; a node that finds its own advertise as the owner was promoted
 // before the restart and comes back promoted.
 func (s *Server) loadEpochs(keys []string) error {
-	if s.snapshotDir == "" {
-		return nil
-	}
 	var term int64
 	var owner string
 	for _, key := range keys {

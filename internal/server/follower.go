@@ -229,7 +229,7 @@ func (s *Server) Close() {
 		s.follower.Stop()
 	}
 	for _, key := range s.reg.Keys() {
-		if c, ok := s.reg.Resident(key); ok && c.State.wal != nil {
+		if c, ok := s.reg.Resident(key); ok {
 			if err := c.State.wal.Close(); err != nil {
 				c.State.persistErr.Store(err.Error())
 			}

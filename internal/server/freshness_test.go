@@ -53,7 +53,7 @@ func itemCount(p packageResponse) int {
 // (`make race`) this is also the read path's data-race proof against
 // concurrent session mutations.
 func TestReadAfterWriteNeverStale(t *testing.T) {
-	ts := testServer(t)
+	_, ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	pkg := createPackage(t, ts, gid)
 	pkgURL := fmt.Sprintf("%s/packages/%d", cityBase(ts), pkg.ID)

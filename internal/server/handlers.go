@@ -35,15 +35,14 @@ const (
 	// — a lower bound on the state the body reflects (state only moves
 	// forward between the stamp and the render, never back). Any client —
 	// a router's edge cache, a CDN, a test — can validate read freshness
-	// against a commit token without a second round trip. Absent when the
-	// city runs without persistence: no sequence space exists then.
+	// against a commit token without a second round trip. Absent until the
+	// city's log holds its first record.
 	HeaderAppliedSeq = "X-GT-Applied-Seq"
 )
 
 // seqToken stamps a mutation's commit token onto the response headers;
-// it must run before the status line is written. A zero sequence (no
-// persistence configured — and therefore no replicas to outrun) stamps
-// nothing.
+// it must run before the status line is written. A zero sequence (a
+// refine that rebuilt nothing, so committed nothing) stamps nothing.
 func (cs *cityState) seqToken(w http.ResponseWriter, seq int64) {
 	if seq > 0 {
 		w.Header().Set(HeaderCity, cs.key)
@@ -162,7 +161,7 @@ type groupResponse struct {
 	Uniformity float64 `json:"uniformity"`
 	MedianUser int     `json:"medianUser"`
 	// Seq is the creating mutation's committed WAL sequence (the commit
-	// token, mirrored in X-GT-Seq); 0 on reads and without persistence.
+	// token, mirrored in X-GT-Seq); 0 on reads.
 	Seq int64 `json:"seq,omitempty"`
 }
 
@@ -270,7 +269,7 @@ type packageResponse struct {
 	Dims  dimsJSON  `json:"dimensions"`
 	Valid bool      `json:"valid"`
 	// Seq is the creating mutation's committed WAL sequence (the commit
-	// token, mirrored in X-GT-Seq); 0 on reads and without persistence.
+	// token, mirrored in X-GT-Seq); 0 on reads.
 	Seq int64 `json:"seq,omitempty"`
 }
 
@@ -457,7 +456,7 @@ type opResponse struct {
 	Replacement *poiResponse `json:"replacement,omitempty"`
 	NewCI       *dayJSON     `json:"newCI,omitempty"`
 	// Seq is the op's committed WAL sequence (the commit token, mirrored
-	// in X-GT-Seq); 0 without persistence.
+	// in X-GT-Seq).
 	Seq int64 `json:"seq,omitempty"`
 }
 

@@ -263,22 +263,27 @@ func TestMultiCityRestartPersistence(t *testing.T) {
 // as preloaded cities make the server servable.
 func TestEmptyDataDirWithPreloadedCity(t *testing.T) {
 	multiCityDataDir(t) // ensure mcCities exist
-	s, err := NewMultiCity(Options{DataDir: t.TempDir(), Cities: []*dataset.City{mcCities[0]}})
+	s, err := NewMultiCity(Options{DataDir: t.TempDir(), Cities: []*dataset.City{mcCities[0]}, SnapshotDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if keys := s.Registry().Keys(); len(keys) != 1 || keys[0] != "alpha" {
 		t.Fatalf("keys = %v", keys)
 	}
 	// Fully empty configuration still fails.
-	if _, err := NewMultiCity(Options{DataDir: t.TempDir()}); err == nil {
+	if _, err := NewMultiCity(Options{DataDir: t.TempDir(), SnapshotDir: t.TempDir()}); err == nil {
 		t.Fatal("empty data dir with no preloaded cities accepted")
 	}
-	// So does a follower with nowhere to keep its replicated log.
-	if _, err := NewMultiCity(Options{
-		Cities: []*dataset.City{mcCities[0]}, Follow: "http://primary.invalid", FollowPoll: -1,
-	}); err == nil || !strings.Contains(err.Error(), "SnapshotDir") {
-		t.Fatalf("follower without a snapshot dir: err = %v", err)
+	// So does any server, primary or follower, with nowhere to keep its
+	// write-ahead log.
+	for _, opts := range []Options{
+		{Cities: []*dataset.City{mcCities[0]}},
+		{Cities: []*dataset.City{mcCities[0]}, Follow: "http://primary.invalid", FollowPoll: -1},
+	} {
+		if _, err := NewMultiCity(opts); err == nil || !strings.Contains(err.Error(), "SnapshotDir") {
+			t.Fatalf("server without a snapshot dir (follow %q): err = %v", opts.Follow, err)
+		}
 	}
 }
 

@@ -621,24 +621,6 @@ func TestFollowerStreamsCityPrimaryHadNotLoaded(t *testing.T) {
 	assertConverged(t, p2, f, []string{"alpha"})
 }
 
-// TestWALWithoutPersistenceIs501: a node without a write-ahead log
-// answers the stream with 501 — never 409, which a follower would read as
-// divergence — and does not load the city to say so.
-func TestWALWithoutPersistenceIs501(t *testing.T) {
-	s, ts := multiCityServerOpts(t, Options{})
-	resp, err := http.Get(ts.URL + "/cities/alpha/wal?from=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("/wal without persistence: %d, want 501", resp.StatusCode)
-	}
-	if _, ok := s.Registry().Resident("alpha"); ok {
-		t.Fatal("answering 501 loaded the city")
-	}
-}
-
 // --- push streaming ---
 
 // waitApplied polls a follower's lag until the city's applied sequence
@@ -892,9 +874,17 @@ func TestPushStreamWireCorruption(t *testing.T) {
 
 	// The proxy relays chunk-by-chunk with flushes (streams pass through
 	// live) and corrupts one byte of gamma's stream once past the magic.
+	// The upstream request carries the inbound request's context, so a
+	// stream ends upstream as soon as its follower hangs up, and Close
+	// does not wait out the held-open streams.
 	var corrupted atomic.Bool
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		resp, err := http.Get(pts.URL + r.URL.String())
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, pts.URL+r.URL.String(), nil)
+		if err != nil {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			w.WriteHeader(http.StatusBadGateway)
 			return

@@ -42,19 +42,21 @@
 //
 // # Persistence
 //
-// With a snapshot directory configured, every mutation (group creation,
-// package creation, customization op, refinement) appends one typed
-// record to the city's write-ahead log — O(1) per mutation regardless of
-// city size — and the append is fsynced, group-committed, before the
-// mutation is acknowledged. The full-state snapshot is only rewritten at
+// Every city runs on its write-ahead log under Options.SnapshotDir, which
+// is required: commit tokens, the X-GT-Applied-Seq stamp, /wal
+// replication and the epoch fence all read it. Every mutation (group
+// creation, package creation, customization op, refinement) appends one
+// typed record to the log — O(1) per mutation regardless of city size —
+// and the append is fsynced, group-committed, before the mutation is
+// acknowledged. The full-state snapshot is only rewritten at
 // *compaction*: when the log crosses the record-count threshold
-// (Options.CompactEvery) or DefaultCompactBytes.
-// On a city's first touch after a restart the snapshot is read back and
-// the log suffix replayed on top, with
-// package POIs re-resolved against the city dataset. Torn log tails are
-// truncated at the last valid record, corrupt snapshots quarantine the
-// snapshot+log pair; both surface on /healthz, and neither ever bricks a
-// city. Persistence failures never fail the request that triggered them.
+// (Options.CompactEvery) or DefaultCompactBytes. On a city's first touch
+// after a restart the snapshot is read back and the log suffix replayed
+// on top, with package POIs re-resolved against the city dataset. Torn
+// log tails are truncated at the last valid record, corrupt snapshots
+// quarantine the snapshot+log pair; both surface on /healthz, and neither
+// ever bricks a city. Persistence failures never fail the request that
+// triggered them.
 package server
 
 import (
@@ -99,8 +101,9 @@ type Options struct {
 	// Cities are preloaded datasets served in addition to DataDir, keyed
 	// by their lowercased name. They never hit the disk loader.
 	Cities []*dataset.City
-	// SnapshotDir enables persistence of groups/packages per city; empty
-	// disables it.
+	// SnapshotDir holds every city's write-ahead log, snapshot and
+	// replication epoch. Required: commit tokens, the applied-sequence
+	// stamp, /wal replication and the epoch fence all run on the log.
 	SnapshotDir string
 	// WALSync is ignored: every write-ahead-log append is fsynced before
 	// its mutation is acknowledged.
@@ -118,9 +121,8 @@ type Options struct {
 	PreloadCities []string
 	// Follow runs this server as a read-only follower replicating every
 	// city from the primary at this base URL (log shipping; see
-	// internal/replicate). Mutating routes answer 403 until Promote. It
-	// requires SnapshotDir: a follower keeps its replicated position in
-	// its own write-ahead log.
+	// internal/replicate). Mutating routes answer 403 until Promote. A
+	// follower keeps its replicated position in its own write-ahead log.
 	Follow string
 	// Advertise is the base URL peers and front tiers reach this node at
 	// (-advertise); it self-describes with it on /healthz so a router can
@@ -188,15 +190,6 @@ type Server struct {
 	accessLog *slog.Logger
 }
 
-// New builds a single-city server with no persistence — the original
-// constructor, kept for embedders and tests.
-func New(city *dataset.City) (*Server, error) {
-	if city == nil {
-		return nil, fmt.Errorf("server: nil city")
-	}
-	return NewMultiCity(Options{Cities: []*dataset.City{city}})
-}
-
 // cityKey derives the registry key for a preloaded city.
 func cityKey(name string) string { return strings.ToLower(name) }
 
@@ -222,10 +215,10 @@ func scanDataDir(dir string) ([]string, error) {
 }
 
 // NewMultiCity builds a server over a data directory and/or preloaded
-// cities.
+// cities, logging every city under opts.SnapshotDir.
 func NewMultiCity(opts Options) (*Server, error) {
-	if opts.Follow != "" && opts.SnapshotDir == "" {
-		return nil, fmt.Errorf("server: a follower needs a SnapshotDir (-snapshot-dir): it replicates into its own write-ahead log")
+	if opts.SnapshotDir == "" {
+		return nil, fmt.Errorf("server: no SnapshotDir (-snapshot-dir): every city runs on its write-ahead log")
 	}
 	preloaded := make(map[string]*dataset.City, len(opts.Cities))
 	var keys []string
@@ -384,8 +377,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /cities/{city}/packages/{id}/refine", mutate((*cityState).handleRefine))
 	// The replication stream: followers tail it, and a follower serves it
 	// too (from its own log), so replicas can cascade. Not routed through
-	// withCity — it needs no applied-seq stamp and answers 501 without
-	// loading the city when persistence is off (stream.go).
+	// withCity — it needs no applied-seq stamp and validates its query
+	// before loading the city (stream.go).
 	mux.HandleFunc("GET /cities/{city}/wal", s.handleWAL)
 	mux.HandleFunc("POST /promote", s.handlePromote)
 	mw := &telemetry.Middleware{Metrics: s.metrics.http, Log: s.accessLog}
@@ -489,13 +482,12 @@ type walHealth struct {
 }
 
 type healthResponse struct {
-	Status      string                `json:"status"`
-	Role        string                `json:"role"`                // primary | follower | promoted | fenced
-	Primary     string                `json:"primary,omitempty"`   // the primary's URL on (ex-)followers
-	Advertise   string                `json:"advertise,omitempty"` // the URL this node self-describes as
-	Registry    registry.Stats        `json:"registry"`
-	Cities      map[string]cityHealth `json:"cities"` // loaded cities only
-	Persistence bool                  `json:"persistence"`
+	Status    string                `json:"status"`
+	Role      string                `json:"role"`                // primary | follower | promoted | fenced
+	Primary   string                `json:"primary,omitempty"`   // the primary's URL on (ex-)followers
+	Advertise string                `json:"advertise,omitempty"` // the URL this node self-describes as
+	Registry  registry.Stats        `json:"registry"`
+	Cities    map[string]cityHealth `json:"cities"` // loaded cities only
 	// Epoch is the node's replication term and EpochPrimary the term
 	// owner's URL (absent before any promotion); ReplicationSlots are the
 	// per-follower stream positions this node tracks as a primary.
@@ -506,13 +498,12 @@ type healthResponse struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	resp := healthResponse{
-		Status:      "ok",
-		Role:        s.Role(),
-		Primary:     s.upstream,
-		Advertise:   s.advertise,
-		Registry:    s.reg.Stats(),
-		Cities:      map[string]cityHealth{},
-		Persistence: s.snapshotDir != "",
+		Status:    "ok",
+		Role:      s.Role(),
+		Primary:   s.upstream,
+		Advertise: s.advertise,
+		Registry:  s.reg.Stats(),
+		Cities:    map[string]cityHealth{},
 	}
 	resp.Epoch, resp.EpochPrimary = s.Epoch()
 	resp.ReplicationSlots = s.slots.snapshot()
@@ -531,11 +522,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // citySummary is one row of GET /cities. WALBytes is the city's
 // bytes-since-compaction — the write-ahead-log backpressure gauge a front
 // tier can route on (a large value means an expensive replay-on-reload
-// and a mutation-hot city); 0 for unloaded cities or without persistence.
-// AppliedSeq is the city's last committed (primary) or applied (follower)
-// WAL sequence — the freshness gauge a front tier compares session tokens
-// against, in the same cheap call; 0 means unknown (no persistence, or a
-// city not loaded yet).
+// and a mutation-hot city); 0 for unloaded cities. AppliedSeq is the
+// city's last committed (primary) or applied (follower) WAL sequence —
+// the freshness gauge a front tier compares session tokens against, in
+// the same cheap call; 0 for a city not loaded yet or with an empty
+// sequence space.
 type citySummary struct {
 	Key        string `json:"key"`
 	Loaded     bool   `json:"loaded"`
@@ -549,9 +540,7 @@ func (s *Server) handleCities(w http.ResponseWriter, _ *http.Request) {
 		row := citySummary{Key: key}
 		if c, ok := s.reg.Resident(key); ok {
 			row.Loaded = true
-			if c.State.wal != nil {
-				row.WALBytes = c.State.wal.Stats().Bytes
-			}
+			row.WALBytes = c.State.wal.Stats().Bytes
 			row.AppliedSeq = c.State.appliedSeq()
 		}
 		out = append(out, row)

@@ -28,7 +28,9 @@ const srvKey = "servercity"
 // cityBase is the test city's route prefix on a test server.
 func cityBase(ts *httptest.Server) string { return ts.URL + "/cities/" + srvKey }
 
-func testServer(t *testing.T) *httptest.Server {
+// testServer boots the shared test city over a fresh state directory, so
+// mutations allocate real WAL sequences.
+func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	srvOnce.Do(func() {
 		c, err := dataset.Generate(dataset.TestSpec("ServerCity", 91))
@@ -37,13 +39,14 @@ func testServer(t *testing.T) *httptest.Server {
 		}
 		srvCity = c
 	})
-	s, err := New(srvCity)
+	s, err := NewMultiCity(Options{Cities: []*dataset.City{srvCity}, SnapshotDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return s, ts
 }
 
 func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any) {
@@ -114,7 +117,7 @@ func createPackage(t *testing.T, ts *httptest.Server, groupID int) packageRespon
 }
 
 func TestHealthAndCity(t *testing.T) {
-	ts := testServer(t)
+	_, ts := testServer(t)
 	var health healthResponse
 	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, &health)
 	if health.Status != "ok" {
@@ -152,10 +155,11 @@ func TestHealthAndCity(t *testing.T) {
 }
 
 // TestRemovedSurfacesStayRemoved: every resource has one address, under
-// /cities/{city}; the single-city /api tree, the default-city report and
-// the WAL sync mode are gone from the wire.
+// /cities/{city}; the single-city /api tree, the default-city report, the
+// WAL sync mode and the persistence flag (every server persists) are gone
+// from the wire.
 func TestRemovedSurfacesStayRemoved(t *testing.T) {
-	_, ts := newPersistentServer(t)
+	_, ts := testServer(t)
 	for _, r := range []struct {
 		method, path string
 		body         any
@@ -169,10 +173,7 @@ func TestRemovedSurfacesStayRemoved(t *testing.T) {
 
 	var health map[string]json.RawMessage
 	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, &health)
-	if _, ok := health["persistence"]; !ok {
-		t.Fatalf("/healthz = %v, want a persistence key", health)
-	}
-	for _, key := range []string{"city", "defaultCity", "walSync"} {
+	for _, key := range []string{"city", "defaultCity", "walSync", "persistence"} {
 		if _, ok := health[key]; ok {
 			t.Errorf("/healthz still has %q", key)
 		}
@@ -188,7 +189,7 @@ func TestRemovedSurfacesStayRemoved(t *testing.T) {
 }
 
 func TestPOIQueries(t *testing.T) {
-	ts := testServer(t)
+	_, ts := testServer(t)
 	var pois []poiResponse
 	doJSON(t, "GET", cityBase(ts)+"/pois?cat=rest&k=5", nil, http.StatusOK, &pois)
 	if len(pois) != 5 {
@@ -211,7 +212,7 @@ func TestPOIQueries(t *testing.T) {
 }
 
 func TestGroupLifecycle(t *testing.T) {
-	ts := testServer(t)
+	_, ts := testServer(t)
 	id := createGroup(t, ts, 3)
 	var got groupResponse
 	doJSON(t, "GET", fmt.Sprintf("%s/groups/%d", cityBase(ts), id), nil, http.StatusOK, &got)
@@ -232,7 +233,7 @@ func TestGroupLifecycle(t *testing.T) {
 }
 
 func TestPackageLifecycle(t *testing.T) {
-	ts := testServer(t)
+	_, ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	pkg := createPackage(t, ts, gid)
 	if len(pkg.Days) != 3 || !pkg.Valid {
@@ -264,7 +265,7 @@ func TestPackageLifecycle(t *testing.T) {
 }
 
 func TestCustomizationOps(t *testing.T) {
-	ts := testServer(t)
+	_, ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	pkg := createPackage(t, ts, gid)
 	url := fmt.Sprintf("%s/packages/%d/ops", cityBase(ts), pkg.ID)
@@ -332,7 +333,7 @@ func TestCustomizationOps(t *testing.T) {
 }
 
 func TestRefineEndpoint(t *testing.T) {
-	ts := testServer(t)
+	_, ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	pkg := createPackage(t, ts, gid)
 	opsURL := fmt.Sprintf("%s/packages/%d/ops", cityBase(ts), pkg.ID)
@@ -363,7 +364,7 @@ func TestConcurrentRequests(t *testing.T) {
 	// The server must survive concurrent package builds and reads (the
 	// shared engine is concurrency-safe; builds run outside the registry
 	// lock and proceed in parallel).
-	ts := testServer(t)
+	_, ts := testServer(t)
 	gid := createGroup(t, ts, 3)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -398,7 +399,7 @@ func TestConcurrentRequests(t *testing.T) {
 // invalid weight vector is a 400 that registers no package and logs no
 // WAL record.
 func TestWeightedPackage(t *testing.T) {
-	srv, ts := newPersistentServer(t)
+	srv, ts := testServer(t)
 	key := srvKey
 	c, err := srv.Registry().Get(key)
 	if err != nil {

@@ -78,21 +78,16 @@ func (t *slotTable) update(follower, city string, seq, head int64) {
 	s := t.slots[k]
 	if s == nil {
 		t.collectStale(t.now())
-		s = &slot{}
-		if t.reg != nil {
-			s.lag = t.reg.Gauge(followerLagMetric,
-				"Records between the primary's log head and this follower's stream position.",
-				"follower", follower, "city", city)
-		}
+		s = &slot{lag: t.reg.Gauge(followerLagMetric,
+			"Records between the primary's log head and this follower's stream position.",
+			"follower", follower, "city", city)}
 		t.slots[k] = s
 	}
 	if seq > s.seq {
 		s.seq = seq
 	}
 	s.lastSeen = t.now()
-	if s.lag != nil {
-		s.lag.Set(max(head-s.seq, 0))
-	}
+	s.lag.Set(max(head-s.seq, 0))
 }
 
 // touch refreshes a slot's liveness without moving its position — the
@@ -105,9 +100,7 @@ func (t *slotTable) touch(follower, city string, head int64) {
 	defer t.mu.Unlock()
 	if s, ok := t.slots[slotKey{follower: follower, city: city}]; ok {
 		s.lastSeen = t.now()
-		if s.lag != nil {
-			s.lag.Set(max(head-s.seq, 0))
-		}
+		s.lag.Set(max(head-s.seq, 0))
 	}
 }
 
@@ -154,9 +147,7 @@ func (t *slotTable) collectStale(now time.Time) {
 // drop removes a slot and its lag series. t.mu must be held.
 func (t *slotTable) drop(k slotKey) {
 	delete(t.slots, k)
-	if t.reg != nil {
-		t.reg.Unregister(followerLagMetric, "follower", k.follower, "city", k.city)
-	}
+	t.reg.Unregister(followerLagMetric, "follower", k.follower, "city", k.city)
 }
 
 // slotHealth is one follower-city row of the /healthz replication view.

@@ -91,9 +91,7 @@ func parseStreamParams(w http.ResponseWriter, r *http.Request) (walStreamParams,
 }
 
 // handleWAL resolves the city — loading it on first touch — and serves
-// its stream. "No WAL configured" is 501, never 409 — a follower must be
-// able to tell a misconfigured primary apart from real divergence — and
-// is answered without loading anything.
+// its stream.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("city")
 	if !s.reg.Has(key) {
@@ -106,11 +104,6 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 	p, ok := parseStreamParams(w, r)
 	if !ok {
-		return
-	}
-	if s.snapshotDir == "" {
-		writeErr(w, http.StatusNotImplemented,
-			"city %q has no write-ahead log (replication requires -snapshot-dir)", key)
 		return
 	}
 	c, err := s.reg.Get(key)
@@ -150,9 +143,7 @@ func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64
 		writeStreamErr(w, from, err)
 		return
 	}
-	if cs.epochInfo != nil {
-		batch.Epoch, batch.EpochPrimary = cs.epochInfo()
-	}
+	batch.Epoch, batch.EpochPrimary = cs.epochInfo()
 	hb := p.hb
 	cs.streams.open.Add(1)
 	defer cs.streams.open.Add(-1)
@@ -168,9 +159,7 @@ func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64
 		cursor = batch.Frames[n-1].Seq
 	}
 	cs.streams.frames.Add(int64(len(batch.Frames)))
-	if cs.slots != nil {
-		cs.slots.update(p.fid, cs.key, cursor, cs.wal.LastSeq())
-	}
+	cs.slots.update(p.fid, cs.key, cursor, cs.wal.LastSeq())
 
 	tail := newWALTail(cs.snapDir, cs.key)
 	hbTimer := time.NewTimer(hb)
@@ -180,14 +169,12 @@ func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64
 	ctx := r.Context()
 	for {
 		head, ch := cs.notify.await()
-		if cs.epochInfo != nil {
-			if term, _ := cs.epochInfo(); term != batch.Epoch {
-				// Promotion or fence mid-stream: end it. Promote bumps the
-				// term before sealing (each seal wakes this notifier), so a
-				// consumer can never be handed a frame committed after the
-				// seal under the old term's headers.
-				return
-			}
+		if term, _ := cs.epochInfo(); term != batch.Epoch {
+			// Promotion or fence mid-stream: end it. Promote bumps the term
+			// before sealing (each seal wakes this notifier), so a consumer
+			// can never be handed a frame committed after the seal under the
+			// old term's headers.
+			return
 		}
 		if head > cursor || cs.wal.LastSeq() > cursor {
 			frames, ok := tail.next(cursor)
@@ -206,9 +193,7 @@ func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64
 				fl.Flush()
 				cursor = frames[len(frames)-1].Seq
 				cs.streams.frames.Add(int64(len(frames)))
-				if cs.slots != nil {
-					cs.slots.update(p.fid, cs.key, cursor, cs.wal.LastSeq())
-				}
+				cs.slots.update(p.fid, cs.key, cursor, cs.wal.LastSeq())
 				resetTimer(hbTimer, hb)
 				continue
 			}
@@ -225,9 +210,7 @@ func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64
 			}
 			fl.Flush()
 			cs.streams.heartbeats.Inc()
-			if cs.slots != nil {
-				cs.slots.touch(p.fid, cs.key, cs.wal.LastSeq())
-			}
+			cs.slots.touch(p.fid, cs.key, cs.wal.LastSeq())
 			hbTimer.Reset(hb)
 		case <-life.C:
 			return

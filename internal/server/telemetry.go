@@ -123,30 +123,15 @@ func (s *Server) registerScrapeFuncs(keys []string) {
 		key := key
 		reg.GaugeFunc("gt_wal_records", "WAL records since the last compaction (replay debt).",
 			func() float64 {
-				return s.sampleCity(key, func(cs *cityState) float64 {
-					if cs.wal == nil {
-						return 0
-					}
-					return float64(cs.wal.Stats().Records)
-				})
+				return s.sampleCity(key, func(cs *cityState) float64 { return float64(cs.wal.Stats().Records) })
 			}, "city", key)
 		reg.GaugeFunc("gt_wal_bytes", "WAL bytes since the last compaction (backpressure gauge).",
 			func() float64 {
-				return s.sampleCity(key, func(cs *cityState) float64 {
-					if cs.wal == nil {
-						return 0
-					}
-					return float64(cs.wal.Stats().Bytes)
-				})
+				return s.sampleCity(key, func(cs *cityState) float64 { return float64(cs.wal.Stats().Bytes) })
 			}, "city", key)
 		reg.CounterFunc("gt_wal_fsyncs_total", "WAL fsyncs performed.",
 			func() float64 {
-				return s.sampleCity(key, func(cs *cityState) float64 {
-					if cs.wal == nil {
-						return 0
-					}
-					return float64(cs.wal.Stats().Fsyncs)
-				})
+				return s.sampleCity(key, func(cs *cityState) float64 { return float64(cs.wal.Stats().Fsyncs) })
 			}, "city", key)
 		reg.GaugeFunc("gt_applied_seq", "Last committed (primary) or applied (follower) WAL sequence.",
 			func() float64 {

@@ -1,7 +1,7 @@
 // Package telemetry is the fleet's dependency-free metrics core: atomic
 // counters and gauges, fixed-bucket latency histograms with a lock-free
-// allocation-free Observe on the hot path, mergeable snapshots with
-// quantile extraction, and a Prometheus-text GET /metrics exposition —
+// allocation-free Observe on the hot path, snapshots with quantile
+// extraction, and a Prometheus-text GET /metrics exposition —
 // the machine-scrapable surface the SLO/loadgen trajectory gates on.
 //
 // # Model
@@ -141,7 +141,7 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Seconds())
 }
 
-// Snapshot captures a mergeable point-in-time copy. Concurrent Observes
+// Snapshot captures a point-in-time copy. Concurrent Observes
 // may straddle the capture; each observation is either fully in or fully
 // out of its bucket, and the total count is the sum of the captured
 // buckets, so count and buckets can never disagree.
@@ -169,33 +169,6 @@ type HistSnapshot struct {
 	Counts []int64
 	Count  int64
 	Sum    float64
-}
-
-// Merge folds other into s. The bucket layouts must match; snapshots from
-// differently-bucketed histograms do not merge.
-func (s *HistSnapshot) Merge(other HistSnapshot) error {
-	if other.Count == 0 {
-		return nil
-	}
-	if s.Count == 0 && s.Bounds == nil {
-		*s = other
-		s.Counts = append([]int64(nil), other.Counts...)
-		return nil
-	}
-	if len(s.Bounds) != len(other.Bounds) {
-		return fmt.Errorf("telemetry: merge of mismatched bucket layouts (%d vs %d bounds)", len(s.Bounds), len(other.Bounds))
-	}
-	for i, b := range s.Bounds {
-		if b != other.Bounds[i] {
-			return fmt.Errorf("telemetry: merge of mismatched bucket bound %d (%g vs %g)", i, b, other.Bounds[i])
-		}
-	}
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	return nil
 }
 
 // Quantile extracts the q-quantile (0 < q <= 1) by linear interpolation

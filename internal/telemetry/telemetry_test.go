@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http/httptest"
@@ -93,30 +92,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 	if got := h.Snapshot().Quantile(0.5); got != 4 {
 		t.Fatalf("+Inf bucket quantile = %g, want largest finite bound 4", got)
-	}
-}
-
-func TestHistogramSnapshotMerge(t *testing.T) {
-	a, b := newHistogram([]float64{1, 2}), newHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	a.Observe(1.5)
-	b.Observe(1.5)
-	b.Observe(3)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatal(err)
-	}
-	if sa.Count != 4 {
-		t.Fatalf("merged count = %d, want 4", sa.Count)
-	}
-	if want := []int64{1, 2, 1}; fmt.Sprint(sa.Counts) != fmt.Sprint(want) {
-		t.Fatalf("merged counts = %v, want %v", sa.Counts, want)
-	}
-	mismatched := newHistogram([]float64{1}).Snapshot()
-	mismatched.Counts[0] = 1
-	mismatched.Count = 1
-	if err := sa.Merge(mismatched); err == nil {
-		t.Fatal("merge of mismatched layouts succeeded")
 	}
 }
 
