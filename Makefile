@@ -35,7 +35,8 @@ race:
 
 # Fuzz the recovery path and the engine's distance kernel, 10 s per
 # target: the WAL replayer (framing, sequence order, in-place repair), the
-# snapshot loader, a city's full restart recovery, which applies every log
+# snapshot loader, the appender under one injected write, truncate or
+# fsync fault, a city's full restart recovery, which applies every log
 # record through the function replication applies shipped frames through,
 # and the site distance kernel against geo.Equirectangular. `go test
 # -fuzz` takes one target per run. -fuzzminimizetime keeps each run's
@@ -44,6 +45,7 @@ race:
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzReplayWAL$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzLoadServerState$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALFaults$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzCityRecovery$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/geo -run '^$$' -fuzz '^FuzzSiteDistance$$' -fuzztime 10s -fuzzminimizetime 1s
 

@@ -774,7 +774,7 @@ func BenchmarkMutationPersistence(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec := store.CustomOpRecord(2, op, tp.CIs[0])
+		rec := store.Record{Kind: store.RecordCustomOp, PackageID: 2, Op: op, After: tp.CIs[0]}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := w.Append(rec); err != nil {

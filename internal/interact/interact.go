@@ -112,11 +112,27 @@ func (s *Session) Log() []Op { return s.log }
 // profile refinement, is reinstated.
 func (s *Session) SetLog(ops []Op) { s.log = append([]Op(nil), ops...) }
 
-// AppendLog logs one op whose effect already reached the package by other
-// means — a replayed or replicated log record carries the post-op CI — so,
-// like SetLog, it does not re-apply it. Amortized O(1): a restart
-// replaying n ops onto one package stays linear in n.
-func (s *Session) AppendLog(op Op) { s.log = append(s.log, op) }
+// Apply installs one op whose post-op CI was computed elsewhere — by the
+// operator on a scratch session over this package, or read back from a
+// log record — and logs it, without re-running the operator. GENERATE's
+// CIIndex is the new CI's slot, so after is appended; every other op
+// replaces the CI at its index. Amortized O(1): a restart replaying n ops
+// onto one package stays linear in n.
+func (s *Session) Apply(op Op, after *ci.CI) error {
+	switch {
+	case op.Kind == OpGenerate:
+		if op.CIIndex != len(s.tp.CIs) {
+			return fmt.Errorf("interact: generate CI index %d, package has %d CIs", op.CIIndex, len(s.tp.CIs))
+		}
+		s.tp.CIs = append(s.tp.CIs, after)
+	case op.CIIndex < 0 || op.CIIndex >= len(s.tp.CIs):
+		return fmt.Errorf("interact: op CI index %d out of range [0,%d)", op.CIIndex, len(s.tp.CIs))
+	default:
+		s.tp.CIs[op.CIIndex] = after
+	}
+	s.log = append(s.log, op)
+	return nil
+}
 
 // LookupPOI resolves a POI id in the session's city, or nil — useful for
 // moderation policies that inspect a request's target before it applies.

@@ -264,22 +264,6 @@ func (ec *edgeCache) invalidate(city string, seq int64) {
 	}
 }
 
-// purgeCity drops every entry of a city outright — the fallback for a
-// mutation whose commit token names no sequence to floor on: none, or
-// the pin token of a write the shard's log failed to record.
-func (ec *edgeCache) purgeCity(city string) {
-	ec.mu.Lock()
-	defer ec.mu.Unlock()
-	idx := ec.cities[city]
-	if idx == nil {
-		return
-	}
-	for idx.Len() > 0 {
-		ec.removeLocked(idx.Front().Value.(*edgeEntry))
-	}
-	ec.invalidations.Inc()
-}
-
 // join returns the in-flight fill for key, or registers a new one with
 // the caller as leader. leader=false means another request is already
 // filling: wait on fill.done.

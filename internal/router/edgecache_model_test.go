@@ -84,10 +84,6 @@ func (m *edgeModel) invalidate(city string, seq int64) {
 	m.order = slices.DeleteFunc(m.order, func(e *edgeEntry) bool { return e.city == city && e.seq < seq })
 }
 
-func (m *edgeModel) purgeCity(city string) {
-	m.order = slices.DeleteFunc(m.order, func(e *edgeEntry) bool { return e.city == city })
-}
-
 func huntCache(cap int) *edgeCache {
 	return newEdgeCache(cap, newCounters(telemetry.NewRegistry()))
 }
@@ -193,10 +189,6 @@ func huntSequential(seed uint64) error {
 			what = fmt.Sprintf("invalidate %s to %d", city, seq)
 			ec.invalidate(city, seq)
 			m.invalidate(city, seq)
-		case op < 9 && r.IntN(4) == 0:
-			what = "purge " + city
-			ec.purgeCity(city)
-			m.purgeCity(city)
 		default:
 			key := huntEntry(r, 0).key
 			if fill, ok := inflight[key]; ok {
@@ -290,8 +282,6 @@ func huntConcurrent(ec *edgeCache, r *rand.Rand) error {
 			}
 		case op < 8:
 			ec.invalidate(city, floor-1+r.Int64N(5))
-		case op < 9 && r.IntN(4) == 0:
-			ec.purgeCity(city)
 		default:
 			e := huntEntry(r, floor)
 			fill, leader := ec.join(e.key)

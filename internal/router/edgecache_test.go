@@ -109,10 +109,6 @@ func TestEdgeCacheLRUAndFloors(t *testing.T) {
 	if e := ec.get("d", 0); e == nil || e.seq != 7 {
 		t.Fatalf("older racing fill replaced a fresher entry: %+v", e)
 	}
-	ec.purgeCity("v")
-	if ec.len() != 0 {
-		t.Fatalf("purgeCity left %d entries", ec.len())
-	}
 }
 
 // --- integration: hits, invalidation, freshness over real backends ---
@@ -327,58 +323,49 @@ func TestEdgeCacheNeverServesPreWrite(t *testing.T) {
 	}
 }
 
-// TestEdgeCachePinnedWriteKeepsCaching: a write the primary's log failed
-// to record is acknowledged with the pin token. The writer's cookie
-// carries the pin, so its reads stay on the primary; but the pin names no
-// sequence any entry can reach, so it must not become the city's commit
-// floor. The city's entries purge instead, and token-less reads fill and
-// hit again.
-func TestEdgeCachePinnedWriteKeepsCaching(t *testing.T) {
-	psrv, pts := newPrimary(t)
+// TestEdgeCacheUnrebuiltRefineKeepsEntries: a refine without rebuild
+// answers 200 with no commit token because it commits nothing, so the
+// city's entries stay resident and keep hitting: no invalidation, no
+// purge.
+func TestEdgeCacheUnrebuiltRefineKeepsEntries(t *testing.T) {
+	_, pts := newPrimary(t)
 	city := rtTestCities(t)[0]
 	key := cityKeyOf(city)
 	rt, rts := newRouter(t, Options{Topology: singleShard(pts.URL), EdgeCache: true})
+
+	var g createdGroup
+	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g)
+	var pkg struct {
+		ID int `json:"id"`
+	}
+	doJSON(t, "POST", rts.URL+"/cities/"+key+"/packages", map[string]any{"group": g.ID, "k": 2}, nil, http.StatusCreated, &pkg)
 	rt.Poll()
-
-	var g1 createdGroup
-	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g1)
-	g1url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g1.ID)
-	doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil)
-	if hdr := doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
-		t.Fatal("cache did not warm")
+	urls := []string{
+		fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g.ID),
+		fmt.Sprintf("%s/cities/%s/packages/%d", rts.URL, key, pkg.ID),
+	}
+	for _, u := range urls {
+		doJSON(t, "GET", u, nil, nil, http.StatusOK, nil)
+	}
+	invalidations := rt.ctr.edgeInvalidations.Value()
+	if n := rt.edge.len(); n != len(urls) {
+		t.Fatalf("warm cache holds %d entries, want %d", n, len(urls))
 	}
 
-	// Close breaks every loaded city's log: the next write commits in
-	// memory only and is acknowledged with the pin token.
-	psrv.Close()
-	var g2 createdGroup
-	hdr := doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g2)
-	if got := hdr.Get(HeaderSeq); got != strconv.FormatInt(pinToken, 10) {
-		t.Fatalf("write on a broken log: X-GT-Seq %q, want the pin token", got)
+	refine := fmt.Sprintf("%s/cities/%s/packages/%d/refine", rts.URL, key, pkg.ID)
+	hdr := doJSON(t, "POST", refine, map[string]any{"strategy": "batch"}, nil, http.StatusOK, nil)
+	if hdr.Get(HeaderSeq) != "" {
+		t.Fatalf("refine without rebuild carried commit token %q", hdr.Get(HeaderSeq))
 	}
-	sid := cookieCarrier(sessionCookieOf(t, hdr))
-	if f := rt.edge.floor(key); f != g1.Seq {
-		t.Fatalf("commit floor after the pinned write = %d, want %d (the last real token)", f, g1.Seq)
+	if n := rt.edge.len(); n != len(urls) {
+		t.Fatalf("refine without rebuild left %d of %d entries", n, len(urls))
 	}
-
-	// Token-less reads: the purge dropped the warm entry, so the first
-	// fetch refills and the second hits.
-	if hdr := doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) == "hit" {
-		t.Fatal("pre-write entry served after the pinned write")
+	if n := rt.ctr.edgeInvalidations.Value(); n != invalidations {
+		t.Fatalf("refine without rebuild counted an invalidation: %d -> %d", invalidations, n)
 	}
-	if hdr := doJSON(t, "GET", g1url, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
-		t.Fatalf("second token-less read after the pinned write missed: edge=%q backend=%q",
-			hdr.Get(HeaderEdge), hdr.Get(HeaderBackend))
-	}
-
-	// The writer's reads carry the pin: the primary serves them, every
-	// time, the write included.
-	g2url := fmt.Sprintf("%s/cities/%s/groups/%d", rts.URL, key, g2.ID)
-	for i := 0; i < 2; i++ {
-		hdr := doJSON(t, "GET", g2url, nil, sid, http.StatusOK, nil)
-		if hdr.Get(HeaderEdge) == "hit" || hdr.Get(HeaderBackend) != pts.URL {
-			t.Fatalf("writer's read %d: edge=%q backend=%q, want the primary %q",
-				i, hdr.Get(HeaderEdge), hdr.Get(HeaderBackend), pts.URL)
+	for _, u := range urls {
+		if hdr := doJSON(t, "GET", u, nil, nil, http.StatusOK, nil); hdr.Get(HeaderEdge) != "hit" {
+			t.Fatalf("GET %s after the refine missed the cache", u)
 		}
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -89,12 +88,6 @@ const (
 	// maxBufferedBody bounds a buffered mutation body (bodies must be
 	// replayable for the 403/failover retries).
 	maxBufferedBody = 16 << 20
-	// pinToken is the commit token a shard acknowledges a write with when
-	// its write-ahead log failed to record it (internal/server's
-	// pinPrimarySeq). No follower ever reaches it, so as a session floor it
-	// keeps the writer's reads on the primary; no cache entry reaches it
-	// either, so it never becomes a commit floor.
-	pinToken = math.MaxInt64
 )
 
 // Options configures a Router.
@@ -722,15 +715,19 @@ func readRetryable(status int) bool {
 // retried at the node the X-GT-Primary hint names, and a dead node fails
 // over through the shard's remaining nodes (one of which may have been
 // promoted). Only when the hint and every remaining node fail too is the
-// original 403 relayed, hint intact — the client learns exactly what the
-// router knew.
+// first 5xx, else the original 403 with its hint intact, relayed — the
+// client learns exactly what the router knew.
 //
 // Mutations are not idempotent, so the failover rules are narrower than
 // the read path's: a *dial* failure (the request never reached the
-// backend) and a 5xx *response* (the backend answered — the serving
-// layer never 5xxs after committing, see the mutation handlers) are safe
-// to retry; a timeout or mid-stream cut is ambiguous — the backend may
-// have committed — and is answered 502 rather than re-sent, because a
+// backend) and a 5xx *response* are safe to retry. A shard installs a
+// write only after its log append succeeded and answers 503, installing
+// nothing, when the append fails; the next nodes are followers that
+// refuse with a 403, or one promoted since the last poll, which accepts.
+// When no node accepts, the first 5xx is relayed: it outranks a
+// follower's 403, which would send the client back to the primary that
+// just refused. A timeout or mid-stream cut is ambiguous — the backend
+// may have committed — and is answered 502 rather than re-sent, because a
 // silent double-apply is worse than a client-visible unknown.
 func (rt *Router) proxyMutation(sh *Shard, city string, w http.ResponseWriter, r *http.Request) {
 	rt.ctr.mutations.Inc()
@@ -758,13 +755,11 @@ func (rt *Router) proxyMutation(sh *Shard, city string, w http.ResponseWriter, r
 		}
 	}
 
-	// The first follower 403 is kept aside and relayed — hint intact —
-	// only after every other avenue is exhausted: the hinted primary
-	// first, then the shard's remaining nodes (one may have been promoted
-	// since the last health poll).
-	var deniedHdr http.Header
-	var deniedBody []byte
-	var deniedBy string
+	// The first 5xx and the first follower 403 are kept aside and relayed
+	// — the 403's hint intact — only after every other avenue is
+	// exhausted: the hinted primary first, then the shard's remaining
+	// nodes (one may have been promoted since the last health poll).
+	var failed, denied *heldResponse
 	tried := make(map[string]bool, len(order)+1)
 	term, epochOwner := rt.shardEpoch(sh)
 
@@ -790,20 +785,13 @@ func (rt *Router) proxyMutation(sh *Shard, city string, w http.ResponseWriter, r
 			return false
 		}
 		if resp.StatusCode >= http.StatusInternalServerError {
-			drain(resp)
+			failed = holdFirst(failed, resp, node)
 			rt.ctr.mutationFailovers.Inc()
 			return false
 		}
 		if resp.StatusCode == http.StatusForbidden {
 			hint := resp.Header.Get(HeaderPrimary)
-			if deniedHdr == nil {
-				deniedBody, _ = io.ReadAll(io.LimitReader(resp.Body, maxBufferedBody))
-				deniedHdr = resp.Header.Clone()
-				deniedBy = node
-				resp.Body.Close()
-			} else {
-				drain(resp)
-			}
+			denied = holdFirst(denied, resp, node)
 			if target := rt.resolveNode(sh, hint); target != "" && !tried[target] {
 				rt.ctr.mutationRetries403.Inc()
 				return attempt(target)
@@ -820,17 +808,41 @@ func (rt *Router) proxyMutation(sh *Shard, city string, w http.ResponseWriter, r
 			return
 		}
 	}
-	if deniedHdr != nil {
-		// Every other avenue failed: the 403 (with its hint) is the most
-		// truthful answer the shard produced.
-		copyHeader(w.Header(), deniedHdr)
+	// Every other avenue failed: a node's 5xx, else a 403 with its hint,
+	// is the most truthful answer the shard produced.
+	if failed == nil {
+		failed = denied
+	}
+	if failed != nil {
+		copyHeader(w.Header(), failed.hdr)
 		w.Header().Set(HeaderShard, sh.Name)
-		w.Header().Set(HeaderBackend, deniedBy)
-		w.WriteHeader(http.StatusForbidden)
-		_, _ = w.Write(deniedBody)
+		w.Header().Set(HeaderBackend, failed.node)
+		w.WriteHeader(failed.status)
+		_, _ = w.Write(failed.body)
 		return
 	}
 	writeErr(w, http.StatusBadGateway, "no node of shard %q accepted the mutation for city %q", sh.Name, city)
+}
+
+// heldResponse is a refusal proxyMutation keeps aside while it tries the
+// shard's other nodes.
+type heldResponse struct {
+	status int
+	hdr    http.Header
+	body   []byte
+	node   string
+}
+
+// holdFirst keeps resp unless an earlier refusal is already held, and
+// consumes its body either way.
+func holdFirst(held *heldResponse, resp *http.Response, node string) *heldResponse {
+	if held != nil {
+		drain(resp)
+		return held
+	}
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxBufferedBody))
+	resp.Body.Close()
+	return &heldResponse{status: resp.StatusCode, hdr: resp.Header.Clone(), body: body, node: node}
 }
 
 // dialFailure reports whether a forward error happened while *dialing* —
@@ -846,19 +858,16 @@ func dialFailure(err error) bool {
 // cache (the city's commit floor rises, so entries rendered pre-write
 // stop serving before the writer can act on the ack), and as a
 // gt-session cookie echo (header-less read-your-writes for clients that
-// just replay their cookie jar). A commit without a parseable token, or
-// with the pin token, names no sequence to floor on — the city's edge
-// entries purge outright and its commit floor stays where it was, while
-// the cookie still carries the pin to the writer's next read.
+// just replay their cookie jar). A shard acknowledges a write only once
+// its record is durable and installed, and stamps every commit with its
+// token, so a 2xx without one — a refine without rebuild — committed
+// nothing: the city's entries and floors stay as they are.
 func (rt *Router) noteMutation(city string, r *http.Request, w http.ResponseWriter, resp *http.Response) {
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return
 	}
 	seq, err := strconv.ParseInt(resp.Header.Get(HeaderSeq), 10, 64)
 	if err != nil || seq <= 0 {
-		if rt.edge != nil {
-			rt.edge.purgeCity(city)
-		}
 		return
 	}
 	tokenCity := resp.Header.Get(HeaderCity)
@@ -866,11 +875,7 @@ func (rt *Router) noteMutation(city string, r *http.Request, w http.ResponseWrit
 		tokenCity = city
 	}
 	if rt.edge != nil {
-		if seq == pinToken {
-			rt.edge.purgeCity(tokenCity)
-		} else {
-			rt.edge.invalidate(tokenCity, seq)
-		}
+		rt.edge.invalidate(tokenCity, seq)
 	}
 	var prev string
 	if ck, err := r.Cookie(SessionCookie); err == nil {

@@ -251,6 +251,36 @@ func TestDenied403RelayedWithHintIntact(t *testing.T) {
 	}
 }
 
+// TestRefusedWriteRelays503: the primary's log is closed, so it refuses
+// the write with a 503 and installs nothing; the follower the router
+// tries next answers 403, pointing back at that primary. The client gets
+// the 503 — not a 403 sending it to the node that just refused — and,
+// since nothing committed, no gt-session cookie, while the city's edge
+// commit floor stays where the last real commit put it.
+func TestRefusedWriteRelays503(t *testing.T) {
+	psrv, pts := newPrimary(t)
+	_, fts := newFollower(t, pts.URL)
+	city := rtTestCities(t)[0]
+	key := cityKeyOf(city)
+	rt, rts := newRouter(t, Options{Topology: singleShard(pts.URL, fts.URL), EdgeCache: true})
+	rt.Poll()
+
+	var g createdGroup
+	doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusCreated, &g)
+	psrv.Close() // closes every loaded city's log: the next append fails
+	hdr := doJSON(t, "POST", rts.URL+"/cities/"+key+"/groups", groupBody(city), nil, http.StatusServiceUnavailable, nil)
+	if v := cookieValue(hdr); v != "" {
+		t.Fatalf("refused write set %s=%q", SessionCookie, v)
+	}
+	if hdr.Get(HeaderSeq) != "" || hdr.Get(HeaderBackend) != pts.URL {
+		t.Fatalf("relayed refusal: X-GT-Seq %q from %q, want none from the primary %q",
+			hdr.Get(HeaderSeq), hdr.Get(HeaderBackend), pts.URL)
+	}
+	if f := rt.edge.floor(key); f != g.Seq {
+		t.Fatalf("commit floor after the refused write = %d, want %d", f, g.Seq)
+	}
+}
+
 // TestSessionPinningRoutesAroundLag is the read-your-writes core: with a
 // lagging follower, a read-back replaying the write's gt-session cookie
 // goes to the primary; once the follower catches up (and the health feed

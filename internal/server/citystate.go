@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"sync"
@@ -306,20 +305,7 @@ func (cs *cityState) applyRecord(rec store.Record) error {
 		}
 		ps.mu.Lock()
 		defer ps.mu.Unlock()
-		tp := ps.session.Package()
-		switch {
-		case op.Kind == interact.OpGenerate:
-			// GENERATE appends; its CIIndex is the new CI's slot.
-			if op.CIIndex != len(tp.CIs) {
-				return fmt.Errorf("generate CI index %d, package has %d CIs", op.CIIndex, len(tp.CIs))
-			}
-			tp.CIs = append(tp.CIs, rec.After)
-		case op.CIIndex >= len(tp.CIs):
-			return fmt.Errorf("op CI index %d out of range [0,%d)", op.CIIndex, len(tp.CIs))
-		default:
-			tp.CIs[op.CIIndex] = rec.After
-		}
-		ps.session.AppendLog(op)
+		return ps.session.Apply(op, rec.After)
 
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
@@ -365,69 +351,97 @@ func (cs *cityState) quarantineState(cause error) {
 	cs.persistErr.Store(fmt.Sprintf("state ignored (moved to %v): %v", moved, cause))
 }
 
-// register allocates an id for the package under the registry lock.
-func (cs *cityState) register(ps *packageState) int {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	id := cs.nextID
-	cs.nextID++
-	cs.packages[id] = ps
-	return id
-}
+// Why a planned mutation did not commit: its log append failed, so
+// nothing was installed (503); or its durable record did not install —
+// the plan and applyRecord disagree, a bug (500).
+var (
+	errNotLogged    = errors.New("server: write-ahead log append failed; nothing was applied")
+	errNotInstalled = errors.New("server: logged record not installed")
+)
 
-// commit runs one mutation under the read side of persistMu and gives it
-// a logRec callback to append its WAL record. The callback must be
-// invoked while the mutation still holds the entity lock it mutated
-// under: append order then matches application order per entity, which
-// replay relies on (two ops on one package must land in the log in the
-// order their post-op CI states were captured). persistMu orders the
-// whole [mutate + append] against compaction (write side), so a snapshot
-// can never miss a record that the log rotation then seals away.
+// commit is the second half of every mutation — log first, install
+// second. The handler planned rec from live state without changing it;
+// commit appends it and installs it only once the append is durable,
+// through applyRecord (what restart and replication run) or, for an op,
+// through Session.Apply, which applyRecord's customOp case calls too.
 //
-// The returned sequence is the mutation's commit token — what the
-// handler hands back as X-GT-Seq so a front tier can pin the session's
-// reads to replicas at or past it. 0 when mutate logged no record (it
-// failed, so nothing committed).
-//
-// Append failures never fail the request — the in-memory state is already
-// committed — but they are recorded for /healthz, since the in-memory
-// registries may now be the only complete copy. The commit
-// token for such a write is pinPrimarySeq: the write exists only in this
-// process and can never ship to a replica, so the token must name a
-// sequence no follower will ever report — a router then routes the
-// session's reads to the primary, the one node that can serve the write,
-// instead of silently dropping read-your-writes.
-func (cs *cityState) commit(mutate func(logRec func(store.WALRecord))) int64 {
-	cs.persistMu.RLock()
-	logged := false
-	var seq int64
-	mutate(func(rec store.WALRecord) {
-		logged = true
-		s, err := cs.wal.Append(rec)
-		if err != nil {
-			cs.persistErr.Store(err.Error())
-			seq = pinPrimarySeq
-		} else {
-			seq = s
-		}
-	})
-	cs.persistMu.RUnlock()
-	if logged {
-		// Wake push streams with the durable head — never the
-		// pinPrimarySeq sentinel: a failed append's record can never ship,
-		// so the notifier must not claim its sequence.
-		cs.notify.wake(cs.appliedSeq())
-		cs.maybeCompact()
+// The caller holds the read side of persistMu, taken before any entity
+// lock (compaction holds the write side while it takes every package
+// lock), and holds the lock of the entity rec changes from planning
+// until commit returns: one entity's records log in install order, and
+// appliedSeq's stamp stays a lower bound. A create reserves its id
+// instead (create).
+func (cs *cityState) commit(rec store.Record, install func(store.Record) error) (int64, error) {
+	seq, err := cs.wal.Append(rec)
+	if err != nil {
+		cs.persistErr.Store(err.Error())
+		return 0, fmt.Errorf("%w: %v", errNotLogged, err)
 	}
-	return seq
+	rec.Seq = seq
+	if err := install(rec); err != nil {
+		err = fmt.Errorf("%w: seq %d: %v", errNotInstalled, seq, err)
+		cs.persistErr.Store(err.Error())
+		return 0, err
+	}
+	return seq, nil
 }
 
-// pinPrimarySeq is the commit token of a mutation whose WAL append
-// failed: unreachable by any replica, it pins the session to the
-// primary. (A later, healthy append may reuse the failed record's real
-// sequence number, so the real number must NOT be handed out — a
-// follower could then report it without holding this write.)
-const pinPrimarySeq = int64(math.MaxInt64)
+// committed runs after a commit released its locks: push streams wake
+// with the new head, and the log compacts if it crossed a threshold.
+func (cs *cityState) committed() {
+	cs.notify.wake(cs.appliedSeq())
+	cs.maybeCompact()
+}
+
+// create commits a record that registers an entity under a fresh id — a
+// group, or a built or refined package. The id is reserved under cs.mu
+// before the append; one whose append fails is burned for the life of
+// the process (a restart may reuse it: no response named it).
+func (cs *cityState) create(rec store.Record) (int, int64, error) {
+	cs.persistMu.RLock()
+	cs.mu.Lock()
+	rec.ID = cs.nextID
+	cs.nextID++
+	cs.mu.Unlock()
+	seq, err := cs.commit(rec, cs.applyRecord)
+	cs.persistMu.RUnlock()
+	if err != nil {
+		return 0, 0, err
+	}
+	cs.committed()
+	return rec.ID, seq, nil
+}
+
+// customize commits one §3.3 op on package pid. run applies the operator
+// to a scratch session over the package — a CI-level copy — so the live
+// session changes only once the op's record (the scratch session's one
+// logged op and its post-op CI) is durable. An operator error commits
+// nothing.
+func (cs *cityState) customize(pid int, ps *packageState, run func(*interact.Session) error) (int64, error) {
+	seq, err := cs.customizeLocked(pid, ps, run)
+	if err != nil {
+		return 0, err
+	}
+	cs.committed()
+	return seq, nil
+}
+
+func (cs *cityState) customizeLocked(pid int, ps *packageState, run func(*interact.Session) error) (int64, error) {
+	cs.persistMu.RLock()
+	defer cs.persistMu.RUnlock()
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	scratch, err := interact.NewSession(cs.city, ps.session.Package())
+	if err != nil {
+		return 0, err
+	}
+	if err := run(scratch); err != nil {
+		return 0, err
+	}
+	op := scratch.Log()[0]
+	rec := store.Record{Kind: store.RecordCustomOp, PackageID: pid, Op: op, After: scratch.Package().CIs[op.CIIndex]}
+	return cs.commit(rec, func(r store.Record) error { return ps.session.Apply(r.Op, r.After) })
+}
 
 // maybeCompact starts a compaction when the log crosses a threshold. The
 // snapshot write is O(city state), so it runs on a background goroutine —
@@ -589,11 +603,16 @@ func (cs *cityState) collectState() *store.ServerState {
 	return st
 }
 
-// appliedSeq is the city's current WAL position: the last committed
+// appliedSeq is the city's current WAL position: the last appended
 // sequence on a primary, the last applied sequence on a follower (frames
 // are re-appended verbatim AFTER they apply, so the local log head
 // never runs ahead of the serving state — the invariant a router's
-// freshness pinning relies on). 0 until the city's first record.
+// freshness pinning relies on). 0 until the city's first record. On a
+// primary the head runs ahead of install, yet a GET of entity X stamped
+// S still reflects every write to X at or below S: withCity reads the
+// stamp before the handler takes X's lock, and every such write took
+// that lock before its append and releases it only after install. An
+// entity still being created answers 404, and nothing caches a 404.
 func (cs *cityState) appliedSeq() int64 { return cs.wal.LastSeq() }
 
 // health summarizes the city for the health endpoint.

@@ -153,13 +153,13 @@ func (cs *cityState) applySnapshot(raw []byte) (int64, error) {
 }
 
 // sealPromoted flips one city out of replica mode: stop applying shipped
-// records and fsync the log tail — local mutations commit through the WAL
-// appender from here on.
+// records — local mutations commit through the WAL appender from here on.
+// The replicated tail needs no fsync here: every batch fsynced before
+// applyFrames returned.
 func (cs *cityState) sealPromoted() {
 	cs.replMu.Lock()
 	cs.replStopped = true
 	cs.replMu.Unlock()
-	_ = cs.wal.Sync()
 	// A generation tick, not a position change: push streams re-check and
 	// notice the role flip on their next read.
 	cs.notify.wake(cs.appliedSeq())

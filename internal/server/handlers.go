@@ -2,12 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
-	"grouptravel/internal/ci"
 	"grouptravel/internal/consensus"
 	"grouptravel/internal/core"
 	"grouptravel/internal/geo"
@@ -39,6 +39,19 @@ const (
 	// city's log holds its first record.
 	HeaderAppliedSeq = "X-GT-Applied-Seq"
 )
+
+// writeCommitErr answers a mutation that did not commit: 503 when its log
+// append failed and nothing was installed, 500 when its durable record
+// did not install, and status when the request itself was refused.
+func writeCommitErr(w http.ResponseWriter, status int, err error) {
+	switch {
+	case errors.Is(err, errNotLogged):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, errNotInstalled):
+		status = http.StatusInternalServerError
+	}
+	writeErr(w, status, "%v", err)
+}
 
 // seqToken stamps a mutation's commit token onto the response headers;
 // it must run before the status line is written. A zero sequence (a
@@ -198,15 +211,11 @@ func (cs *cityState) handleCreateGroup(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var id int
-	seq := cs.commit(func(logRec func(store.WALRecord)) {
-		cs.mu.Lock()
-		id = cs.nextID
-		cs.nextID++
-		cs.groups[id] = &groupState{group: g, profiles: map[string]*profile.Profile{}}
-		cs.mu.Unlock()
-		logRec(store.GroupCreateRecord(id, g))
-	})
+	id, seq, err := cs.create(store.Record{Kind: store.RecordGroupCreate, Group: g})
+	if err != nil {
+		writeCommitErr(w, http.StatusInternalServerError, err)
+		return
+	}
 	cs.seqToken(w, seq)
 	writeJSON(w, http.StatusCreated, groupResponse{
 		ID: id, Size: g.Size(), Uniformity: g.Uniformity(), MedianUser: g.MedianUser(), Seq: seq,
@@ -364,28 +373,22 @@ func (cs *cityState) handleCreatePackage(w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	sess, err := interact.NewSession(cs.city, tp)
+	id, seq, err := cs.create(store.Record{
+		Kind: store.RecordPackageBuild, GroupID: req.GroupID, Method: canon, Weights: weights, Package: tp,
+	})
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		writeCommitErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	ps := &packageState{groupID: req.GroupID, method: canon, weights: weights, session: sess}
-	var id int
-	seq := cs.commit(func(logRec func(store.WALRecord)) {
-		id = cs.register(ps)
-		logRec(store.PackageBuildRecord(id, req.GroupID, canon, weights, tp))
-	})
-	ps.mu.Lock()
-	resp := cs.renderPackage(id, ps, false)
-	ps.mu.Unlock()
+	resp := renderPackage(id, tp, false) // the session holds a CI-level copy
 	resp.Seq = seq
 	cs.seqToken(w, seq)
 	writeJSON(w, http.StatusCreated, resp)
 }
 
-// renderPackage renders a package; the caller holds ps.mu.
-func (cs *cityState) renderPackage(id int, ps *packageState, routes bool) packageResponse {
-	tp := ps.session.Package()
+// renderPackage renders a package; a session's package renders under its
+// packageState's lock.
+func renderPackage(id int, tp *core.TravelPackage, routes bool) packageResponse {
 	resp := packageResponse{ID: id, City: tp.City, Query: tp.Query.String(), Valid: tp.Valid()}
 	d := tp.Measure()
 	resp.Dims = dimsJSON{
@@ -436,7 +439,7 @@ func (cs *cityState) handleGetPackage(w http.ResponseWriter, r *http.Request) {
 	}
 	routes := r.URL.Query().Get("routes") == "1"
 	ps.mu.Lock()
-	resp := cs.renderPackage(id, ps, routes)
+	resp := renderPackage(id, ps.session.Package(), routes)
 	ps.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -491,31 +494,25 @@ func (cs *cityState) handleOps(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "generate requires rect")
 		return
 	}
-	// Session mutations serialize on the package's own lock; operations on
-	// other packages proceed concurrently. The WAL record is captured AND
-	// appended in the same critical section as the op: the logged post-op
-	// CI state must be exactly what this op produced, and the log order
-	// must match the application order — a record landing behind a later
-	// op's record would replay the older CI state on top of the newer.
+	// The op runs on a scratch copy of the session, under the package's
+	// own lock (customize); operations on other packages proceed
+	// concurrently.
 	resp := opResponse{}
-	seq := cs.commit(func(logRec func(store.WALRecord)) {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
+	seq, err := cs.customize(pid, ps, func(sess *interact.Session) error {
 		switch op {
 		case "remove":
-			err = ps.session.Remove(req.Member, req.CI, req.POI)
+			return sess.Remove(req.Member, req.CI, req.POI)
 		case "add":
-			err = ps.session.Add(req.Member, req.CI, req.POI)
+			return sess.Add(req.Member, req.CI, req.POI)
 		case "replace":
-			var repl *poi.POI
-			repl, err = ps.session.Replace(req.Member, req.CI, req.POI)
+			repl, err := sess.Replace(req.Member, req.CI, req.POI)
 			if err == nil {
 				pr := toPOIResponse(repl)
 				resp.Replacement = &pr
 			}
-		case "generate":
-			var newCI *ci.CI
-			newCI, err = ps.session.Generate(req.Member, *req.Rect)
+			return err
+		default: // generate
+			newCI, err := sess.Generate(req.Member, *req.Rect)
 			if err == nil {
 				day := dayJSON{Centroid: newCI.Centroid, Cost: newCI.Cost()}
 				for _, it := range newCI.Items {
@@ -523,16 +520,11 @@ func (cs *cityState) handleOps(w http.ResponseWriter, r *http.Request) {
 				}
 				resp.NewCI = &day
 			}
+			return err
 		}
-		if err != nil {
-			return
-		}
-		log := ps.session.Log()
-		applied := log[len(log)-1]
-		logRec(store.CustomOpRecord(pid, applied, ps.session.Package().CIs[applied.CIIndex]))
 	})
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+		writeCommitErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	resp.Applied = true
@@ -638,21 +630,17 @@ func (cs *cityState) handleRefine(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 			return
 		}
-		sess, err := interact.NewSession(cs.city, newTP)
+		id, seq, err := cs.create(store.Record{
+			Kind: store.RecordRefine, GroupID: ps.groupID, Method: ps.method, Weights: ps.weights, Package: newTP,
+			Source: pid, Strategy: resp.Strategy,
+		})
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "%v", err)
+			writeCommitErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		nps := &packageState{groupID: ps.groupID, method: ps.method, weights: ps.weights, session: sess}
-		var id int
-		resp.Seq = cs.commit(func(logRec func(store.WALRecord)) {
-			id = cs.register(nps)
-			logRec(store.RefineRecord(id, ps.groupID, ps.method, ps.weights, newTP, pid, resp.Strategy))
-		})
-		nps.mu.Lock()
-		pr := cs.renderPackage(id, nps, false)
-		nps.mu.Unlock()
+		pr := renderPackage(id, newTP, false)
 		resp.NewPackage = &pr
+		resp.Seq = seq
 	}
 	cs.seqToken(w, resp.Seq)
 	writeJSON(w, http.StatusOK, resp)

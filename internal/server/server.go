@@ -55,8 +55,10 @@
 // on top, with package POIs re-resolved against the city dataset. Torn
 // log tails are truncated at the last valid record, corrupt snapshots
 // quarantine the snapshot+log pair; both surface on /healthz, and neither
-// ever bricks a city. Persistence failures never fail the request that
-// triggered them.
+// ever bricks a city. A mutation is planned without touching live state,
+// appended, and installed only once the append is durable, through the
+// function replay and replication run; a failed append installs nothing
+// and answers 503.
 package server
 
 import (
@@ -407,9 +409,9 @@ func (s *Server) withCity(h func(cs *cityState, w http.ResponseWriter, r *http.R
 			// makes the stamp a *lower* bound: a mutation landing between
 			// stamp and render can only make the body fresher than the
 			// header claims, never staler, which is the direction freshness
-			// validation is safe in. appliedSeq reports the durable head,
-			// never the pinPrimarySeq sentinel, so a failed append can
-			// never inflate the stamp.
+			// validation is safe in. A write installs only after its
+			// append, under its entity's lock (see appliedSeq), so the
+			// render waits out every write the stamp counts.
 			if seq := c.State.appliedSeq(); seq > 0 {
 				w.Header().Set(HeaderAppliedSeq, strconv.FormatInt(seq, 10))
 			}

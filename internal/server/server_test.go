@@ -32,6 +32,14 @@ func cityBase(ts *httptest.Server) string { return ts.URL + "/cities/" + srvKey 
 // mutations allocate real WAL sequences.
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
+	return cityServer(t, t.TempDir())
+}
+
+// cityServer boots the shared test city over the state directory dir.
+// Servers over one directory share the city's POI pointers, so their
+// states compare exactly with reflect.DeepEqual.
+func cityServer(t *testing.T, dir string) (*Server, *httptest.Server) {
+	t.Helper()
 	srvOnce.Do(func() {
 		c, err := dataset.Generate(dataset.TestSpec("ServerCity", 91))
 		if err != nil {
@@ -39,7 +47,7 @@ func testServer(t *testing.T) (*Server, *httptest.Server) {
 		}
 		srvCity = c
 	})
-	s, err := NewMultiCity(Options{Cities: []*dataset.City{srvCity}, SnapshotDir: t.TempDir()})
+	s, err := NewMultiCity(Options{Cities: []*dataset.City{srvCity}, SnapshotDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 )
 
@@ -194,39 +195,11 @@ func ReadSnapshotRaw(dir, key string) ([]byte, int64, error) {
 }
 
 // WriteSnapshotRaw atomically installs snapshot bytes received from a
-// primary, with the same temp-write + fsync + rename discipline as
-// WriteSnapshot. The caller has already validated the bytes against the
-// city.
+// primary, exactly as WriteSnapshot installs one it encodes. The caller
+// has already validated the bytes against the city.
 func WriteSnapshotRaw(dir, key string, raw []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: snapshot dir: %w", err)
-	}
-	f, err := os.CreateTemp(dir, key+".state.*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: snapshot temp: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp, SnapshotPath(dir, key)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
+	return writeFileAtomic(SnapshotPath(dir, key), func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 }

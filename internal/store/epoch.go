@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -47,40 +48,9 @@ func ReadEpoch(dir, key string) (Epoch, error) {
 	return e, nil
 }
 
-// WriteEpoch atomically persists a city's replication epoch using the
-// same temp-write + fsync + rename + dir-sync discipline as WriteSnapshot,
-// so a crash mid-promotion never leaves a torn or empty epoch file.
+// WriteEpoch atomically persists a city's replication epoch (see
+// writeFileAtomic), so a crash mid-promotion never leaves a torn or empty
+// epoch file.
 func WriteEpoch(dir, key string, e Epoch) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: epoch dir: %w", err)
-	}
-	f, err := os.CreateTemp(dir, key+".epoch.*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: epoch temp: %w", err)
-	}
-	tmp := f.Name()
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(e); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: epoch encode: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: epoch sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: epoch close: %w", err)
-	}
-	if err := os.Rename(tmp, EpochPath(dir, key)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: epoch rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
+	return writeFileAtomic(EpochPath(dir, key), func(w io.Writer) error { return json.NewEncoder(w).Encode(e) })
 }

@@ -333,45 +333,61 @@ func IsStateFile(name string) bool {
 	return false
 }
 
-// WriteSnapshot atomically persists a city's state under dir: the file is
-// written to a temp name and renamed into place, so readers (including a
-// concurrently restarting server) never observe a torn snapshot. It
-// returns the snapshot time.
+// WriteSnapshot atomically persists a city's state under dir (see
+// writeFileAtomic), so readers — a concurrently restarting server
+// included — never observe a torn snapshot. It returns the snapshot time.
 func WriteSnapshot(dir, key string, st *ServerState) (time.Time, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return time.Time{}, fmt.Errorf("store: snapshot dir: %w", err)
-	}
-	f, err := os.CreateTemp(dir, key+".state.*.tmp")
-	if err != nil {
-		return time.Time{}, fmt.Errorf("store: snapshot temp: %w", err)
-	}
-	tmp := f.Name()
-	if err := SaveServerState(f, st); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	if err := writeFileAtomic(SnapshotPath(dir, key), func(w io.Writer) error { return SaveServerState(w, st) }); err != nil {
 		return time.Time{}, err
 	}
-	// Flush data before the rename and the directory entry after it:
-	// without both, a power loss shortly after the metadata-only rename
-	// can surface the new name with empty or torn content.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return time.Time{}, fmt.Errorf("store: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return time.Time{}, fmt.Errorf("store: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp, SnapshotPath(dir, key)); err != nil {
-		os.Remove(tmp)
-		return time.Time{}, fmt.Errorf("store: snapshot rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 	return time.Now(), nil
+}
+
+// writeFileAtomic replaces path with what write produces: a temp file
+// beside it is written, fsynced, closed and renamed over path, then the
+// directory is fsynced, so a crash never surfaces torn content or loses
+// a write reported done. Every step's error is returned.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	f, err := os.CreateTemp(dir, strings.TrimSuffix(filepath.Base(path), ".json")+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("store: write %s: %w", filepath.Base(path), err)
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries that renames and
+// creates made in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: sync dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: sync dir: %w", err)
+	}
+	return nil
 }
 
 // CorruptSnapshotError marks a snapshot whose content failed decoding or

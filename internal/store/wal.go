@@ -109,57 +109,17 @@ type walRecordJSON struct {
 	After     *ciJSON `json:"after,omitempty"`
 }
 
-// WALRecord is one typed, encodable log record. Constructors capture all
-// mutable state (POI ids, items) eagerly, so a record stays valid after
-// the caller releases its entity locks.
-type WALRecord struct{ rec walRecordJSON }
-
-// Kind returns the record's operation name (groupCreate, packageBuild,
-// customOp, refine).
-func (r WALRecord) Kind() string { return r.rec.Op }
-
-// GroupCreateRecord logs a group registration under the allocated id.
-func GroupCreateRecord(id int, g *profile.Group) WALRecord {
-	gj := groupToJSON(g)
-	return WALRecord{rec: walRecordJSON{Op: RecordGroupCreate, ID: id, Group: &gj}}
-}
-
-// PackageBuildRecord logs a built package under the allocated id, with
-// the consensus weights it was built with (nil: unweighted).
-func PackageBuildRecord(id, groupID int, method string, weights []float64, tp *core.TravelPackage) WALRecord {
-	pj := packageToJSON(tp)
-	return WALRecord{rec: walRecordJSON{
-		Op: RecordPackageBuild, ID: id, GroupID: groupID, Method: method, Weights: weights, Package: &pj,
-	}}
-}
-
-// RefineRecord logs a package rebuilt from a refined profile. Replay
-// applies it exactly like a build; source and strategy record provenance
-// for operators tailing the log.
-func RefineRecord(id, groupID int, method string, weights []float64, tp *core.TravelPackage, source int, strategy string) WALRecord {
-	pj := packageToJSON(tp)
-	return WALRecord{rec: walRecordJSON{
-		Op: RecordRefine, ID: id, GroupID: groupID, Method: method, Weights: weights, Package: &pj,
-		Source: source, Strategy: strategy,
-	}}
-}
-
-// CustomOpRecord logs one customization op on a package together with the
-// affected CI's post-op state (for GENERATE, the new CI).
-func CustomOpRecord(packageID int, op interact.Op, after *ci.CI) WALRecord {
-	oj := opsToJSON([]interact.Op{op})[0]
-	cj := ciToJSON(after)
-	return WALRecord{rec: walRecordJSON{Op: RecordCustomOp, PackageID: packageID, Change: &oj, After: &cj}}
-}
-
-// Record is one decoded log record, resolved against its city: the fields
-// its kind needs are present and every POI id names a POI of the city.
+// Record is one log record: what a mutation hands Append, and what
+// DecodeRecord hands back, resolved against its city — the fields its
+// kind needs are present and every POI id names a POI of the city.
 // Whether it applies — the id is unused, the group or package exists, the
 // member and CI index fit, the consensus name is known — depends on the
-// state it lands on, so the consumer checks that.
+// state it lands on, so the consumer checks that. A record holds pointers
+// into live state (the group, the package, the post-op CI): the caller
+// keeps them unchanged until Append returns.
 type Record struct {
 	Kind string
-	Seq  int64
+	Seq  int64 // stamped by Append; ignored on the way in
 
 	// groupCreate / packageBuild / refine: the allocated id.
 	ID int
@@ -173,10 +133,40 @@ type Record struct {
 	Weights []float64 // nil: unweighted
 	Package *core.TravelPackage
 
+	// refine provenance: the source package and the refinement strategy.
+	// Informational; replay treats refine as a build.
+	Source   int
+	Strategy string
+
 	// customOp: the logged op and the affected CI's post-op state.
 	PackageID int
 	Op        interact.Op
 	After     *ci.CI
+}
+
+// recordJSON is the one record encoder; POIs are referenced by id.
+func recordJSON(r Record) walRecordJSON {
+	v := walRecordJSON{
+		Op: r.Kind, Seq: r.Seq, ID: r.ID, GroupID: r.GroupID, Method: r.Method, Weights: r.Weights,
+		Source: r.Source, Strategy: r.Strategy, PackageID: r.PackageID,
+	}
+	if r.Group != nil {
+		gj := groupToJSON(r.Group)
+		v.Group = &gj
+	}
+	if r.Package != nil {
+		pj := packageToJSON(r.Package)
+		v.Package = &pj
+	}
+	if r.Kind == RecordCustomOp {
+		oj := opsToJSON([]interact.Op{r.Op})[0]
+		v.Change = &oj
+	}
+	if r.After != nil {
+		cj := ciToJSON(r.After)
+		v.After = &cj
+	}
+	return v
 }
 
 // DecodeRecord decodes one frame payload and resolves it against the city.
@@ -200,8 +190,8 @@ func parseRecord(payload []byte) (walRecordJSON, error) {
 
 func resolveRecord(rec walRecordJSON, city *dataset.City) (Record, error) {
 	out := Record{
-		Kind: rec.Op, Seq: rec.Seq, ID: rec.ID,
-		GroupID: rec.GroupID, Method: rec.Method, Weights: rec.Weights, PackageID: rec.PackageID,
+		Kind: rec.Op, Seq: rec.Seq, ID: rec.ID, GroupID: rec.GroupID, Method: rec.Method, Weights: rec.Weights,
+		Source: rec.Source, Strategy: rec.Strategy, PackageID: rec.PackageID,
 	}
 	var err error
 	switch rec.Op {
@@ -292,6 +282,15 @@ type WALStats struct {
 	Fsyncs  int64 `json:"fsyncs"`
 }
 
+// walFile is the log file as the appender uses it. *os.File satisfies
+// it; tests substitute one that fails on cue.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // WAL is a per-city append-only log. Appends from concurrent mutations
 // serialize on an internal mutex for the write itself; fsyncs group-commit
 // — while one fsync is in flight, later appenders queue on the sync mutex
@@ -305,15 +304,21 @@ type WAL struct {
 	// size/records are read by Stats under mu; size is additionally
 	// atomic so syncTo can read it without taking mu. nextSeq is the
 	// next record's log sequence number — monotonic across Reset and
-	// Rotate, seeded from recovery. broken latches a write failure the
-	// appender could not heal (the file may hold a garbage frame that
-	// would silently eat any record appended after it).
+	// Rotate, seeded from recovery.
 	mu      sync.Mutex
-	f       *os.File
+	f       walFile
 	size    atomic.Int64
 	records int64
 	nextSeq int64
-	broken  bool
+
+	// failure latches the first error the log cannot heal in place: a
+	// failed fsync — Linux may already have dropped the dirty pages it
+	// covered, so no later fsync can vouch for them — or a torn write whose
+	// truncate failed, leaving a garbage frame that would silently eat
+	// every record appended after it. Every later Append, AppendFrames,
+	// Rotate and Close returns it; only Reset clears it. Atomic because
+	// syncTo latches it without mu.
+	failure atomic.Pointer[error]
 
 	// syncMu serializes fsyncs (group commit): synced is the high-water
 	// byte offset known durable; a goroutine whose write offset is below
@@ -373,13 +378,9 @@ func OpenWAL(dir, key string) (*WAL, error) {
 	}
 	size := st.Size()
 	if size == 0 {
-		if _, err := f.Write(walMagic[:]); err != nil {
+		if err := startLog(f); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("store: wal header: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: wal header sync: %w", err)
+			return nil, err
 		}
 		size = walHeaderLen
 	} else {
@@ -431,25 +432,24 @@ func (w *WAL) PendingExists() bool {
 // Path returns the log's file path.
 func (w *WAL) Path() string { return w.path }
 
-// Append stamps the record's sequence number, marshals, frames, writes
+// Append stamps the record's sequence number, encodes, frames, writes
 // and fsyncs it (group-committed), returning the stamped
 // sequence — the commit token a mutation response hands back to its
-// client. Safe for concurrent use. An error means the record did not
-// commit: a partial write is healed by truncating the file back to the
-// record's start, and if even that fails the appender latches broken —
-// a garbage frame mid-file would make replay silently discard every
-// record after it, so accepting further appends would turn one I/O
-// error into unbounded invisible loss.
-func (w *WAL) Append(rec WALRecord) (int64, error) {
+// client. Safe for concurrent use. An error means the record is not
+// durable and the caller must not install it: a partial write is healed
+// by truncating the file back to the record's start; a failed fsync, or
+// a heal that fails too, latches the log (see WAL.failure).
+func (w *WAL) Append(rec Record) (int64, error) {
 	start := time.Now()
+	v := recordJSON(rec)
 	w.mu.Lock()
 	if err := w.writableLocked(); err != nil {
 		w.mu.Unlock()
 		return 0, err
 	}
 	seq := w.nextSeq
-	rec.rec.Seq = seq
-	payload, err := json.Marshal(rec.rec)
+	v.Seq = seq
+	payload, err := json.Marshal(v)
 	if err != nil {
 		w.mu.Unlock()
 		return 0, fmt.Errorf("store: wal encode: %w", err)
@@ -515,15 +515,27 @@ func (w *WAL) AppendFrames(frames []WALFrame) error {
 	return nil
 }
 
-// writableLocked refuses appends to a closed or broken log; w.mu is held.
+// latch records err as the log's failure unless an earlier one is
+// already latched, and returns the latched failure.
+func (w *WAL) latch(err error) error {
+	w.failure.CompareAndSwap(nil, &err)
+	return w.latched()
+}
+
+// latched returns the log's latched failure, or nil.
+func (w *WAL) latched() error {
+	if p := w.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// writableLocked refuses appends to a closed or failed log; w.mu is held.
 func (w *WAL) writableLocked() error {
 	if w.f == nil {
 		return fmt.Errorf("store: wal closed")
 	}
-	if w.broken {
-		return fmt.Errorf("store: wal broken by earlier write failure (compaction or restart recovers)")
-	}
-	return nil
+	return w.latched()
 }
 
 // writeLocked writes buf — n whole frames, the last one sequence next-1 —
@@ -533,14 +545,15 @@ func (w *WAL) writeLocked(buf []byte, n int, next int64) error {
 	start := w.size.Load()
 	wrote, err := w.f.Write(buf)
 	if err != nil {
+		err = fmt.Errorf("store: wal append: %w", err)
 		if wrote > 0 {
 			if terr := w.f.Truncate(start); terr != nil {
-				w.broken = true
+				w.latch(fmt.Errorf("%w; truncating the torn frame failed: %v", err, terr))
 				w.size.Add(int64(wrote))
 			}
 		}
 		w.mu.Unlock()
-		return fmt.Errorf("store: wal append: %w", err)
+		return err
 	}
 	w.size.Store(start + int64(wrote))
 	w.records += int64(n)
@@ -551,29 +564,29 @@ func (w *WAL) writeLocked(buf []byte, n int, next int64) error {
 }
 
 // syncTo makes bytes up to off durable. Group commit: if another
-// goroutine's fsync already covered off, return immediately.
+// goroutine's fsync already covered off, return immediately. A failed
+// fsync latches the log: a later fsync's success says nothing about the
+// pages this one failed to write.
 func (w *WAL) syncTo(off int64) error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	if w.synced >= off {
 		return nil
 	}
+	if err := w.latched(); err != nil {
+		return err
+	}
 	// Everything written before this fsync call is covered by it, so the
 	// durable watermark is the size observed now, not just off.
 	target := w.size.Load()
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: wal fsync: %w", err)
+		return w.latch(fmt.Errorf("store: wal fsync: %w", err))
 	}
 	w.observeFsync(target, time.Since(start))
 	w.fsyncs.Add(1)
 	w.synced = target
 	return nil
-}
-
-// Sync fsyncs whatever a failed append's fsync left unsynced.
-func (w *WAL) Sync() error {
-	return w.syncTo(w.size.Load())
 }
 
 // Rotate seals the current log as the city's pending segment and starts
@@ -591,11 +604,8 @@ func (w *WAL) Rotate() error {
 	defer w.mu.Unlock()
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("store: wal closed")
-	}
-	if w.broken {
-		return fmt.Errorf("store: wal broken; rotate refused")
+	if err := w.writableLocked(); err != nil {
+		return err
 	}
 	if _, err := os.Stat(w.pending); err == nil {
 		return fmt.Errorf("store: pending segment %s already exists", w.pending)
@@ -604,33 +614,24 @@ func (w *WAL) Rotate() error {
 	// starts: the snapshot replaces these records, so losing them while
 	// it is still being written would lose committed mutations.
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: rotate sync: %w", err)
+		return w.latch(fmt.Errorf("store: rotate sync: %w", err))
 	}
 	if err := os.Rename(w.path, w.pending); err != nil {
 		return fmt.Errorf("store: rotate rename: %w", err)
 	}
-	old := w.f
 	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_RDWR|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
-		// No active log to append to: latch broken so commits surface
-		// the failure instead of silently dropping records.
-		w.broken = true
-		old.Close()
-		return fmt.Errorf("store: rotate open: %w", err)
-	}
-	if _, err := f.Write(walMagic[:]); err != nil {
-		w.broken = true
-		old.Close()
+		err = fmt.Errorf("store: rotate open: %w", err)
+	} else if err = startLog(f); err != nil {
 		f.Close()
-		return fmt.Errorf("store: rotate header: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		w.broken = true
-		old.Close()
-		f.Close()
-		return fmt.Errorf("store: rotate header sync: %w", err)
+	if err != nil {
+		// No active log to append to: latch so commits surface the
+		// failure instead of silently dropping records.
+		w.f.Close()
+		return w.latch(err)
 	}
-	old.Close()
+	w.f.Close()
 	w.f = f
 	w.size.Store(walHeaderLen)
 	w.records = 0
@@ -638,9 +639,24 @@ func (w *WAL) Rotate() error {
 	return nil
 }
 
+// startLog writes the magic header into an empty log file and makes the
+// file and its directory entry durable.
+func startLog(f *os.File) error {
+	if _, err := f.Write(walMagic[:]); err != nil {
+		return fmt.Errorf("store: wal header: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("store: wal header sync: %w", err)
+	}
+	return syncDir(filepath.Dir(f.Name()))
+}
+
 // Reset truncates the log back to its header — the step after a
-// successful compaction snapshot. The truncation is fsynced so a crash
-// cannot resurrect pre-compaction records on top of the new snapshot.
+// successful compaction snapshot or a follower's snapshot handoff, both
+// of which rewrote the state the log was a suffix of. The truncation is
+// fsynced so a crash cannot resurrect pre-compaction records on top of
+// the new snapshot, and it clears a latched failure: whatever the failure
+// left in the file was just truncated away.
 func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -652,18 +668,19 @@ func (w *WAL) Reset() error {
 	if err := w.f.Truncate(walHeaderLen); err != nil {
 		return fmt.Errorf("store: wal truncate: %w", err)
 	}
+	w.failure.Store(nil)
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: wal truncate sync: %w", err)
+		return w.latch(fmt.Errorf("store: wal truncate sync: %w", err))
 	}
 	w.size.Store(walHeaderLen)
 	w.records = 0
 	w.synced = walHeaderLen
-	w.broken = false // the garbage frame, if any, was just truncated away
 	return nil
 }
 
-// Close fsyncs any bytes a failed append's fsync left unsynced, then
-// releases the file handle.
+// Close fsyncs the bytes of appends still in flight, then releases the
+// file handle. On a latched log it skips the fsync and returns the
+// latched failure.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -672,9 +689,16 @@ func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
+	err := w.latched()
+	if err == nil {
+		if serr := w.f.Sync(); serr != nil {
+			err = w.latch(fmt.Errorf("store: wal fsync: %w", serr))
+		} else {
+			w.synced = w.size.Load()
+		}
+	}
+	if cerr := w.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("store: wal close: %w", cerr)
 	}
 	w.f = nil
 	return err

@@ -15,6 +15,7 @@ import (
 	"grouptravel/internal/core"
 	"grouptravel/internal/dataset"
 	"grouptravel/internal/interact"
+	"grouptravel/internal/poi"
 	"grouptravel/internal/profile"
 	"grouptravel/internal/query"
 	"grouptravel/internal/rng"
@@ -26,7 +27,7 @@ import (
 // exactly as the server logs them.
 type walFixture struct {
 	city    *dataset.City
-	records []WALRecord
+	records []Record
 	// want is the state the records reconstruct, assembled independently
 	// from the same session the records were captured from.
 	want *ServerState
@@ -53,11 +54,13 @@ func makeWALFixture(t testing.TB) *walFixture {
 		t.Fatal(err)
 	}
 	fx := &walFixture{city: c}
-	fx.records = append(fx.records, GroupCreateRecord(1, g))
-	fx.records = append(fx.records, PackageBuildRecord(2, 1, "pairwise", weights, tp))
+	fx.records = append(fx.records, Record{Kind: RecordGroupCreate, ID: 1, Group: g})
+	fx.records = append(fx.records, Record{
+		Kind: RecordPackageBuild, ID: 2, GroupID: 1, Method: "pairwise", Weights: weights, Package: tp,
+	})
 
 	// Apply one of each operator through a real session, logging each op
-	// with its post-op CI the way handleOps does.
+	// with a copy of its post-op CI: the session goes on mutating its own.
 	sess, err := interact.NewSession(c, tp)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +68,9 @@ func makeWALFixture(t testing.TB) *walFixture {
 	logOp := func() {
 		ops := sess.Log()
 		op := ops[len(ops)-1]
-		fx.records = append(fx.records, CustomOpRecord(2, op, sess.Package().CIs[op.CIIndex]))
+		fx.records = append(fx.records, Record{
+			Kind: RecordCustomOp, PackageID: 2, Op: op, After: sess.Package().CIs[op.CIIndex].Clone(),
+		})
 	}
 	if err := sess.Remove(0, 0, sess.Package().CIs[0].Items[0].ID); err != nil {
 		t.Fatal(err)
@@ -84,7 +89,10 @@ func makeWALFixture(t testing.TB) *walFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx.records = append(fx.records, RefineRecord(3, 1, "pairwise", weights, tp2, 2, "batch"))
+	fx.records = append(fx.records, Record{
+		Kind: RecordRefine, ID: 3, GroupID: 1, Method: "pairwise", Weights: weights, Package: tp2,
+		Source: 2, Strategy: "batch",
+	})
 
 	fx.want = &ServerState{
 		City:   c.Name,
@@ -99,7 +107,7 @@ func makeWALFixture(t testing.TB) *walFixture {
 }
 
 // writeWAL appends records to a fresh log under dir and closes it.
-func writeWAL(t testing.TB, dir, key string, recs []WALRecord) {
+func writeWAL(t testing.TB, dir, key string, recs []Record) {
 	t.Helper()
 	w, err := OpenWAL(dir, key)
 	if err != nil {
@@ -127,28 +135,13 @@ func stateJSON(t testing.TB, st *ServerState) string {
 	return buf.String()
 }
 
-// streamJSON renders a decoded record stream back through the store's own
-// encoders, so it compares byte-for-byte against the records written.
+// streamJSON renders records through the store's one encoder, so a
+// decoded stream compares byte-for-byte against the records written.
 func streamJSON(t testing.TB, recs []Record) string {
 	t.Helper()
 	views := make([]walRecordJSON, 0, len(recs))
 	for _, r := range recs {
-		v := walRecordJSON{
-			Op: r.Kind, Seq: r.Seq, ID: r.ID, GroupID: r.GroupID, Method: r.Method, Weights: r.Weights, PackageID: r.PackageID,
-		}
-		switch r.Kind {
-		case RecordGroupCreate:
-			gj := groupToJSON(r.Group)
-			v.Group = &gj
-		case RecordPackageBuild, RecordRefine:
-			pj := packageToJSON(r.Package)
-			v.Package = &pj
-		case RecordCustomOp:
-			oj := opsToJSON([]interact.Op{r.Op})[0]
-			cj := ciToJSON(r.After)
-			v.Change, v.After = &oj, &cj
-		}
-		views = append(views, v)
+		views = append(views, recordJSON(r))
 	}
 	out, err := json.Marshal(views)
 	if err != nil {
@@ -159,20 +152,14 @@ func streamJSON(t testing.TB, recs []Record) string {
 
 // writtenJSON renders written records in streamJSON's form, stamped with
 // consecutive sequences from first, the way Append stamps them.
-func writtenJSON(t testing.TB, first int64, recs []WALRecord) string {
+func writtenJSON(t testing.TB, first int64, recs []Record) string {
 	t.Helper()
-	views := make([]walRecordJSON, 0, len(recs))
+	stamped := make([]Record, 0, len(recs))
 	for i, r := range recs {
-		v := r.rec
-		v.Seq = first + int64(i)
-		v.Source, v.Strategy = 0, "" // provenance only; not part of a Record
-		views = append(views, v)
+		r.Seq = first + int64(i)
+		stamped = append(stamped, r)
 	}
-	out, err := json.Marshal(views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
+	return streamJSON(t, stamped)
 }
 
 // replay runs ReplayWAL with a callback that records every record it is
@@ -353,19 +340,18 @@ func TestWALBitFlipTruncated(t *testing.T) {
 func TestWALInapplicableRecordTruncated(t *testing.T) {
 	fx := makeWALFixture(t)
 	badGroup := fx.records[1] // packageBuild...
-	badGroup.rec.GroupID = 99 // ...for a group that never existed
+	badGroup.GroupID = 99     // ...for a group that never existed
 	unknownPOI := fx.records[2]
-	after := *unknownPOI.rec.After
-	after.ItemIDs = append([]int{1 << 30}, after.ItemIDs...)
-	unknownPOI.rec.After = &after
+	unknownPOI.After = unknownPOI.After.Clone()
+	unknownPOI.After.Items = append([]*poi.POI{{ID: 1 << 30}}, unknownPOI.After.Items...)
 	unknownKind := fx.records[0]
-	unknownKind.rec.Op = "groupDelete"
+	unknownKind.Kind = "groupDelete"
 	noGroup := fx.records[0]
-	noGroup.rec.Group = nil
+	noGroup.Group = nil
 
 	for _, tc := range []struct {
 		name string
-		bad  WALRecord
+		bad  Record
 	}{
 		{"unknownGroup", badGroup},
 		{"unknownPOI", unknownPOI},
@@ -374,7 +360,7 @@ func TestWALInapplicableRecordTruncated(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			writeWAL(t, dir, "wal", []WALRecord{fx.records[0], tc.bad, fx.records[1]})
+			writeWAL(t, dir, "wal", []Record{fx.records[0], tc.bad, fx.records[1]})
 			var seen []Record
 			info, err := ReplayWAL(dir, "wal", fx.city, 0, func(r Record) error {
 				if r.GroupID == 99 {
@@ -474,7 +460,7 @@ func TestWALConcurrentAppends(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			g := fx.want.Groups[0].Group
-			if _, err := w.Append(GroupCreateRecord(10+i, g)); err != nil {
+			if _, err := w.Append(Record{Kind: RecordGroupCreate, ID: 10 + i, Group: g}); err != nil {
 				t.Error(err)
 			}
 		}(i)
