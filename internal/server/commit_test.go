@@ -144,8 +144,12 @@ func TestWALFailureAnswers503(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("a refused write changed the serving state")
 	}
-	if h := c.State.health(); h.PersistErr == "" {
-		t.Fatal("the append failure is not on /healthz")
+	var health healthResponse
+	if err := tryJSON(ts, "GET", ts.URL+"/healthz", nil, http.StatusOK, &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Cities[srvKey].PersistErr == "" {
+		t.Fatalf("the append failure is not on /healthz: %+v", health.Cities)
 	}
 
 	s2, _ := cityServer(t, dir)

@@ -82,10 +82,11 @@ func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 		toAppend = append(toAppend, fr)
 	}
 	if len(toAppend) > 0 {
-		// Persistence failures never stall replication — the in-memory
-		// copy is committed; they surface on /healthz like any primary
-		// append failure, and appliedSeq (the log head) stops there. A
-		// rejected frame mid-batch still persists the frames before it.
+		// A follower applies first: on a persistence failure memory runs
+		// ahead of the log, the error lands on /healthz and appliedSeq
+		// (the log head) stays put. A failed fsync latches the log until
+		// a restart or a snapshot handoff (Reset) clears it. A rejected
+		// frame mid-batch still persists the frames before it.
 		if werr := cs.wal.AppendFrames(toAppend); werr != nil {
 			cs.persistErr.Store(werr.Error())
 		} else {

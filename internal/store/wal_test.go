@@ -209,6 +209,39 @@ func TestWALReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWALBytesPinned pins the log's byte format, which every existing log
+// on disk and every follower's stream depends on. testdata/fixture.wal is
+// makeWALFixture's log as an earlier encoder wrote it. Decoding the file
+// and appending its records to a fresh log must reproduce it byte for
+// byte, so the encoder cannot drop, rename or reorder a field unnoticed.
+func TestWALBytesPinned(t *testing.T) {
+	golden, err := os.ReadFile("testdata/fixture.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(WALPath(dir, "golden"), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, info := replay(t, dir, "golden", city(t), 0)
+	if info.Records != 6 || info.Truncated != "" {
+		t.Fatalf("testdata/fixture.wal replayed as %+v, want 6 clean records", info)
+	}
+	writeWAL(t, dir, "again", recs)
+	got, err := os.ReadFile(WALPath(dir, "again"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		i := 0
+		for i < len(got) && i < len(golden) && got[i] == golden[i] {
+			i++
+		}
+		t.Fatalf("re-encoded log differs from testdata/fixture.wal at byte %d of %d:\ngot:  %q\nwant: %q",
+			i, len(golden), got[i:min(i+80, len(got))], golden[i:min(i+80, len(golden))])
+	}
+}
+
 // TestWALReplayOverSnapshot: the log is a suffix over a snapshot whose
 // watermark is after. Replay passes exactly the records above the
 // watermark, in order, and LastSeq never falls below the watermark — even
