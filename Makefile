@@ -36,9 +36,10 @@ race:
 # Fuzz the recovery path and the engine's distance kernel, 10 s per
 # target: the WAL replayer (framing, sequence order, in-place repair), the
 # snapshot loader, the appender under one injected write, truncate or
-# fsync fault, a city's full restart recovery, which applies every log
-# record through the function replication applies shipped frames through,
-# and the site distance kernel against geo.Equirectangular. `go test
+# fsync fault with a compaction's mark and trim among its appends, a
+# city's full restart recovery, which applies every log record through
+# the function replication applies shipped frames through, and the site
+# distance kernel against geo.Equirectangular. `go test
 # -fuzz` takes one target per run. -fuzzminimizetime keeps each run's
 # budget on exploring: minimizing a new input would otherwise take up to
 # the default 60 s.

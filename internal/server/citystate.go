@@ -46,10 +46,10 @@ type cityState struct {
 
 	// snapDir holds the city's log, snapshot and epoch files.
 	// persistMu orders mutations against compaction: a mutation holds the
-	// read side across [in-memory commit + WAL append] so compaction
-	// (write side: collect + snapshot + log reset) can never collect a
-	// state whose record it then truncates — or miss a record its
-	// snapshot doesn't contain.
+	// read side across [WAL append + install] so compaction (write side:
+	// collect + mark the log) can never collect a state whose record it
+	// then trims — or miss a record its snapshot doesn't contain.
+	// compacting admits one compaction or snapshot handoff at a time.
 	snapDir      string
 	wal          *store.WAL
 	persistMu    sync.RWMutex
@@ -455,6 +455,12 @@ func (cs *cityState) maybeCompact() {
 	if !overRecords && !overBytes {
 		return
 	}
+	// The log stays over its threshold until a running compaction trims
+	// it, so claim the slot before consulting the slot table: the
+	// mutations that land meanwhile must not move its hold clock.
+	if !cs.compacting.CompareAndSwap(false, true) {
+		return
+	}
 	// Fan-out awareness: while a live follower's stream position still
 	// needs records this compaction would fold into the snapshot, wait —
 	// it keeps streaming cheap frames instead of taking a full handoff.
@@ -462,9 +468,7 @@ func (cs *cityState) maybeCompact() {
 	// collected, a stuck one is dropped), and the next mutation past the
 	// threshold re-triggers.
 	if cs.slots.hold(cs.key, cs.wal.LastSeq()) {
-		return
-	}
-	if !cs.compacting.CompareAndSwap(false, true) {
+		cs.compacting.Store(false)
 		return
 	}
 	go func() {
@@ -473,70 +477,32 @@ func (cs *cityState) maybeCompact() {
 	}()
 }
 
-// compact folds the log into the snapshot. Under the write lock it only
-// collects the state (an in-memory clone) and rotates the log — O(1) —
-// sealing the current segment as the pending file; the O(city state)
-// snapshot encode + write + fsync then runs *outside* persistMu, so
-// mutations keep appending to the fresh segment instead of stalling for
-// seconds behind a 100k-package snapshot. The snapshot records the
-// sequence watermark it covers (WALSeq) and the sealed segment holds
-// exactly the records at or below it, so a crash at any point recovers
-// exactly: snapshot missing → old snapshot + pending + current replay;
-// snapshot landed but pending not yet removed → replay skips the
-// already-covered sequences. Failures leave the log intact (recovery
-// still works) and are recorded for /healthz rather than failing the
-// mutation that triggered the compaction.
+// compact folds the log into the snapshot; the caller holds the
+// compacting flag. Under the write lock it only collects the state (an
+// in-memory clone) and marks the log; the O(city state) snapshot encode +
+// write + fsync then runs *outside* persistMu, so mutations keep
+// appending instead of stalling for seconds behind a 100k-package
+// snapshot. Only once the snapshot, which records the mark's sequence as
+// its watermark (WALSeq), is durable does the trim drop the records up to
+// the mark. A crash therefore recovers exactly: before the snapshot lands
+// → old snapshot + whole log; snapshot landed, log not yet trimmed →
+// replay skips the covered sequences; trimmed → new snapshot + the
+// records after the mark. Failures leave the log intact (recovery still
+// works) and are recorded for /healthz rather than failing the mutation
+// that triggered the compaction.
 func (cs *cityState) compact() error {
-	// A pending segment means an earlier compaction never finished its
-	// snapshot; rotating again would need a second pending slot, so
-	// retry inline under the lock — rare, and it clears the debt.
-	if cs.wal.PendingExists() {
-		return cs.compactInline()
-	}
 	start := time.Now()
 	cs.persistMu.Lock()
 	st := cs.collectState()
-	st.WALSeq = cs.wal.LastSeq()
-	if err := cs.wal.Rotate(); err != nil {
-		cs.persistMu.Unlock()
-		cs.persistErr.Store(err.Error())
-		return err
-	}
+	mark := cs.wal.Mark()
 	cs.persistMu.Unlock()
+	st.WALSeq = mark.Seq
 
 	at, err := store.WriteSnapshot(cs.snapDir, cs.key, st)
+	if err == nil {
+		err = cs.wal.Trim(mark)
+	}
 	if err != nil {
-		cs.persistErr.Store(err.Error())
-		return err
-	}
-	// The sealed segment's records now live in the snapshot.
-	if err := store.RemovePendingWAL(cs.snapDir, cs.key); err != nil {
-		cs.persistErr.Store(err.Error())
-		return err
-	}
-	cs.compactDur.ObserveSince(start)
-	cs.noteCompaction(at)
-	return nil
-}
-
-// compactInline is the fallback: snapshot under the write lock, then
-// drop the pending segment and truncate the log.
-func (cs *cityState) compactInline() error {
-	start := time.Now()
-	cs.persistMu.Lock()
-	defer cs.persistMu.Unlock()
-	st := cs.collectState()
-	st.WALSeq = cs.wal.LastSeq()
-	at, err := store.WriteSnapshot(cs.snapDir, cs.key, st)
-	if err != nil {
-		cs.persistErr.Store(err.Error())
-		return err
-	}
-	if err := store.RemovePendingWAL(cs.snapDir, cs.key); err != nil {
-		cs.persistErr.Store(err.Error())
-		return err
-	}
-	if err := cs.wal.Reset(); err != nil {
 		cs.persistErr.Store(err.Error())
 		return err
 	}

@@ -109,7 +109,8 @@ func (cs *cityState) applyFrames(frames []store.WALFrame) (int64, error) {
 // on-disk state (raw snapshot + emptied log) and the in-memory registries
 // swap together. Claiming the compaction slot and the write side of
 // persistMu excludes a follower compaction from overwriting the handoff
-// with the state it replaces.
+// with the state it replaces, and from trimming the log at a mark the
+// reset invalidated.
 func (cs *cityState) applySnapshot(raw []byte) (int64, error) {
 	cs.replMu.Lock()
 	defer cs.replMu.Unlock()
@@ -134,8 +135,6 @@ func (cs *cityState) applySnapshot(raw []byte) (int64, error) {
 	defer cs.compacting.Store(false)
 	cs.persistMu.Lock()
 	if err := store.WriteSnapshotRaw(cs.snapDir, cs.key, raw); err != nil {
-		cs.persistErr.Store(err.Error())
-	} else if err := store.RemovePendingWAL(cs.snapDir, cs.key); err != nil {
 		cs.persistErr.Store(err.Error())
 	} else if err := cs.wal.Reset(); err != nil {
 		cs.persistErr.Store(err.Error())

@@ -98,13 +98,19 @@ func multiCityServerOpts(t *testing.T, opts Options) (*Server, *httptest.Server)
 }
 
 // compactCity forces a synchronous compaction of one city — tests use it
-// where the asynchronous threshold trigger would race the assertion.
+// where the asynchronous threshold trigger would race the assertion. It
+// waits out a running compaction, as a snapshot handoff does: two
+// compactions must not interleave their marks and trims.
 func compactCity(t *testing.T, s *Server, key string) {
 	t.Helper()
 	c, err := s.Registry().Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for !c.State.compacting.CompareAndSwap(false, true) {
+		time.Sleep(time.Millisecond)
+	}
+	defer c.State.compacting.Store(false)
 	if err := c.State.compact(); err != nil {
 		t.Fatal(err)
 	}

@@ -112,7 +112,7 @@ type Options struct {
 	//
 	// Deprecated: the durability rule is not configurable.
 	WALSync store.WALSyncPolicy
-	// CompactEvery rewrites a city's snapshot (and truncates its log)
+	// CompactEvery rewrites a city's snapshot (and trims its log)
 	// once the log holds this many records. 0 means DefaultCompactEvery;
 	// < 0 disables the record-count trigger (DefaultCompactBytes still
 	// applies).

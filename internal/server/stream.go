@@ -14,9 +14,9 @@ import (
 
 // This file is the primary half of log shipping: GET /cities/{city}/wal
 // ?from={seq} streams every committed record after the follower's resume
-// point, straight from the city's log files — and, when the resume point
+// point, straight from the city's log file — and, when the resume point
 // has fallen behind the compaction horizon (the records now live only in
-// the snapshot), the sealed snapshot first. The frames go out
+// the snapshot), the snapshot first. The frames go out
 // byte-for-byte as they sit in the log. A follower's own /wal endpoint
 // serves the same way, so replicas can cascade.
 //
@@ -38,10 +38,6 @@ import (
 // errStreamAhead: the requested resume point is beyond this log's head —
 // the caller has records this server never wrote. Divergence, not lag.
 var errStreamAhead = errors.New("ahead of log head")
-
-// errStreamBusy: compaction kept moving the files under the reader for
-// every retry. Transient; the follower's reconnect retries.
-var errStreamBusy = errors.New("log rotating; retry")
 
 const (
 	// maxStreamLife caps one push stream's lifetime, so every client
@@ -138,7 +134,7 @@ func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64
 		writeErr(w, http.StatusInternalServerError, "response writer cannot flush; /wal needs a streaming response")
 		return
 	}
-	batch, err := streamFrom(cs.snapDir, cs.key, from, cs.wal.LastSeq)
+	batch, err := initialBatch(cs.snapDir, cs.key, from, cs.wal.LastSeq())
 	if err != nil {
 		writeStreamErr(w, from, err)
 		return
@@ -179,9 +175,9 @@ func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64
 		if head > cursor || cs.wal.LastSeq() > cursor {
 			frames, ok := tail.next(cursor)
 			if !ok {
-				// The records past cursor left the live segment (compaction
-				// or a snapshot install). End cleanly; the reconnect gets
-				// the snapshot-vs-frames decision in a fresh response.
+				// The records past cursor left the log (a trim or a
+				// snapshot install). End cleanly; the reconnect gets the
+				// snapshot-vs-frames decision in a fresh response.
 				return
 			}
 			if len(frames) > 0 {
@@ -197,9 +193,8 @@ func (cs *cityState) serveWAL(w http.ResponseWriter, r *http.Request, from int64
 				resetTimer(hbTimer, hb)
 				continue
 			}
-			// Head advanced but the segment shows nothing new past cursor
-			// (a rotation is mid-flight): wait for the next wake instead of
-			// spinning on the file.
+			// Head advanced but the log shows nothing new past cursor
+			// yet: wait for the next wake instead of spinning on the file.
 		}
 		select {
 		case <-ch:
@@ -232,14 +227,14 @@ func resetTimer(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
-// walTail is a push stream's incremental reader over the city's live log
-// segment: it remembers the byte offset its last read ended at, so each
-// commit wakeup reads only the new suffix instead of re-scanning the
-// whole log (which would make a busy stream O(log²) over its lifetime).
-// A rotation invalidates the offset; next() detects that as a sequence
-// mismatch and falls back to one full scan of the (fresh, small)
-// segment — and reports !ok when the records the cursor needs are no
-// longer in the segment at all.
+// walTail is a push stream's incremental reader over the city's live log:
+// it remembers the byte offset its last read ended at, so each commit
+// wakeup reads only the new suffix instead of re-scanning the whole log
+// (which would make a busy stream O(log²) over its lifetime). A trim
+// invalidates the offset; next() detects that as a sequence mismatch and
+// falls back to one full scan of the (freshly trimmed, small) log — and
+// reports !ok when the records the cursor needs are no longer in the log
+// at all.
 type walTail struct {
 	path string
 	off  int64 // -1: offset unknown, full scan first
@@ -250,8 +245,8 @@ func newWALTail(dir, key string) *walTail {
 }
 
 // next returns the dense run of frames directly after cursor that the
-// live segment holds, or ok=false when the segment cannot serve them
-// (the stream must end and the client re-resolve). An empty result with
+// log holds, or ok=false when the log cannot serve them (the stream must
+// end and the client re-resolve). An empty result with
 // ok=true means nothing new is visible yet — wait for the next wake. A
 // torn last frame (the appender mid-write) just ends this read early;
 // the offset parks before it and the next read retries.
@@ -264,8 +259,8 @@ func (t *walTail) next(cursor int64) ([]store.WALFrame, bool) {
 		}
 		if err == nil && len(frames) == 0 {
 			// Nothing new at the remembered offset. Either the appender
-			// has not reached the file yet (mid-frame) or the file rotated
-			// under us; the full scan below settles it.
+			// has not reached the file yet (mid-frame) or a trim replaced
+			// it under us; the full scan below settles it.
 			sameEnd := off == t.off
 			frames, off, err = store.ReadWALFramesAt(t.path, 0)
 			if err != nil {
@@ -315,92 +310,53 @@ func parseFrom(w http.ResponseWriter, r *http.Request) (int64, bool) {
 	return n, true
 }
 
-// writeStreamErr maps a streamFrom failure onto the response status.
+// writeStreamErr maps an initialBatch failure onto the response status.
 func writeStreamErr(w http.ResponseWriter, from int64, err error) {
-	switch {
-	case errors.Is(err, errStreamAhead):
+	if errors.Is(err, errStreamAhead) {
 		writeErr(w, http.StatusConflict, "follower at seq %d is ahead of this log", from)
-	case errors.Is(err, errStreamBusy):
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-	default:
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
+	writeErr(w, http.StatusInternalServerError, "%v", err)
 }
 
-// streamFrom assembles a stream's initial batch: all committed records
-// with sequence > from, up to the live head the appender reports. The log
-// files are read without locks while the appender, and possibly a
-// compaction, keep running — a torn tail just ends the committed prefix,
-// and the races that matter (a rotation or compaction landing between two
-// file reads) all surface as a sequence gap, which is detected and
-// retried rather than ever shipped.
-func streamFrom(dir, key string, from int64, head func() int64) (*replicate.Batch, error) {
-	for attempt := 0; ; attempt++ {
-		batch, err := tryCollect(dir, key, from, head)
-		if err != nil {
-			return nil, err
-		}
-		if batch != nil {
-			return batch, nil
-		}
-		if attempt >= 5 {
-			return nil, errStreamBusy
-		}
-		time.Sleep(time.Duration(1<<attempt) * time.Millisecond)
-	}
-}
-
-// tryCollect makes one read pass; nil batch with nil error means "raced
-// a rotation, retry".
-func tryCollect(dir, key string, from int64, head func() int64) (*replicate.Batch, error) {
-	last := head()
+// initialBatch assembles a stream's initial batch: every committed record
+// with sequence > from, last being the live head. It reads the log once,
+// without locks, while the appender and a compaction keep running: a torn
+// tail just ends the committed prefix. A record after from that the log
+// no longer holds was trimmed, and a trim runs only once the snapshot
+// covering it is durable, so the snapshot read after the log holds it.
+func initialBatch(dir, key string, from, last int64) (*replicate.Batch, error) {
 	if from > last {
 		return nil, errStreamAhead
 	}
+	batch := &replicate.Batch{PrimarySeq: last}
 	if from == last {
 		// Caught up: the stream opens from the sequence counter alone,
 		// without reading (or parsing) a byte of log.
-		return &replicate.Batch{PrimarySeq: last}, nil
+		return batch, nil
 	}
-	frames, err := store.CollectWALFrames(dir, key)
+	frames, _, err := store.ReadWALFramesAt(store.WALPath(dir, key), 0)
 	if err != nil {
 		return nil, err
 	}
-	if !strictlyAscending(frames) {
-		return nil, nil // two reads straddled a rotation
-	}
-	batch := &replicate.Batch{PrimarySeq: last}
-	lo := last + 1 // an empty log: everything lives in the snapshot
-	if len(frames) > 0 {
-		lo = frames[0].Seq
-	}
-	if from+1 >= lo {
-		out := framesAfter(frames, from)
-		if !denseFrom(out, from+1) {
-			return nil, nil
+	if len(frames) == 0 || frames[0].Seq > from+1 {
+		// The records right after `from` were folded into the snapshot by
+		// a compaction. Hand the snapshot off and ship the suffix beyond
+		// its watermark.
+		raw, snapSeq, err := store.ReadSnapshotRaw(dir, key)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot handoff: %w", err)
 		}
-		batch.Frames = out
-		return batch, nil
+		if raw == nil {
+			return nil, fmt.Errorf("no snapshot holds the records after seq %d", from)
+		}
+		batch.Snapshot, batch.SnapshotSeq = raw, snapSeq
+		from = snapSeq
 	}
-	// The records right after `from` are no longer in the log: they were
-	// folded into the snapshot by a compaction. Hand the snapshot off and
-	// ship the suffix beyond its watermark.
-	raw, snapSeq, err := store.ReadSnapshotRaw(dir, key)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot handoff: %w", err)
+	batch.Frames = framesAfter(frames, from)
+	if !denseFrom(batch.Frames, from+1) {
+		return nil, fmt.Errorf("log holds no dense run of records after seq %d", from)
 	}
-	if raw == nil || snapSeq < from || snapSeq+1 < lo {
-		// No snapshot (or one too old to bridge the gap): a compaction is
-		// mid-flight — its rotation already sealed the log but its
-		// snapshot has not landed. Retry.
-		return nil, nil
-	}
-	out := framesAfter(frames, snapSeq)
-	if !denseFrom(out, snapSeq+1) {
-		return nil, nil
-	}
-	batch.Snapshot, batch.SnapshotSeq = raw, snapSeq
-	batch.Frames = out
 	return batch, nil
 }
 
@@ -414,18 +370,9 @@ func framesAfter(frames []store.WALFrame, from int64) []store.WALFrame {
 	return nil
 }
 
-func strictlyAscending(frames []store.WALFrame) bool {
-	for i := 1; i < len(frames); i++ {
-		if frames[i].Seq <= frames[i-1].Seq {
-			return false
-		}
-	}
-	return true
-}
-
-// denseFrom: the frames are exactly start, start+1, ... — primaries issue
-// dense sequences, so a hole means the read raced a rotation and the
-// batch would skip committed records.
+// denseFrom: the frames are exactly start, start+1, ... — a log holds
+// dense sequences, so a hole means a read at an offset a trim invalidated
+// (walTail) or a damaged log, and the batch would skip committed records.
 func denseFrom(frames []store.WALFrame, start int64) bool {
 	for i, fr := range frames {
 		if fr.Seq != start+int64(i) {

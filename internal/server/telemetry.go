@@ -62,7 +62,7 @@ func newServerMetrics() *serverMetrics {
 		fsyncLarge: reg.Histogram("gt_wal_fsync_seconds",
 			"WAL fsync latency (group commits).", nil, "size", "ge16MiB"),
 		compaction: reg.Histogram("gt_wal_compaction_seconds",
-			"Snapshot compaction duration, log rotation to pending-segment removal.", nil),
+			"Snapshot compaction duration, state collection to log trim.", nil),
 	}
 	m.streams = streamMetrics{
 		open: reg.Gauge("gt_replication_stream_open",

@@ -98,7 +98,7 @@ func FrameSeq(payload []byte) (int64, error) {
 // ends the prefix, exactly where replay would cut it. A file without a
 // valid header is an error (the appender never produces one). The
 // header is validated only when reading from the top; at an interior
-// offset the caller's cursor may have been invalidated by a rotation, in
+// offset the caller's cursor may have been invalidated by a trim, in
 // which case decoding fails (CRC over arbitrary bytes) or the sequence
 // run breaks — both of which the caller detects and answers with a full
 // rescan. A missing file or an offset at/past EOF yields no frames and
@@ -130,8 +130,8 @@ func ReadWALFramesAt(path string, off int64) ([]WALFrame, int64, error) {
 	}
 	raw := make([]byte, st.Size()-off)
 	n, err := f.ReadAt(raw, off)
-	// A short read races a concurrent truncation/rotation; decode whatever
-	// arrived — the committed prefix ends wherever decoding stops.
+	// A short read races a concurrent truncation; decode whatever arrived
+	// — the committed prefix ends wherever decoding stops.
 	raw = raw[:n]
 	if err != nil && n == 0 {
 		return nil, off, nil
@@ -152,23 +152,6 @@ func ReadWALFramesAt(path string, off int64) ([]WALFrame, int64, error) {
 		off += int64(n)
 	}
 	return frames, off, nil
-}
-
-// CollectWALFrames reads a city's committed frames in replay order — the
-// sealed pending segment of an in-flight compaction first, then the
-// current log. Sequences are contiguous across the two files by
-// construction (rotation preserves the counter); callers detect the race
-// where a rotation lands between the two reads by checking contiguity.
-func CollectWALFrames(dir, key string) ([]WALFrame, error) {
-	pending, _, err := ReadWALFramesAt(PendingWALPath(dir, key), 0)
-	if err != nil {
-		return nil, err
-	}
-	current, _, err := ReadWALFramesAt(WALPath(dir, key), 0)
-	if err != nil {
-		return nil, err
-	}
-	return append(pending, current...), nil
 }
 
 // ReadSnapshotRaw returns a city's snapshot bytes plus the WAL sequence

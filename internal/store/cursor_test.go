@@ -57,8 +57,7 @@ func TestReadWALFramesLive(t *testing.T) {
 	if _, _, err := ReadWALFramesAt(path, 0); err == nil {
 		t.Fatal("headerless file read as empty")
 	}
-	// A missing file reads as empty (no error): the pending segment is
-	// usually absent.
+	// A missing file reads as empty (no error).
 	if frames, _, err := ReadWALFramesAt(WALPath(dir, "absent"), 0); err != nil || frames != nil {
 		t.Fatalf("missing file: frames=%v err=%v", frames, err)
 	}

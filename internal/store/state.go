@@ -55,7 +55,7 @@ type PackageRecord struct {
 // id allocation plus both registries. WALSeq is the write-ahead-log
 // sequence watermark a compaction snapshot covers — replay skips log
 // records at or below it, so recovery is exact no matter where between
-// the snapshot write and the log truncation a crash landed.
+// the snapshot write and the trim a crash landed.
 type ServerState struct {
 	City     string
 	NextID   int
@@ -320,9 +320,9 @@ func SnapshotPath(dir, key string) string {
 }
 
 // IsStateFile reports whether name, a file's base name, is one this
-// package writes into a state directory: a snapshot, an epoch, a log or
-// its sealed segment, a temp file of an atomic write, or a quarantined
-// copy. A directory that holds other files too — a server's data
+// package keeps in a state directory: a snapshot, an epoch, a log or an
+// earlier version's sealed segment, a temp file of an atomic write, or a
+// quarantined copy. A directory that holds other files too — a server's data
 // directory may double as its snapshot directory — skips these.
 func IsStateFile(name string) bool {
 	for _, suffix := range []string{".state.json", ".epoch.json", ".wal", ".wal.pending", ".tmp", ".corrupt"} {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,12 +20,14 @@ import (
 )
 
 // This file is the write-ahead half of city persistence. A city's durable
-// state is snapshot + log suffix: WriteSnapshot (state.go) captures the
-// full state at compaction time, and between compactions every mutation
-// appends exactly one typed record here, so mutation cost is O(1 record)
-// instead of O(city state). This package owns the file: framing,
-// checksums, sequence order and repair. What a record does to a city's
-// state belongs to the caller: ReplayWAL decodes each record
+// state is one snapshot plus one log file: WriteSnapshot (state.go)
+// captures the full state at compaction time, and between compactions
+// every mutation appends exactly one typed record here, so mutation cost
+// is O(1 record) instead of O(city state). A compaction marks the log
+// (Mark), writes the snapshot covering the mark, and only then trims the
+// records up to the mark from the log (Trim). This package owns the file:
+// framing, checksums, sequence order and repair. What a record does to a
+// city's state belongs to the caller: ReplayWAL decodes each record
 // (DecodeRecord) and hands it to the caller's apply function, the same
 // one a replication follower runs on shipped frames. A torn tail (partial
 // frame, CRC mismatch, or a record the caller cannot apply) is truncated
@@ -74,12 +77,11 @@ type walRecordJSON struct {
 	Op string `json:"op"`
 
 	// Seq is the record's log sequence number, stamped by Append in
-	// commit order and strictly increasing across segment rotations and
-	// compactions. A snapshot records the highest Seq it folds in
-	// (ServerState.WALSeq), so replay skips records the snapshot already
-	// contains — without it, a crash between a compaction's snapshot
-	// write and its log truncation would double-apply customOp records
-	// (doubling /refine's op log).
+	// commit order and strictly increasing across compactions. A snapshot
+	// records the highest Seq it folds in (ServerState.WALSeq), so replay
+	// skips records the snapshot already contains — without it, a crash
+	// between a compaction's snapshot write and its trim would
+	// double-apply customOp records (doubling /refine's op log).
 	Seq int64 `json:"seq,omitempty"`
 
 	// groupCreate / packageBuild / refine: the allocated id.
@@ -227,21 +229,11 @@ func WALPath(dir, key string) string {
 	return filepath.Join(dir, key+".wal")
 }
 
-// PendingWALPath is where Rotate seals a log segment while its compaction
-// snapshot is being written. At most one pending segment exists per city;
-// recovery replays it before the current log.
+// PendingWALPath is where earlier versions' compaction sealed the log
+// while its snapshot was written. Nothing writes one now; ReplayWAL folds
+// a leftover segment into the log (foldPendingWAL).
 func PendingWALPath(dir, key string) string {
 	return WALPath(dir, key) + ".pending"
-}
-
-// RemovePendingWAL deletes a city's sealed segment — the final step of a
-// compaction, once the snapshot that covers it is durably in place. A
-// missing segment is not an error.
-func RemovePendingWAL(dir, key string) error {
-	if err := os.Remove(PendingWALPath(dir, key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: remove pending wal: %w", err)
-	}
-	return nil
 }
 
 // --- sync policy ---
@@ -273,9 +265,9 @@ func (WALSyncPolicy) String() string { return "always" }
 // --- appender ---
 
 // WALStats is a point-in-time view of an appender for health reporting
-// and compaction thresholds. Records/Bytes count since the last Reset
-// (i.e. since the last compaction), so they are exactly the replay debt a
-// restart would pay.
+// and compaction thresholds. Records/Bytes count what the log file holds
+// (the records after the last trim's mark, or since the last Reset), so
+// they are exactly the replay debt a restart would pay.
 type WALStats struct {
 	Records int64 `json:"records"`
 	Bytes   int64 `json:"bytes"` // log bytes past the header
@@ -297,14 +289,13 @@ type walFile interface {
 // and discover their bytes were already covered, so n concurrent durable
 // appends cost far fewer than n fsyncs.
 type WAL struct {
-	path    string
-	pending string // sealed-segment path (Rotate target)
+	path string
 
-	// mu serializes file writes, truncation, rotation and close.
+	// mu serializes file writes, truncation, trims and close.
 	// size/records are read by Stats under mu; size is additionally
 	// atomic so syncTo can read it without taking mu. nextSeq is the
 	// next record's log sequence number — monotonic across Reset and
-	// Rotate, seeded from recovery.
+	// Trim, seeded from recovery.
 	mu      sync.Mutex
 	f       walFile
 	size    atomic.Int64
@@ -316,7 +307,7 @@ type WAL struct {
 	// covered, so no later fsync can vouch for them — or a torn write whose
 	// truncate failed, leaving a garbage frame that would silently eat
 	// every record appended after it. Every later Append, AppendFrames,
-	// Rotate and Close returns it; only Reset clears it. Atomic because
+	// Trim and Close returns it; only Reset clears it. Atomic because
 	// syncTo latches it without mu.
 	failure atomic.Pointer[error]
 
@@ -390,7 +381,7 @@ func OpenWAL(dir, key string) (*WAL, error) {
 			return nil, fmt.Errorf("store: wal %s has no valid header (run replay first)", path)
 		}
 	}
-	w := &WAL{path: path, pending: PendingWALPath(dir, key), f: f}
+	w := &WAL{path: path, f: f}
 	w.size.Store(size)
 	w.synced = size
 	w.nextSeq = 1
@@ -402,7 +393,7 @@ func OpenWAL(dir, key string) (*WAL, error) {
 }
 
 // Seed primes the appender after recovery: records is how many records
-// the current log file holds (ReplayWAL's CurrentRecords), lastSeq the
+// the log file holds (ReplayWAL's CurrentRecords), lastSeq the
 // highest sequence number ever issued for this city — the max of the
 // snapshot's WALSeq and every replayed record. Appending a seq at or
 // below a snapshot's watermark would make the record invisible to
@@ -420,13 +411,6 @@ func (w *WAL) LastSeq() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.nextSeq - 1
-}
-
-// PendingExists reports whether a sealed segment from an unfinished
-// compaction is on disk.
-func (w *WAL) PendingExists() bool {
-	_, err := os.Stat(w.pending)
-	return err == nil
 }
 
 // Path returns the log's file path.
@@ -589,17 +573,38 @@ func (w *WAL) syncTo(off int64) error {
 	return nil
 }
 
-// Rotate seals the current log as the city's pending segment and starts
-// a fresh, empty log, preserving the sequence counter. This is the O(1)
-// step compaction takes under the city's write lock, so the expensive
-// snapshot write can happen outside it while mutations keep appending to
-// the new segment: the sealed segment holds exactly the records the
-// in-flight snapshot will cover, and recovery replays pending-then-
-// current if the process dies before the snapshot lands. Rotate refuses
-// to run while a pending segment already exists (a previous compaction's
-// snapshot never finished) — overwriting it would destroy records no
-// snapshot contains; callers fall back to compacting inline.
-func (w *WAL) Rotate() error {
+// WALMark is a position in a log: it covers the records up to sequence
+// Seq and remembers the byte offset where the records after it begin.
+// Compaction takes one, writes the snapshot covering Seq, and then trims
+// the log to the records after the mark.
+type WALMark struct {
+	Seq     int64 // the sequence of the last record up to the mark
+	off     int64 // the byte offset where the records after the mark begin
+	records int64 // how many records the file holds up to the mark
+}
+
+// Mark returns the log's current end. Compaction takes it while its city's
+// write lock keeps every mutation out, so every record up to the mark is
+// durable, or the log latched.
+func (w *WAL) Mark() WALMark {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return WALMark{Seq: w.nextSeq - 1, off: w.size.Load(), records: w.records}
+}
+
+// Trim drops the records up to m once a durable snapshot covers them: the
+// log file is replaced, through writeFileAtomic, by its header plus a
+// byte-for-byte copy of the records appended after the mark, and
+// reopened. m must come from Mark on this log with no Trim or Reset since.
+//
+// An append whose fsync is still queued behind the trim wrote its bytes
+// before the trim took the log's locks, so they are in the copy, and the
+// copy is fsynced before the rename: the record is durable in the new
+// file before its own fsync runs. A failure before the rename leaves the
+// whole log in place; replay over the new snapshot skips what it covers,
+// and the next compaction trims. A failure after the rename latches the
+// log, because the open file is the one the rename replaced.
+func (w *WAL) Trim(m WALMark) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.syncMu.Lock()
@@ -607,35 +612,43 @@ func (w *WAL) Rotate() error {
 	if err := w.writableLocked(); err != nil {
 		return err
 	}
-	if _, err := os.Stat(w.pending); err == nil {
-		return fmt.Errorf("store: pending segment %s already exists", w.pending)
+	size := w.size.Load()
+	if m.off < walHeaderLen || m.off > size {
+		return fmt.Errorf("store: wal trim: mark at byte %d outside a %d-byte log", m.off, size)
 	}
-	// The sealed segment must be durable before the snapshot covering it
-	// starts: the snapshot replaces these records, so losing them while
-	// it is still being written would lose committed mutations.
-	if err := w.f.Sync(); err != nil {
-		return w.latch(fmt.Errorf("store: rotate sync: %w", err))
-	}
-	if err := os.Rename(w.path, w.pending); err != nil {
-		return fmt.Errorf("store: rotate rename: %w", err)
-	}
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_RDWR|os.O_APPEND|os.O_EXCL, 0o644)
+	buf := make([]byte, walHeaderLen+size-m.off)
+	copy(buf, walMagic[:])
+	src, err := os.Open(w.path)
 	if err != nil {
-		err = fmt.Errorf("store: rotate open: %w", err)
-	} else if err = startLog(f); err != nil {
-		f.Close()
+		return fmt.Errorf("store: wal trim: %w", err)
 	}
+	before, err := src.Stat()
+	if err == nil {
+		_, err = src.ReadAt(buf[walHeaderLen:], m.off)
+	}
+	src.Close()
 	if err != nil {
-		// No active log to append to: latch so commits surface the
-		// failure instead of silently dropping records.
-		w.f.Close()
+		return fmt.Errorf("store: wal trim: %w", err)
+	}
+	err = writeFileAtomic(w.path, func(out io.Writer) error {
+		_, err := out.Write(buf)
+		return err
+	})
+	if err != nil {
+		if after, serr := os.Stat(w.path); serr == nil && os.SameFile(before, after) {
+			return err // not renamed: the whole log is still in place
+		}
 		return w.latch(err)
 	}
-	w.f.Close()
+	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return w.latch(fmt.Errorf("store: wal trim reopen: %w", err))
+	}
+	w.f.Close() // the copy holds this file's records after the mark, fsynced
 	w.f = f
-	w.size.Store(walHeaderLen)
-	w.records = 0
-	w.synced = walHeaderLen
+	w.size.Store(int64(len(buf)))
+	w.synced = int64(len(buf))
+	w.records -= m.records
 	return nil
 }
 
@@ -652,11 +665,10 @@ func startLog(f *os.File) error {
 }
 
 // Reset truncates the log back to its header — the step after a
-// successful compaction snapshot or a follower's snapshot handoff, both
-// of which rewrote the state the log was a suffix of. The truncation is
-// fsynced so a crash cannot resurrect pre-compaction records on top of
-// the new snapshot, and it clears a latched failure: whatever the failure
-// left in the file was just truncated away.
+// follower's snapshot handoff, which rewrote the state the log was a
+// suffix of. The truncation is fsynced so a crash cannot resurrect
+// pre-handoff records on top of the new snapshot, and it clears a latched
+// failure: whatever the failure left in the file was just truncated away.
 func (w *WAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -719,21 +731,21 @@ func (w *WAL) Stats() WALStats {
 
 // --- replay ---
 
-// WALReplayInfo reports what recovery found in a city's log (the pending
-// segment of an unfinished compaction, if any, then the current log).
+// WALReplayInfo reports what recovery found in a city's log.
 type WALReplayInfo struct {
 	// Records applied on top of the snapshot.
 	Records int
 	// Skipped records whose sequence number the snapshot's WALSeq already
-	// covers — the crash-between-snapshot-and-truncate case.
+	// covers — a compaction that stopped between its snapshot and its trim.
 	Skipped int
-	// CurrentRecords counts valid records (applied + skipped) in the
-	// current log file specifically; it seeds the appender's counter.
+	// CurrentRecords counts the valid records in the log file, skipped ones
+	// included; it seeds the appender's counter, so a log a crash left
+	// untrimmed compacts sooner.
 	CurrentRecords int64
 	// LastSeq is the highest sequence number observed — snapshot
 	// watermark included — and seeds the appender's sequence counter.
 	LastSeq int64
-	// Bytes of valid log (past the headers) after any repair.
+	// Bytes of valid log (past the header) after any repair.
 	Bytes int64
 	// Truncated is non-empty when a torn or invalid tail was dropped; it
 	// says where and why. Surfaced on /healthz, never fatal.
@@ -742,24 +754,27 @@ type WALReplayInfo struct {
 	DroppedBytes int64
 }
 
-// ReplayWAL reads the city's log — pending segment first, then the
-// current file — decodes every valid record (DecodeRecord) and passes it
-// to apply, in log order. Records whose sequence number is at or below
+// ReplayWAL reads the city's log, decodes every valid record
+// (DecodeRecord) and passes it to apply, in log order. A segment an
+// earlier version's compaction left beside the log is folded into it
+// first (foldPendingWAL). Records whose sequence number is at or below
 // after (the snapshot's watermark) are skipped undecoded, so replay is
-// idempotent no matter where a compaction crashed; a record whose
+// idempotent no matter where a compaction stopped; a record whose
 // sequence does not rise above the last one passed is out of order.
-// Within each file the longest valid prefix wins: at the first torn frame,
-// CRC mismatch, undecodable or out-of-order record, or record apply
-// rejects, the file is truncated to the last valid record in place — the
-// repair that lets the next appender continue from a consistent tail —
-// and the cut is reported in the info. apply must leave its state as it
-// was when it rejects a record, so the state ends at exactly the kept
-// prefix. A file whose header is unreadable is quarantined to
-// <path>.corrupt like a corrupt snapshot. I/O errors (not corruption) fail
-// the replay.
+// The longest valid prefix wins: at the first torn frame, CRC mismatch,
+// undecodable or out-of-order record, or record apply rejects, the file
+// is truncated to the last valid record in place — the repair that lets
+// the next appender continue from a consistent tail — and the cut is
+// reported in the info. apply must leave its state as it was when it
+// rejects a record, so the state ends at exactly the kept prefix. A file
+// whose header is unreadable is quarantined to <path>.corrupt like a
+// corrupt snapshot. I/O errors (not corruption) fail the replay.
 func ReplayWAL(dir, key string, city *dataset.City, after int64, apply func(Record) error) (*WALReplayInfo, error) {
 	if city == nil || city.POIs == nil {
 		return nil, fmt.Errorf("store: nil city")
+	}
+	if err := foldPendingWAL(dir, key); err != nil {
+		return nil, err
 	}
 	info := &WALReplayInfo{LastSeq: after}
 	step := func(payload []byte) (skipped bool, err error) {
@@ -787,59 +802,54 @@ func ReplayWAL(dir, key string, city *dataset.City, after int64, apply func(Reco
 		}
 		return false, nil
 	}
-	if err := replayWALFile(PendingWALPath(dir, key), false, step, info); err != nil {
-		return nil, err
-	}
-	if info.Truncated != "" {
-		// The pending segment lost records (torn tail or quarantine). The
-		// current log continues from sequences that no longer exist, so
-		// applying it would fabricate a history no consistent prefix ever
-		// had — an op log with a hole in the middle. Drop the current log
-		// entirely: the surviving prefix ends where the pending cut is.
-		if err := dropWALFile(WALPath(dir, key), info); err != nil {
-			return nil, err
-		}
-	} else if err := replayWALFile(WALPath(dir, key), true, step, info); err != nil {
+	if err := replayWALFile(WALPath(dir, key), step, info); err != nil {
 		return nil, err
 	}
 	return info, nil
 }
 
-// dropWALFile discards a log file's records (truncating it back to its
-// header, or quarantining a headerless file) because a preceding segment
-// lost records — replaying across the gap would be worse than cutting
-// here.
-func dropWALFile(path string, info *WALReplayInfo) error {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
+// foldPendingWAL folds the sealed segment an earlier version's compaction
+// left beside the log (<key>.wal.pending, when it stopped before its
+// snapshot landed) into the log, once: the log's frames are appended to
+// the segment, which is fsynced and renamed over the log, and the
+// directory is fsynced. Replay's own rules then recover what the two
+// files held: a torn segment cuts the log's records that follow it, and a
+// fold repeated after a crash re-appends the log's records, which replay
+// cuts as sequence regressions.
+func foldPendingWAL(dir, key string) error {
+	pending, path := PendingWALPath(dir, key), WALPath(dir, key)
+	if _, err := os.Stat(pending); os.IsNotExist(err) {
 		return nil
+	}
+	log, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: fold wal segment: %w", err)
+	}
+	f, err := os.OpenFile(pending, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("store: fold wal segment: %w", err)
+	}
+	if int64(len(log)) > walHeaderLen {
+		_, err = f.Write(log[walHeaderLen:])
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(pending, path)
 	}
 	if err != nil {
-		return fmt.Errorf("store: read wal: %w", err)
+		return fmt.Errorf("store: fold wal segment: %w", err)
 	}
-	if int64(len(raw)) < walHeaderLen || [8]byte(raw[:walHeaderLen]) != walMagic {
-		dst := path + ".corrupt"
-		if err := os.Rename(path, dst); err != nil {
-			return fmt.Errorf("store: quarantine headerless wal: %w", err)
-		}
-		info.DroppedBytes += int64(len(raw))
-		info.Truncated += fmt.Sprintf("; %s: no valid header; moved to %s", filepath.Base(path), dst)
-		return nil
-	}
-	if int64(len(raw)) == walHeaderLen {
-		return nil
-	}
-	if err := os.Truncate(path, walHeaderLen); err != nil {
-		return fmt.Errorf("store: drop wal after gap: %w", err)
-	}
-	info.DroppedBytes += int64(len(raw)) - walHeaderLen
-	info.Truncated += fmt.Sprintf("; %s: dropped (%d bytes follow the cut)", filepath.Base(path), int64(len(raw))-walHeaderLen)
-	return nil
+	return syncDir(dir)
 }
 
-// replayWALFile scans one log file, passing each record's payload to
-// step and repairing torn tails in place.
-func replayWALFile(path string, current bool, step func(payload []byte) (skipped bool, err error), info *WALReplayInfo) error {
+// replayWALFile scans the log file, passing each record's payload to step
+// and repairing a torn tail in place.
+func replayWALFile(path string, step func(payload []byte) (skipped bool, err error), info *WALReplayInfo) error {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
@@ -848,12 +858,6 @@ func replayWALFile(path string, current bool, step func(payload []byte) (skipped
 		return fmt.Errorf("store: read wal: %w", err)
 	}
 	name := filepath.Base(path)
-	addCut := func(msg string) {
-		if info.Truncated != "" {
-			info.Truncated += "; "
-		}
-		info.Truncated += name + ": " + msg
-	}
 	if int64(len(raw)) < walHeaderLen || [8]byte(raw[:walHeaderLen]) != walMagic {
 		// No valid header: the whole file is unusable. Quarantine it so
 		// the evidence survives and a fresh log can start.
@@ -861,20 +865,20 @@ func replayWALFile(path string, current bool, step func(payload []byte) (skipped
 		if err := os.Rename(path, dst); err != nil {
 			return fmt.Errorf("store: quarantine headerless wal: %w", err)
 		}
-		addCut(fmt.Sprintf("no valid header; moved to %s", dst))
-		info.DroppedBytes += int64(len(raw))
+		info.Truncated = fmt.Sprintf("%s: no valid header; moved to %s", name, dst)
+		info.DroppedBytes = int64(len(raw))
 		return nil
 	}
 	off := walHeaderLen
 	for off < int64(len(raw)) {
 		payload, n, err := DecodeFrame(raw[off:])
 		if err != nil {
-			addCut(fmt.Sprintf("bad frame at offset %d: %v", off, err))
+			info.Truncated = fmt.Sprintf("%s: bad frame at offset %d: %v", name, off, err)
 			break
 		}
 		skipped, err := step(payload)
 		if err != nil {
-			addCut(fmt.Sprintf("inapplicable record at offset %d: %v", off, err))
+			info.Truncated = fmt.Sprintf("%s: inapplicable record at offset %d: %v", name, off, err)
 			break
 		}
 		if skipped {
@@ -882,17 +886,15 @@ func replayWALFile(path string, current bool, step func(payload []byte) (skipped
 		} else {
 			info.Records++
 		}
-		if current {
-			info.CurrentRecords++
-		}
+		info.CurrentRecords++
 		off += int64(n)
 	}
 	if off < int64(len(raw)) {
-		info.DroppedBytes += int64(len(raw)) - off
+		info.DroppedBytes = int64(len(raw)) - off
 		if err := os.Truncate(path, off); err != nil {
 			return fmt.Errorf("store: truncate torn wal tail: %w", err)
 		}
 	}
-	info.Bytes += off - walHeaderLen
+	info.Bytes = off - walHeaderLen
 	return nil
 }

@@ -33,12 +33,21 @@ type faultFile struct {
 }
 
 // injectFault arms a fault on a log's file; at counts writes from now.
-func injectFault(w *WAL, at int, kind faultKind) {
+func injectFault(w *WAL, at int, kind faultKind) *faultFile {
 	f, ok := w.f.(*os.File)
 	if !ok {
 		f = w.f.(*faultFile).File
 	}
-	w.f = &faultFile{File: f, at: at, kind: kind}
+	ff := &faultFile{File: f, at: at, kind: kind}
+	w.f = ff
+	return ff
+}
+
+// rearm moves a fault onto the file a Trim reopened, keeping its place in
+// the count of writes: the trim replaced the file the fault was armed on.
+func rearm(w *WAL, ff *faultFile) {
+	ff.File = w.f.(*os.File)
+	w.f = ff
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
@@ -79,8 +88,8 @@ func (f *faultFile) Sync() error {
 // TestWALFsyncFailureLatches: one fsync fails with EIO. Its append fails,
 // and so does every later append although the file's next fsync would
 // succeed — Linux may already have dropped the pages the failed fsync
-// covered, so a later success proves nothing about them. Rotate and
-// Close report the failure too; Reset, which follows a compaction that
+// covered, so a later success proves nothing about them. Trim and Close
+// report the failure too; Reset, which follows a snapshot handoff that
 // rewrote the state, clears it.
 func TestWALFsyncFailureLatches(t *testing.T) {
 	fx := makeWALFixture(t)
@@ -102,8 +111,8 @@ func TestWALFsyncFailureLatches(t *testing.T) {
 	if err := w.AppendFrames([]WALFrame{{Seq: 3, Payload: []byte("{}")}}); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("frame append after a failed fsync = %v, want the latched EIO", err)
 	}
-	if err := w.Rotate(); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("rotate after a failed fsync = %v, want the latched EIO", err)
+	if err := w.Trim(w.Mark()); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("trim after a failed fsync = %v, want the latched EIO", err)
 	}
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
@@ -123,10 +132,15 @@ func TestWALFsyncFailureLatches(t *testing.T) {
 // FuzzWALFaults appends fixture records, chosen and ordered by the input,
 // to a log whose file fails once, at a fuzzed write, in a fuzzed way: a
 // write error, a short write, a short write whose truncate fails, or an
-// fsync error. No append may succeed after a failed fsync, Close must
-// report a failure the log latched, and ReplayWAL must return exactly the
-// acknowledged records in order, plus at most the one record whose fsync
-// failed — nothing acknowledged lost, nothing refused invented.
+// fsync error. The input also picks where among the appends a compaction
+// takes its Mark and where it runs its Trim; the fault stays armed across
+// the trim, re-armed on the file the trim reopens. No append may succeed
+// after a failed fsync, a trim after a latched failure must return it,
+// Close must report a failure the log latched, and replay over the mark's
+// watermark must return exactly the acknowledged records after the mark,
+// in order, plus at most the one record whose fsync failed — nothing
+// acknowledged lost, nothing refused invented, whether or not the trim
+// ran.
 func FuzzWALFaults(f *testing.F) {
 	fx := makeWALFixture(f)
 	all := make([]byte, len(fx.records))
@@ -135,10 +149,12 @@ func FuzzWALFaults(f *testing.F) {
 	}
 	for at := range len(fx.records) + 1 {
 		for kind := range numFaultKinds {
-			f.Add(all, uint8(at), uint8(kind))
+			for _, trim := range [][2]uint8{{2, 4}, {3, 3}, {0, 6}, {9, 9}} {
+				f.Add(all, uint8(at), uint8(kind), trim[0], trim[1])
+			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, picks []byte, at, kind uint8) {
+	f.Fuzz(func(t *testing.T, picks []byte, at, kind, markAt, trimAt uint8) {
 		if len(picks) > 4*len(fx.records) {
 			picks = picks[:4*len(fx.records)]
 		}
@@ -148,11 +164,30 @@ func FuzzWALFaults(f *testing.F) {
 			t.Fatal(err)
 		}
 		fault := faultKind(kind % uint8(numFaultKinds))
-		injectFault(w, int(at), fault)
+		ff := injectFault(w, int(at), fault)
+		latches := fault == faultSync || fault == faultTruncate
+		var mark WALMark
 		var acked []Record
 		var unsynced *Record // the record whose fsync failed
-		for i, p := range picks {
-			rec := fx.records[int(p)%len(fx.records)]
+		for i := 0; i <= len(picks); i++ {
+			if i == int(markAt) {
+				mark = w.Mark()
+			}
+			if i == int(trimAt) && trimAt >= markAt {
+				latchedNow := latches && int(at) < i
+				switch err := w.Trim(mark); {
+				case latchedNow && !errors.Is(err, syscall.EIO):
+					t.Fatalf("trim after a latched %d fault = %v, want EIO", fault, err)
+				case !latchedNow && err != nil:
+					t.Fatalf("trim = %v", err)
+				case err == nil:
+					rearm(w, ff)
+				}
+			}
+			if i == len(picks) {
+				break
+			}
+			rec := fx.records[int(picks[i])%len(fx.records)]
 			seq, err := w.Append(rec)
 			if err == nil {
 				if unsynced != nil {
@@ -167,22 +202,28 @@ func FuzzWALFaults(f *testing.F) {
 				unsynced = &rec
 			}
 		}
-		latched := int(at) < len(picks) && (fault == faultSync || fault == faultTruncate)
+		latched := int(at) < len(picks) && latches
 		if err := w.Close(); latched && !errors.Is(err, syscall.EIO) {
 			t.Fatalf("Close after a latched %d fault = %v, want EIO", fault, err)
 		} else if !latched && err != nil {
 			t.Fatalf("Close = %v", err)
 		}
 
-		recs, info := replay(t, dir, "wal", fx.city, 0)
-		got, want := streamJSON(t, recs), streamJSON(t, acked)
-		if got == want {
+		var want []Record
+		for _, rec := range acked {
+			if rec.Seq > mark.Seq {
+				want = append(want, rec)
+			}
+		}
+		recs, info := replay(t, dir, "wal", fx.city, mark.Seq)
+		got := streamJSON(t, recs)
+		if got == streamJSON(t, want) {
 			return
 		}
-		if unsynced != nil && got == streamJSON(t, append(acked, *unsynced)) {
+		if unsynced != nil && unsynced.Seq > mark.Seq && got == streamJSON(t, append(want, *unsynced)) {
 			return
 		}
-		t.Fatalf("fault %d at write %d: replay (%+v) passed\n%s\nwant the %d acknowledged records\n%s",
-			fault, at, info, got, len(acked), want)
+		t.Fatalf("fault %d at write %d, mark at %d (seq %d), trim at %d: replay (%+v) passed\n%s\nwant the %d acknowledged records after the mark\n%s",
+			fault, at, markAt, mark.Seq, trimAt, info, got, len(want), streamJSON(t, want))
 	})
 }

@@ -440,7 +440,8 @@ func TestWALBadHeaderQuarantined(t *testing.T) {
 }
 
 // TestWALResetAfterCompaction: Reset drops the log back to its header —
-// the compaction contract — and the appender keeps working after it.
+// what a follower does once a primary's compaction snapshot is installed
+// — and the appender keeps working after it.
 func TestWALResetAfterCompaction(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
@@ -541,7 +542,7 @@ func TestWALCompactionCrashIdempotent(t *testing.T) {
 	if info.Records != len(fx.records) {
 		t.Fatalf("info %+v", info)
 	}
-	// "Crash": the log was never truncated. Recovery = snapshot + full
+	// "Crash": the log was never trimmed. Recovery = snapshot + full
 	// log; every record must be skipped, none passed on again.
 	recs, info2 := replay(t, dir, "wal", fx.city, info.LastSeq)
 	if info2.Records != 0 || info2.Skipped != len(fx.records) || info2.Truncated != "" || len(recs) != 0 {
@@ -561,74 +562,195 @@ func TestWALCompactionCrashIdempotent(t *testing.T) {
 	w.Close()
 }
 
-// TestWALRotateChain: Rotate seals the log as the pending segment and
-// recovery replays pending-then-current — the crash-mid-compaction
-// layout. Once a snapshot covers the pending records, replay skips them.
-func TestWALRotateChain(t *testing.T) {
+// TestWALTrim: Trim replaces the log with its header plus a byte-for-byte
+// copy of the records appended after the mark — here, between the mark
+// and the trim — and appends continue in the new file: the appender's
+// counters restart from the copy, and the log ends exactly as the
+// fixture's untrimmed log does. Nothing is left beside the log.
+func TestWALTrim(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, "wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range fx.records[:2] { // group + package
+	for _, r := range fx.records[:3] { // group, package, first op
 		if _, err := w.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	watermark := w.LastSeq()
-	if err := w.Rotate(); err != nil {
+	m := w.Mark()
+	if m.Seq != 3 {
+		t.Fatalf("mark at seq %d, want 3", m.Seq)
+	}
+	for _, r := range fx.records[3:5] { // two ops between the mark and the trim
+		if _, err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Trim(m); err != nil {
 		t.Fatal(err)
 	}
-	if !w.PendingExists() {
-		t.Fatal("rotate left no pending segment")
-	}
-	if st := w.Stats(); st.Records != 0 || st.Bytes != 0 {
-		t.Fatalf("fresh segment stats %+v", st)
-	}
-	// A second rotation with a pending segment outstanding must refuse —
-	// overwriting it would destroy records no snapshot holds.
-	if err := w.Rotate(); err == nil {
-		t.Fatal("rotate over an existing pending segment accepted")
-	}
-	if _, err := w.Append(fx.records[2]); err != nil { // a customOp, seq 3
+	golden := readTestdata(t, "fixture.wal")
+	offs := frameOffsets(t, "testdata/fixture.wal")
+	want := append(walMagic[:], golden[offs[3]:offs[5]]...)
+	got, err := os.ReadFile(WALPath(dir, "wal"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("trimmed log holds %d bytes, want the header plus records 4-5 (%d bytes)", len(got), len(want))
+	}
+	if st := w.Stats(); st.Records != 2 || st.Bytes != int64(len(want))-walHeaderLen {
+		t.Fatalf("stats after the trim %+v, want 2 records in %d bytes", st, len(want)-int(walHeaderLen))
+	}
+	if seq, err := w.Append(fx.records[5]); err != nil || seq != 6 {
+		t.Fatalf("append after the trim: seq %d, err %v; want seq 6", seq, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if got, err = os.ReadFile(WALPath(dir, "wal")); err != nil || !bytes.Equal(got, append(walMagic[:], golden[offs[3]:]...)) {
+		t.Fatalf("log after the trim and an append differs from the fixture's records 4-6 (err %v)", err)
+	}
+	recs, info := replay(t, dir, "wal", fx.city, m.Seq)
+	if info.Records != 3 || info.Skipped != 0 || info.Truncated != "" {
+		t.Fatalf("replay over the mark: info %+v", info)
+	}
+	if streamJSON(t, recs) != writtenJSON(t, 4, fx.records[3:]) {
+		t.Fatal("trimmed log replays differently from records 4-6")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("state directory holds %v (err %v), want the log alone", entries, err)
+	}
+}
 
-	// Crash before the snapshot landed: replay chains pending + current.
-	recs, info := replay(t, dir, "wal", fx.city, 0)
-	if info.Records != 3 || info.Truncated != "" {
-		t.Fatalf("chain replay info %+v", info)
-	}
-	if streamJSON(t, recs) != replayPrefix(t, fx, 3) {
-		t.Fatal("chained replay != first three records")
-	}
-	// Crash after the snapshot landed: pending records are skipped, the
-	// current segment still applies.
-	recs2, info2 := replay(t, dir, "wal", fx.city, watermark)
-	if info2.Records != 1 || info2.Skipped != 2 {
-		t.Fatalf("post-snapshot chain info %+v", info2)
-	}
-	if info2.CurrentRecords != 1 {
-		t.Fatalf("current segment records = %d, want 1", info2.CurrentRecords)
-	}
-	if got, want := streamJSON(t, recs2), writtenJSON(t, 3, fx.records[2:3]); got != want {
-		t.Fatalf("skip-based replay passed %s, want %s", got, want)
-	}
-	// Compaction's final step removes the pending segment; the chain
-	// then replays identically from snapshot + current alone.
-	if err := RemovePendingWAL(dir, "wal"); err != nil {
+// TestWALTrimConcurrentAppends: trims run while appends keep arriving, as
+// in a background compaction. Every record after the last trim's mark
+// survives — an append written before a trim took the log's locks is in
+// its copy, a later one in the new file — and the log replays as a dense
+// run with the appender's record count matching it.
+func TestWALTrimConcurrentAppends(t *testing.T) {
+	fx := makeWALFixture(t)
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, "wal")
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs3, info3 := replay(t, dir, "wal", fx.city, watermark)
-	if info3.Records != 1 || info3.Skipped != 0 {
-		t.Fatalf("post-removal info %+v", info3)
+	const writers, perWriter = 4, 30
+	g := fx.want.Groups[0].Group
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < perWriter; j++ {
+				if _, err := w.Append(Record{Kind: RecordGroupCreate, ID: 10 + i*perWriter + j, Group: g}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(i)
 	}
-	if streamJSON(t, recs3) != streamJSON(t, recs2) {
-		t.Fatal("records changed after pending removal")
+	// Trim until half the records are in, so the last trim too runs while
+	// appends are in flight and the records after its mark are many.
+	const total = writers * perWriter
+	var mark WALMark
+	for w.LastSeq() < total/2 {
+		mark = w.Mark()
+		if err := w.Trim(mark); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
+	if st := w.Stats(); st.Records != total-mark.Seq {
+		t.Fatalf("appender counts %d records after the last mark (seq %d), want %d", st.Records, mark.Seq, total-mark.Seq)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, info := replay(t, dir, "wal", fx.city, mark.Seq)
+	if info.Truncated != "" || info.Skipped != 0 || info.LastSeq != total || int64(len(recs)) != total-mark.Seq {
+		t.Fatalf("replay over the last mark (seq %d): info %+v, %d records", mark.Seq, info, len(recs))
+	}
+	for i, r := range recs {
+		if r.Seq != mark.Seq+1+int64(i) {
+			t.Fatalf("record %d after the mark has seq %d", i, r.Seq)
+		}
+	}
+}
+
+// writeLegacy lays out an earlier version's interrupted compaction under
+// dir as key "wal": a sealed segment beside the log that continues it.
+func writeLegacy(t *testing.T, dir string, segment, log []byte) {
+	t.Helper()
+	if err := os.WriteFile(PendingWALPath(dir, "wal"), segment, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(WALPath(dir, "wal"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readTestdata(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestWALFoldsLegacySegment: earlier versions' compaction sealed the log
+// as <key>.wal.pending (Rotate) and started a fresh log continuing it; one
+// that stopped before its snapshot landed left both files.
+// testdata/rotated.wal.pending and rotated.wal are that layout, written by
+// the real Rotate over the fixture's records: the group, the package and
+// the first op, then the other two ops and the refine. Replay folds the
+// segment into the log and returns the segment's records, then the log's,
+// skipping what a snapshot watermark covers; the folded log is the
+// fixture's one-file log byte for byte, no segment is left, and a second
+// load changes nothing. A fold interrupted after its append — the segment
+// already holds both files' frames and the log still exists — folds again
+// and replays the same records: replay cuts the re-appended ones as
+// sequence regressions.
+func TestWALFoldsLegacySegment(t *testing.T) {
+	fx := makeWALFixture(t)
+	segment, log := readTestdata(t, "rotated.wal.pending"), readTestdata(t, "rotated.wal")
+	golden := readTestdata(t, "fixture.wal")
+	interrupted := append(append([]byte(nil), segment...), log[walHeaderLen:]...)
+	for _, tc := range []struct {
+		name    string
+		segment []byte
+		cut     bool // replay cuts the re-appended records
+	}{
+		{"rotated", segment, false},
+		{"foldInterrupted", interrupted, true},
+	} {
+		for _, after := range []int64{0, 3} {
+			t.Run(fmt.Sprintf("%s/after=%d", tc.name, after), func(t *testing.T) {
+				dir := t.TempDir()
+				writeLegacy(t, dir, tc.segment, log)
+				recs, info := replay(t, dir, "wal", fx.city, after)
+				if info.Records != 6-int(after) || info.Skipped != int(after) || info.CurrentRecords != 6 ||
+					(info.Truncated != "") != tc.cut {
+					t.Fatalf("fold replay info %+v", info)
+				}
+				if got, want := streamJSON(t, recs), writtenJSON(t, after+1, fx.records[after:]); got != want {
+					t.Fatalf("fold replayed\n%s\nwant\n%s", got, want)
+				}
+				if _, err := os.Stat(PendingWALPath(dir, "wal")); !os.IsNotExist(err) {
+					t.Fatalf("segment left behind (err %v)", err)
+				}
+				if folded, err := os.ReadFile(WALPath(dir, "wal")); err != nil || !bytes.Equal(folded, golden) {
+					t.Fatalf("folded log differs from testdata/fixture.wal (err %v)", err)
+				}
+				recs2, info2 := replay(t, dir, "wal", fx.city, after)
+				if info2.Truncated != "" || info2.Records != info.Records || streamJSON(t, recs2) != streamJSON(t, recs) {
+					t.Fatalf("second load differs: %+v", info2)
+				}
+			})
+		}
 	}
 }
 
@@ -639,7 +761,7 @@ func TestWALAppendFramesBatch(t *testing.T) {
 	fx := makeWALFixture(t)
 	srcDir := t.TempDir()
 	writeWAL(t, srcDir, "wal", fx.records)
-	frames, err := CollectWALFrames(srcDir, "wal")
+	frames, _, err := ReadWALFramesAt(WALPath(srcDir, "wal"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,7 +813,7 @@ func TestWALAppendFramesRefusesGap(t *testing.T) {
 	fx := makeWALFixture(t)
 	srcDir := t.TempDir()
 	writeWAL(t, srcDir, "wal", fx.records)
-	frames, err := CollectWALFrames(srcDir, "wal")
+	frames, _, err := ReadWALFramesAt(WALPath(srcDir, "wal"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -733,58 +855,32 @@ func TestWALAppendFramesRefusesGap(t *testing.T) {
 	}
 }
 
-// TestWALGapDropsCurrentSegment: when the pending segment loses records,
-// the current log continues from sequences that no longer exist. Replay
-// must not apply across the gap — the surviving prefix ends at the cut,
-// and the current log is dropped rather than fabricating an op history
-// with a hole in the middle.
-func TestWALGapDropsCurrentSegment(t *testing.T) {
+// TestWALFoldTornSegment: when the legacy segment's last record is torn
+// (testdata/rotated_torn.wal.pending, the first op cut short), the log
+// continues from a sequence that no longer exists. The fold appends the
+// log's frames after the torn one, so replay cuts there: the surviving
+// prefix is the group and the package, not records 1, 2, 4, 5, 6 — an op
+// history with a hole in the middle. The repair is a fixpoint, and no
+// segment is left.
+func TestWALFoldTornSegment(t *testing.T) {
 	fx := makeWALFixture(t)
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, "wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range fx.records[:3] { // group, package, customOp
-		if _, err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(fx.records[3]); err != nil { // another customOp, seq 4
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the pending segment's last record (the seq-3 customOp).
-	pending := PendingWALPath(dir, "wal")
-	fi, err := os.Stat(pending)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(pending, fi.Size()-5); err != nil {
-		t.Fatal(err)
-	}
-
+	writeLegacy(t, dir, readTestdata(t, "rotated_torn.wal.pending"), readTestdata(t, "rotated_torn.wal"))
 	recs, info := replay(t, dir, "wal", fx.city, 0)
 	if info.Records != 2 || info.Truncated == "" {
 		t.Fatalf("info %+v, want 2 records and a reported cut", info)
 	}
-	// Neither the torn seq-3 op nor the seq-4 op that depended on it
-	// passed: the stream is the 2-record prefix, not records 1,2,4.
 	if streamJSON(t, recs) != replayPrefix(t, fx, 2) {
-		t.Fatal("gap replay != surviving prefix")
+		t.Fatal("torn-segment replay != surviving prefix")
 	}
-	// The repair is a fixpoint and the current log was emptied, not left
-	// holding unreachable records.
 	recs2, info2 := replay(t, dir, "wal", fx.city, 0)
 	if info2.Truncated != "" || info2.Records != 2 {
 		t.Fatalf("repaired replay info %+v", info2)
 	}
 	if streamJSON(t, recs2) != streamJSON(t, recs) {
-		t.Fatal("repaired gap replay diverged")
+		t.Fatal("repaired torn-segment replay diverged")
+	}
+	if _, err := os.Stat(PendingWALPath(dir, "wal")); !os.IsNotExist(err) {
+		t.Fatalf("segment left behind (err %v)", err)
 	}
 }
