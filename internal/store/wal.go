@@ -810,38 +810,38 @@ func ReplayWAL(dir, key string, city *dataset.City, after int64, apply func(Reco
 
 // foldPendingWAL folds the sealed segment an earlier version's compaction
 // left beside the log (<key>.wal.pending, when it stopped before its
-// snapshot landed) into the log, once: the log's frames are appended to
-// the segment, which is fsynced and renamed over the log, and the
-// directory is fsynced. Replay's own rules then recover what the two
-// files held: a torn segment cuts the log's records that follow it, and a
-// fold repeated after a crash re-appends the log's records, which replay
-// cuts as sequence regressions.
+// snapshot landed) into the log, once: the segment is replaced, through
+// writeFileAtomic, by itself followed by the log's frames, then renamed
+// over the log, and the directory is fsynced. Neither file is written in
+// place, so a crash or a failed write leaves either the two files as they
+// were (a temp file beside them is ignored) or the whole fold beside the
+// log. Replay's own rules then recover what the two files held: a torn
+// segment cuts the log's records that follow it, and a fold repeated
+// after the first rename re-appends the log's records, which replay cuts
+// as sequence regressions.
 func foldPendingWAL(dir, key string) error {
 	pending, path := PendingWALPath(dir, key), WALPath(dir, key)
-	if _, err := os.Stat(pending); os.IsNotExist(err) {
+	segment, err := os.ReadFile(pending)
+	if os.IsNotExist(err) {
 		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("store: fold wal segment: %w", err)
 	}
 	log, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("store: fold wal segment: %w", err)
 	}
-	f, err := os.OpenFile(pending, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
+	if int64(len(log)) > walHeaderLen {
+		segment = append(segment, log[walHeaderLen:]...)
+	}
+	if err := writeFileAtomic(pending, func(w io.Writer) error {
+		_, err := w.Write(segment)
+		return err
+	}); err != nil {
 		return fmt.Errorf("store: fold wal segment: %w", err)
 	}
-	if int64(len(log)) > walHeaderLen {
-		_, err = f.Write(log[walHeaderLen:])
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(pending, path)
-	}
-	if err != nil {
+	if err := os.Rename(pending, path); err != nil {
 		return fmt.Errorf("store: fold wal segment: %w", err)
 	}
 	return syncDir(dir)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -710,27 +711,48 @@ func readTestdata(t *testing.T, name string) []byte {
 // segment into the log and returns the segment's records, then the log's,
 // skipping what a snapshot watermark covers; the folded log is the
 // fixture's one-file log byte for byte, no segment is left, and a second
-// load changes nothing. A fold interrupted after its append — the segment
-// already holds both files' frames and the log still exists — folds again
-// and replays the same records: replay cuts the re-appended ones as
-// sequence regressions.
+// load changes nothing. The fold writes neither file in place — hard
+// links to both keep their bytes — so a fold whose write stopped partway
+// leaves the two files as they were: a failed write removes its temp
+// file, a cut one leaves it (here holding the segment and part of the
+// log's frames, ending mid-frame), and the retry replays all six
+// records. A fold interrupted after the temp file's rename — the segment
+// already holds both files' frames and the log still exists — folds
+// again and replays the same records: replay cuts the re-appended ones
+// as sequence regressions.
 func TestWALFoldsLegacySegment(t *testing.T) {
 	fx := makeWALFixture(t)
 	segment, log := readTestdata(t, "rotated.wal.pending"), readTestdata(t, "rotated.wal")
 	golden := readTestdata(t, "fixture.wal")
-	interrupted := append(append([]byte(nil), segment...), log[walHeaderLen:]...)
+	folded := append(append([]byte(nil), segment...), log[walHeaderLen:]...)
 	for _, tc := range []struct {
 		name    string
 		segment []byte
-		cut     bool // replay cuts the re-appended records
+		tmp     []byte // a fold's temp file left beside the two files
+		cut     bool   // replay cuts the re-appended records
 	}{
-		{"rotated", segment, false},
-		{"foldInterrupted", interrupted, true},
+		{"rotated", segment, nil, false},
+		{"foldCutMidWrite", segment, folded[:len(segment)+(len(log)-int(walHeaderLen))/2], false},
+		{"foldInterrupted", folded, nil, true},
 	} {
 		for _, after := range []int64{0, 3} {
 			t.Run(fmt.Sprintf("%s/after=%d", tc.name, after), func(t *testing.T) {
 				dir := t.TempDir()
 				writeLegacy(t, dir, tc.segment, log)
+				if tc.tmp != nil {
+					if err := os.WriteFile(filepath.Join(dir, "wal.wal.pending.1.tmp"), tc.tmp, 0o600); err != nil {
+						t.Fatal(err)
+					}
+				}
+				links := []struct {
+					src  string
+					want []byte
+				}{{PendingWALPath(dir, "wal"), tc.segment}, {WALPath(dir, "wal"), log}}
+				for _, l := range links {
+					if err := os.Link(l.src, l.src+".link"); err != nil {
+						t.Fatal(err)
+					}
+				}
 				recs, info := replay(t, dir, "wal", fx.city, after)
 				if info.Records != 6-int(after) || info.Skipped != int(after) || info.CurrentRecords != 6 ||
 					(info.Truncated != "") != tc.cut {
@@ -744,6 +766,11 @@ func TestWALFoldsLegacySegment(t *testing.T) {
 				}
 				if folded, err := os.ReadFile(WALPath(dir, "wal")); err != nil || !bytes.Equal(folded, golden) {
 					t.Fatalf("folded log differs from testdata/fixture.wal (err %v)", err)
+				}
+				for _, l := range links {
+					if got, err := os.ReadFile(l.src + ".link"); err != nil || !bytes.Equal(got, l.want) {
+						t.Fatalf("the fold wrote %s in place (err %v)", filepath.Base(l.src), err)
+					}
 				}
 				recs2, info2 := replay(t, dir, "wal", fx.city, after)
 				if info2.Truncated != "" || info2.Records != info.Records || streamJSON(t, recs2) != streamJSON(t, recs) {
